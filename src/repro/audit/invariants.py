@@ -45,6 +45,16 @@ Invariant catalogue (``INVARIANT_NAMES``):
     thief's own node held an eligible candidate under the same
     cache-hot filter, and never takes a cache-hot VCPU unless the
     thief was about to idle.
+``epoch_clock``
+    Simulated time and the epoch/tick counters agree.  The checker
+    keeps its own ``t = t + epoch_s`` chain from the first state it
+    observes (auditors are not pickled into checkpoints, so a resumed
+    run seeds a fresh chain) and requires ``machine.time`` to equal it
+    exactly — the same float additions every engine performs — and
+    ``tick_index == ceil(epoch_index / epochs_per_tick)``, since a
+    Credit tick fires at every epoch index divisible by the tick
+    length.  ``RunSummary`` comparison never sees these counters, yet
+    ``epoch_index`` decides which epochs tick on a resume.
 
 Violations raise :class:`InvariantViolation` carrying the epoch,
 engine, and a canonical-JSON digest of the machine state, so a failure
@@ -89,6 +99,7 @@ INVARIANT_NAMES: Tuple[str, ...] = (
     "pmu_monotone",
     "partition_spread",
     "steal_locality",
+    "epoch_clock",
 )
 
 _EPS = 1e-9
@@ -222,6 +233,8 @@ class InvariantChecker:
         self._credit_n: int = -1
         # pmu_monotone history: key -> (instr, refs, misses, local, remote)
         self._pmu_prev: Dict[int, Tuple[float, float, float, float, float]] = {}
+        # epoch_clock history: (epoch_index, chained time) last observed
+        self._clock: Optional[Tuple[int, float]] = None
         # the machine the history above belongs to
         self._machine_ref: Optional["weakref.ReferenceType"] = None
 
@@ -234,6 +247,7 @@ class InvariantChecker:
         self._credit_total = None
         self._credit_n = -1
         self._pmu_prev.clear()
+        self._clock = None
 
     # ------------------------------------------------------------------
     # Machine hook points
@@ -263,6 +277,8 @@ class InvariantChecker:
             self._check_pmu_window(machine)
         if "pmu_monotone" in self.enabled:
             self._check_pmu_monotone(machine)
+        if "epoch_clock" in self.enabled:
+            self._check_epoch_clock(machine)
 
     def check_partition(
         self,
@@ -533,6 +549,39 @@ class InvariantChecker:
                         f"cumulative {field} for {v.name} decreased "
                         f"{a!r} -> {b!r}",
                     )
+
+    def _check_epoch_clock(self, machine: "Machine") -> None:
+        self.checks_run += 1
+        epoch = machine.epoch_index
+        if self._clock is None:
+            self._clock = (epoch, machine.time)
+        else:
+            last, t = self._clock
+            if epoch < last:
+                self._fail(
+                    machine,
+                    "epoch_clock",
+                    f"epoch_index went backwards {last} -> {epoch}",
+                )
+            step = machine.config.epoch_s
+            for _ in range(epoch - last):
+                t = t + step
+            self._clock = (epoch, t)
+            if machine.time != t:
+                self._fail(
+                    machine,
+                    "epoch_clock",
+                    f"time {machine.time!r} is not the epoch chain's {t!r} "
+                    f"at epoch_index {epoch}",
+                )
+        ticks = -(-epoch // machine._epochs_per_tick)
+        if machine.tick_index != ticks:
+            self._fail(
+                machine,
+                "epoch_clock",
+                f"tick_index {machine.tick_index} after {epoch} epochs, "
+                f"expected {ticks}",
+            )
 
     # ------------------------------------------------------------------
     def describe(self) -> Dict[str, object]:

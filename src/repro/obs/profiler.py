@@ -50,13 +50,6 @@ The canonical phases (see :data:`SCHEDULER_PHASES`):
     tick (and, for fused slice-expiry re-picks, steal/context-switch)
     calls the horizon proved quiescent.  Batched engine only, absent
     with ``fuse_ticks=False``.
-``speculate``
-    Validating a speculatively sized batch against its captured
-    pre-batch state.  Batched engine with ``speculative=True`` only.
-``rollback``
-    Restoring state and replaying the proven prefix after a
-    mis-speculated batch.  Charged only when validation failed, so
-    ``rollback.calls`` counts mis-speculations.
 """
 
 from __future__ import annotations

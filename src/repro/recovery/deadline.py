@@ -165,12 +165,11 @@ def run_cell_batch_guarded(
 ) -> List[CellOutcome]:
     """Worker entry: run a chunk of cells, reporting per-cell outcomes.
 
-    Module-level and cache-blind like
-    :func:`~repro.experiments.parallel.run_cell_batch`, but an
-    exception in cell *k* no longer poisons cells *k+1..n* of the
-    chunk, and the parent learns exactly which cell failed how:
-    timeout-class failures route to the quarantine path, everything
-    else to the crash-retry path.
+    Module-level (picklable) and cache-blind — the parent owns all
+    cache traffic.  An exception in cell *k* never poisons cells
+    *k+1..n* of the chunk, and the parent learns exactly which cell
+    failed how: timeout-class failures route to the quarantine path,
+    everything else to the crash-retry path.
     """
     from repro.experiments.runner import execute_cell
     from repro.xen.simulator import SimulationTimeout

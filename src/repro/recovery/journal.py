@@ -20,10 +20,13 @@ Record kinds:
 * ``job`` / ``done`` or ``quarantined`` — a whole report job (one
   figure/table) finished rendering, so resume can skip it outright.
 
-Durability discipline: every append rewrites the journal through
-mkstemp + ``os.replace`` — the same atomic-publish rule as
-:mod:`repro.cache.store` — so the on-disk file is always a complete,
-parseable JSONL document no matter where a crash lands.  Loading is
+Durability discipline: the journal is a true append-only log.  Each
+record is one canonical line written with a single append, then
+flushed and fsynced before the call returns, so a record that was
+reported written survives a crash.  A crash mid-append can leave at
+most one torn final line (no trailing ``\n``); ``resume=True``
+truncates it before the first new append, so the next record starts
+on a fresh line instead of being glued onto the torn one.  Loading is
 defensive the same way reads are everywhere else in this codebase: a
 malformed line, wrong schema or wrong package version makes that
 *record* invisible (the cell simply recomputes), never an error.
@@ -34,8 +37,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import tempfile
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.cache.serialize import summary_from_payload, summary_to_payload
 from repro.metrics.collectors import RunSummary
@@ -52,7 +54,7 @@ _RECORD_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
 
 
 class GridJournal:
-    """Append-only record of grid outcomes, atomic on every append.
+    """Append-only record of grid outcomes, fsynced on every append.
 
     Parameters
     ----------
@@ -65,7 +67,6 @@ class GridJournal:
 
     def __init__(self, path: "pathlib.Path | str", resume: bool = False) -> None:
         self.path = pathlib.Path(path)
-        self._records: List[Dict[str, Any]] = []
         self._cells: Dict[str, RunSummary] = {}
         self._quarantines: Dict[str, Dict[str, Any]] = {}
         self._jobs: Dict[str, str] = {}
@@ -80,6 +81,10 @@ class GridJournal:
                 self.path.unlink()  # fresh run: a stale journal is noise
             except OSError:
                 pass
+        try:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+        except OSError:
+            pass
 
     # ------------------------------------------------------------------
     # Loading (defensive)
@@ -88,10 +93,19 @@ class GridJournal:
         from repro import __version__
 
         try:
-            text = self.path.read_text(encoding="utf-8")
+            data = self.path.read_bytes()
         except OSError:
             return
-        for line in text.splitlines():
+        end = data.rfind(b"\n") + 1
+        if end < len(data):
+            # Torn final line from a crash mid-append: cut it off so the
+            # next append starts on a fresh line.
+            try:
+                with self.path.open("r+b") as fh:
+                    fh.truncate(end)
+            except OSError:
+                pass
+        for line in data[:end].decode("utf-8", errors="replace").splitlines():
             if not line.strip():
                 continue
             try:
@@ -108,7 +122,6 @@ class GridJournal:
                 self._absorb(record)
             except _RECORD_ERRORS:
                 continue
-            self._records.append(record)
 
     def _absorb(self, record: Dict[str, Any]) -> None:
         kind = record["kind"]
@@ -133,42 +146,26 @@ class GridJournal:
             raise ValueError(f"unknown record kind {kind!r}")
 
     # ------------------------------------------------------------------
-    # Appending (atomic)
+    # Appending
     # ------------------------------------------------------------------
     def _append(self, record: Dict[str, Any]) -> None:
-        from repro import __version__
-
-        record = {"schema": JOURNAL_SCHEMA, "version": __version__, **record}
-        self._records.append(record)
-        self._flush()
-
-    def _flush(self) -> None:
-        """Publish the full journal atomically (mkstemp + replace).
+        """Append one canonical line, then flush and fsync.
 
         A journal write failure must never fail the experiment — the
         worst outcome of a lost record is recomputing a cell on resume.
         """
+        from repro import __version__
+
+        record = {"schema": JOURNAL_SCHEMA, "version": __version__, **record}
         try:
-            text = "".join(canonical_dumps(r) + "\n" for r in self._records)
+            line = canonical_dumps(record) + "\n"
         except (TypeError, ValueError):  # pragma: no cover - defensive
             return
         try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.path.parent, prefix=".tmp-", suffix=".jsonl"
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-                    fh.flush()
-                    os.fsync(fh.fileno())
-                os.replace(tmp, self.path)
-            except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            with self.path.open("a", encoding="utf-8") as fh:
+                fh.write(line)
+                fh.flush()
+                os.fsync(fh.fileno())
         except OSError:
             pass
 

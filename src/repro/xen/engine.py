@@ -953,41 +953,6 @@ class _BatchInvariants:
         self.aff_i1, self.aff_i2 = _aff_inner(k)
 
 
-class _FusedState:
-    """Hoisted per-batch state for the fused scalar replay.
-
-    Carries the seeded accumulator lists (shared, mutated in place by
-    :meth:`BatchedEngine._fused_epochs`) plus the gather/plan handles
-    the commit needs.  ``mbusy`` is the one plain-float accumulator —
-    the epoch loop reads it into a local and writes the final back.
-    The stacked engine packs these lists into lane-stacked ndarrays
-    and unpacks the finals before commit; everything in between is
-    private to the batch, which is what makes the hand-off bitwise.
-    """
-
-    __slots__ = (
-        "gather",
-        "plan",
-        "k",
-        "kb",
-        "running_pcpus",
-        "running_vcpus",
-        "pend",
-        "busy",
-        "mbusy",
-        "idone",
-        "sused",
-        "burst",
-        "bi",
-        "br",
-        "bm",
-        "bl",
-        "bx",
-        "m0",
-        "m1",
-    )
-
-
 class BatchedEngine(VectorEngine):
     """Macro-stepping engine: one 2D kernel pass per quiet-epoch run.
 
@@ -1036,7 +1001,6 @@ class BatchedEngine(VectorEngine):
         # getattr: a machine restored from a pre-fusion checkpoint pickles
         # a SimConfig without the new knobs.
         self._fuse_ticks = getattr(config, "fuse_ticks", True)
-        self._speculative = getattr(config, "speculative", False)
         #: pending fused-boundary plan for the batch compute_horizon just
         #: sized: a list of ``(j, time, slice_proj, repicks)`` tuples, one
         #: per provably-quiescent Credit tick inside the horizon.
@@ -1045,8 +1009,6 @@ class BatchedEngine(VectorEngine):
         self._batch_calls = 0
         self._fused_tick_total = 0
         self._repick_total = 0
-        self._spec_attempts = 0
-        self._spec_misses = 0
         #: hoisted latency/topology constants for the fused replay,
         #: built on first use (see _build_fused_plan).
         self._fused_scalars: Optional[tuple] = None
@@ -1217,10 +1179,7 @@ class BatchedEngine(VectorEngine):
         a non-negative premium, and queueing only inflates penalties),
         so ``clock / (cpi_base + rpi * floor_ns * ns2c / mlp)`` is still
         a true upper bound on the retire rate while sitting far below
-        ``clock / cpi_base`` for memory-bound keys.  Under
-        ``speculative=True`` the floor is skipped entirely and the
-        post-kernel validation in advance_batch truncates mis-speculated
-        batches instead.
+        ``clock / cpi_base`` for memory-bound keys.
         """
         machine = self.machine
         e0 = machine.epoch_index
@@ -1270,7 +1229,6 @@ class BatchedEngine(VectorEngine):
             slice_s,
             repick_base,
         ) = fh
-        speculative = self._speculative
         running_pcpus = []
         running_vcpus = []
         idle = False
@@ -1281,8 +1239,6 @@ class BatchedEngine(VectorEngine):
                 continue
             running_pcpus.append(pcpu)
             running_vcpus.append(cur)
-            if speculative:
-                continue
             w = cur.workload
             total = w.profile.total_instructions
             if total is not None:
@@ -1480,11 +1436,9 @@ class BatchedEngine(VectorEngine):
         self._fuse_plan = None
         self._batch_calls += 1
 
-        if kb <= self._REPLAY_MAX and (
-            plan or self._speculative or not self.two_node
-        ):
-            # Short horizon with fused ticks, speculation, or an exotic
-            # topology: replay through the full per-epoch path.
+        if kb <= self._REPLAY_MAX and (plan or not self.two_node):
+            # Short horizon with fused ticks or an exotic topology:
+            # replay through the full per-epoch path.
             return self._advance_replay(now, epoch, kb, plan)
 
         # Batch end time: exactly the `end = now + epoch` chain the
@@ -1494,7 +1448,6 @@ class BatchedEngine(VectorEngine):
         for _ in range(kb):
             t = t + epoch
         end_batch = t
-        times: Optional[List[float]] = None
 
         running_pcpus = []
         running_vcpus = []
@@ -1711,9 +1664,6 @@ class BatchedEngine(VectorEngine):
             ch = chains.cumsum(axis=1)
             O0[:, idxs] = ch[0, ::m][:kb, None]
             O1[:, idxs] = ch[1, ::m][:kb, None]
-            # The full cumsum is kept (not just its last element): a
-            # speculative truncation commits the chain state after the
-            # shortened batch, a prefix of the same array.
             over_chains.append((over, placement, ch, m))
 
         mm = inv.conc2 * RR[:kb] + inv.anti2 * OO
@@ -1740,50 +1690,6 @@ class BatchedEngine(VectorEngine):
             penalty = memsolve(traffic, node_of, mix0, mix1, local_mask=mask0)
         per_ref_ns = base_ref + M * penalty
         rates = inv.clock / (inv.cpi + rpi * per_ref_ns * inv.ns2c / inv.mlp)
-
-        # --- Speculative validation ------------------------------------
-        # With the completion floor waived, find the earliest epoch at
-        # which an *optimistic* seeded budget chain (rates * epoch — the
-        # real per-epoch budget never exceeds it, and float adds are
-        # monotone) could cross a finite-work total, and truncate the
-        # batch there before anything is committed.  The real crossing
-        # lands at or after the optimistic one, so the shortened batch's
-        # interior epochs stay clamp-free and only the final epoch needs
-        # the reference's remaining-work clamp (applied below).
-        if self._speculative:
-            self._spec_attempts += 1
-            t0s = profiler.start()
-            totals = gather.totals
-            cut = kb
-            col = np.empty(kb + 1)
-            for i in range(k):
-                total = totals[i]
-                if total is None:
-                    continue
-                col[0] = running_vcpus[i].workload.instructions_done
-                np.multiply(rates[:, i], epoch, out=col[1:])
-                crossed = np.nonzero(col.cumsum()[1:] >= total)[0]
-                if crossed.size:
-                    c = int(crossed[0]) + 1
-                    if c < cut:
-                        cut = c
-            profiler.stop("speculate", t0s)
-            if cut < kb:
-                t0r = profiler.start()
-                self._spec_misses += 1
-                kb = cut
-                end_batch = times[kb]
-                if plan:
-                    plan = [ft for ft in plan if ft[0] < kb]
-                profiler.stop("rollback", t0r)
-                if kb <= self._REPLAY_MAX:
-                    # Below kernel break-even: nothing was committed, so
-                    # fall back to singleton replay of the short batch.
-                    return self._advance_replay(now, epoch, kb, plan)
-                rates = rates[:kb]
-                M = M[:kb]
-                mix0 = mix0[:kb]
-                mix1 = mix1[:kb]
 
         # --- Fused-boundary commit -------------------------------------
         # Seeds for the progress chains and the overhead walk are read
@@ -1903,27 +1809,6 @@ class BatchedEngine(VectorEngine):
         # The horizon's one-epoch margin guarantees the reference's
         # remaining-work clamp never binds inside the batch.
         done = rates * epoch if compute is None else rates * compute
-        if self._speculative:
-            # Exact-final clamp: replay the reference's remaining-work
-            # clamp on the batch-final epoch for any finite column that
-            # crosses there.  Interior rows cannot cross — the
-            # validation cut the batch at the earliest optimistic
-            # crossing and real budgets never exceed the optimistic.
-            totals = gather.totals
-            ccol = np.empty(kb + 1)
-            for i in range(k):
-                total = totals[i]
-                if total is None:
-                    continue
-                dcol = done[:, i]
-                ccol[0] = running_vcpus[i].workload.instructions_done
-                ccol[1:] = dcol
-                entry = float(ccol.cumsum()[kb - 1])
-                remaining = total - entry
-                if remaining < 0.0:
-                    remaining = 0.0
-                if remaining < float(dcol[kb - 1]):
-                    dcol[kb - 1] = remaining
         refs = done * rpi
         misses = refs * M
 
@@ -2216,105 +2101,29 @@ class BatchedEngine(VectorEngine):
             scalars,
         )
 
-    def begin_fused_batch(
-        self, now: float, epoch: float, kb: int, kb_max: Optional[int] = None
-    ) -> Optional[tuple]:
-        """Stacked-engine entry: seed a fused batch without running it.
-
-        Mirrors the decision chain :meth:`advance_batch` walks before
-        committing to :meth:`_advance_replay_fused` — short horizon, no
-        fused ticks, no speculation, dual-socket, default contention
-        depth, every PCPU running — and, when all of it holds, performs
-        the gather memoisation and state seeding but **not** the epoch
-        loop.  Returns ``(state, end_batch)``; the caller must then run
-        ``kb`` epochs over ``state`` (via :meth:`_fused_epochs` or a
-        bitwise-equal kernel) and call :meth:`finish_fused_batch`.
-        Returns None when any precondition fails, in which case the
-        caller falls back to :meth:`advance_batch` unchanged — the
-        checks here are a conservative mirror, so a None is always
-        safe.
-
-        ``kb_max`` overrides the solo replay cap: the stacked engine
-        passes a larger bound (and accepts ``kb == 1`` singletons)
-        because batch partitioning is bitwise-neutral — running the
-        replay as one ``kb`` batch, as chunks, or epoch by epoch
-        evolves the same state.  Solo callers keep the default cap.
-        """
-        if kb_max is None:
-            if kb <= 1 or kb > self._REPLAY_MAX:
-                return None
-        elif kb < 1 or kb > kb_max:
-            return None
-        if self._fuse_plan or self._speculative or not self.two_node:
-            return None
-        machine = self.machine
-        if machine.config.contention_iterations != 2:
-            return None
-        running_pcpus = []
-        running_vcpus = []
-        sig_keys = []
-        sig_pids = []
-        for pcpu in machine.pcpus:
-            cur = pcpu.current
-            if cur is None:
-                return None
-            running_pcpus.append(pcpu)
-            running_vcpus.append(cur)
-            sig_keys.append(cur.key)
-            sig_pids.append(pcpu.pcpu_id)
-        k = len(running_vcpus)
-        if k == 0:
-            return None
-
-        # Same gather memoisation as advance_batch.
-        kg = self.key_gen
-        sig_kp = (tuple(sig_keys), tuple(sig_pids))
-        gens = tuple(kg[key] for key in sig_keys)
-        sig = (sig_kp, gens)
-        if sig != self._gather_sig:
-            cache = self._gather_cache
-            entry = cache.get(sig_kp)
-            if entry is None or entry[0] != gens:
-                gather = _Gather(self, running_pcpus, running_vcpus, k)
-                machine.profiler.count("gather_build")
-                if len(cache) >= 1024:
-                    cache.clear()
-                cache[sig_kp] = (gens, gather)
-            else:
-                gather = entry[1]
-            self._gather = gather
-            self._gather_sig = sig
-        else:
-            gather = self._gather
-
-        self._fuse_plan = None
-        self._batch_calls += 1
-        t = now
-        for _ in range(kb):
-            t = t + epoch
-        state = self._fused_seed(gather, running_pcpus, running_vcpus, k)
-        state.kb = kb
-        return state, t
-
-    def finish_fused_batch(
-        self, state: "_FusedState", end_batch: float, epoch: float, kb: int
-    ) -> float:
-        """Commit a batch begun by :meth:`begin_fused_batch`."""
-        return self._fused_commit(state, end_batch, epoch, kb)
-
-    def _fused_seed(
+    def _advance_replay_fused(
         self,
+        end_batch: float,
+        epoch: float,
+        kb: int,
         gather: _Gather,
         running_pcpus: list,
         running_vcpus: List[Vcpu],
         k: int,
-    ) -> "_FusedState":
-        """Seed the hoisted per-batch state for the fused replay.
+    ) -> float:
+        """Short event-free horizon: scalar replay with hoisted state.
 
-        Reseeds the assignment-static plan's warmth and placement
-        mirrors from live state and snapshots every accumulator chain
-        (busy time, PMU banks, progress, placement mixes) into Python
-        locals — the lists the epoch loop then evolves in place.
+        Runs :meth:`advance_running`'s exact arithmetic — same Python-
+        float expressions, same accumulation order — for ``kb`` epochs,
+        but performs the running-set scan, gather lookup, warmth/PMU/
+        placement reads and every state commit once per batch instead
+        of once per epoch.  All accumulator chains (busy time, PMU
+        banks, placement drift, page-mix rows, the shared `overall`
+        vectors) evolve on Python locals seeded from live state; the
+        finals are written back after the last epoch, which is bitwise
+        neutral because nothing else reads them mid-batch (the caller
+        guarantees no fused tick, no idle PCPU and an
+        event-free interior).  Dual-socket only.
         """
         machine = self.machine
 
@@ -2338,6 +2147,22 @@ class BatchedEngine(VectorEngine):
             w_by_node,
             scalars,
         ) = plan
+        (
+            hit_ns,
+            local_dram,
+            bw0,
+            bw1,
+            qpi_bw,
+            s_dram,
+            s_remote,
+            cap,
+            knee,
+            bpm,
+        ) = scalars
+        drift = gather.drift
+        totals = gather.totals
+        row_src = gather.mix_row_src
+        over_src = gather.mix_over_src
 
         # Reseed the state-dependent inputs: member warmth from the live
         # tables, placement-row / `overall` mirrors from the live lists
@@ -2354,114 +2179,23 @@ class BatchedEngine(VectorEngine):
             loc[1] = src[1]
 
         # Accumulator seeds (live values in, finals out).
+        pend_l = [p.overhead_pending_s for p in running_pcpus]
+        busy_l = [p.busy_time_s for p in running_pcpus]
+        mbusy = machine.busy_time_s
+        id_l = [v.workload.instructions_done for v in running_vcpus]
+        slice_l = [v.slice_used_s for v in running_vcpus]
+        burst_l = [v.run_burst_remaining_s for v in running_vcpus]
         pmu = machine.pmu
         banks = gather.pmu_banks
         rows_arr = gather.pmu_rows
         matrix = pmu._node_matrix
-        state = _FusedState()
-        state.gather = gather
-        state.plan = plan
-        state.k = k
-        state.running_pcpus = running_pcpus
-        state.running_vcpus = running_vcpus
-        state.pend = [p.overhead_pending_s for p in running_pcpus]
-        state.busy = [p.busy_time_s for p in running_pcpus]
-        state.mbusy = machine.busy_time_s
-        state.idone = [v.workload.instructions_done for v in running_vcpus]
-        state.sused = [v.slice_used_s for v in running_vcpus]
-        state.burst = [v.run_burst_remaining_s for v in running_vcpus]
-        state.bi = [b.instructions for b in banks]
-        state.br = [b.llc_refs for b in banks]
-        state.bm = [b.llc_misses for b in banks]
-        state.bl = [b.local_accesses for b in banks]
-        state.bx = [b.remote_accesses for b in banks]
-        state.m0 = [float(matrix[r, 0]) for r in rows_arr.tolist()]
-        state.m1 = [float(matrix[r, 1]) for r in rows_arr.tolist()]
-        return state
-
-    def _advance_replay_fused(
-        self,
-        end_batch: float,
-        epoch: float,
-        kb: int,
-        gather: _Gather,
-        running_pcpus: list,
-        running_vcpus: List[Vcpu],
-        k: int,
-    ) -> float:
-        """Short event-free horizon: scalar replay with hoisted state.
-
-        Runs :meth:`advance_running`'s exact arithmetic — same Python-
-        float expressions, same accumulation order — for ``kb`` epochs,
-        but performs the running-set scan, gather lookup, warmth/PMU/
-        placement reads and every state commit once per batch instead
-        of once per epoch.  All accumulator chains (busy time, PMU
-        banks, placement drift, page-mix rows, the shared `overall`
-        vectors) evolve on Python locals seeded from live state; the
-        finals are written back after the last epoch, which is bitwise
-        neutral because nothing else reads them mid-batch (the caller
-        guarantees no fused tick, no idle PCPU, no speculation and an
-        event-free interior).  Dual-socket only.
-
-        Split into seed / epochs / commit phases so the stacked engine
-        (:mod:`repro.xen.stacked`) can interleave many machines' epoch
-        loops; running them back to back here is the solo path.
-        """
-        state = self._fused_seed(gather, running_pcpus, running_vcpus, k)
-        self._fused_epochs(state, epoch, kb)
-        return self._fused_commit(state, end_batch, epoch, kb)
-
-    def _fused_epochs(
-        self, state: "_FusedState", epoch: float, kb: int
-    ) -> None:
-        """Run ``kb`` epochs of the fused scalar replay over ``state``.
-
-        Pure accumulator evolution — every read and write goes through
-        ``state``'s lists (shared with the seeded plan), so running the
-        loop in chunks (``kb = a`` then ``kb = b``) is bitwise the
-        single ``kb = a + b`` call.  The stacked engine relies on both
-        properties: chunked resumption for lane lockstep, and the state
-        contract for its vectorized kernel.
-        """
-        (
-            flat_plan,
-            flat_charge,
-            rows,
-            miss,
-            mix_rows,
-            reseed_w,
-            row_pairs,
-            over_pairs,
-            rloc,
-            oloc,
-            w_by_node,
-            scalars,
-        ) = state.plan
-        (
-            hit_ns,
-            local_dram,
-            bw0,
-            bw1,
-            qpi_bw,
-            s_dram,
-            s_remote,
-            cap,
-            knee,
-            bpm,
-        ) = scalars
-        pend_l = state.pend
-        busy_l = state.busy
-        mbusy = state.mbusy
-        id_l = state.idone
-        slice_l = state.sused
-        burst_l = state.burst
-        bi_l = state.bi
-        br_l = state.br
-        bm_l = state.bm
-        bl_l = state.bl
-        bx_l = state.bx
-        m0_l = state.m0
-        m1_l = state.m1
+        bi_l = [b.instructions for b in banks]
+        br_l = [b.llc_refs for b in banks]
+        bm_l = [b.llc_misses for b in banks]
+        bl_l = [b.local_accesses for b in banks]
+        bx_l = [b.remote_accesses for b in banks]
+        m0_l = [float(matrix[r, 0]) for r in rows_arr.tolist()]
+        m1_l = [float(matrix[r, 1]) for r in rows_arr.tolist()]
 
         # --- Per-epoch replay ------------------------------------------
         # Each epoch preserves the reference phase order: miss curves,
@@ -2589,52 +2323,6 @@ class BatchedEngine(VectorEngine):
             for w_l, j, cf in flat_charge:
                 w_l[j] = 1.0 - (1.0 - w_l[j]) * cf
 
-        state.mbusy = mbusy
-
-    def _fused_commit(
-        self, state: "_FusedState", end_batch: float, epoch: float, kb: int
-    ) -> float:
-        """Write a fused batch's finals back and run batch-final events."""
-        machine = self.machine
-        gather = state.gather
-        k = state.k
-        running_pcpus = state.running_pcpus
-        running_vcpus = state.running_vcpus
-        (
-            flat_plan,
-            flat_charge,
-            rows,
-            miss,
-            mix_rows,
-            reseed_w,
-            row_pairs,
-            over_pairs,
-            rloc,
-            oloc,
-            w_by_node,
-            scalars,
-        ) = state.plan
-        pend_l = state.pend
-        busy_l = state.busy
-        mbusy = state.mbusy
-        id_l = state.idone
-        slice_l = state.sused
-        burst_l = state.burst
-        bi_l = state.bi
-        br_l = state.br
-        bm_l = state.bm
-        bl_l = state.bl
-        bx_l = state.bx
-        m0_l = state.m0
-        m1_l = state.m1
-        drift = gather.drift
-        totals = gather.totals
-        row_src = gather.mix_row_src
-        over_src = gather.mix_over_src
-        banks = gather.pmu_banks
-        rows_arr = gather.pmu_rows
-        matrix = machine.pmu._node_matrix
-
         # --- Commit ----------------------------------------------------
         for i in range(k):
             pcpu = running_pcpus[i]
@@ -2749,8 +2437,6 @@ class BatchedEngine(VectorEngine):
             "batches": self._batch_calls,
             "fused_ticks": self._fused_tick_total,
             "fused_repicks": self._repick_total,
-            "spec_attempts": self._spec_attempts,
-            "spec_misses": self._spec_misses,
             "p50": pct(0.5),
             "p90": pct(0.9),
             "max": lengths[-1],

@@ -91,11 +91,7 @@ class SimConfig:
         (default here, for compatibility — scenario configs default to
         batched) steps one epoch at a time through the
         structure-of-arrays :class:`~repro.xen.engine.VectorEngine`;
-        ``"reference"`` keeps the original dict-based loop.
-        ``"stacked"`` is accepted for grid cells destined for the
-        lane-stacked executor (:mod:`repro.xen.stacked`); a solo
-        machine built with it runs the batched engine, which is the
-        bitwise contract lane stacking is held to.  All engines
+        ``"reference"`` keeps the original dict-based loop.  All three
         produce bitwise-identical simulated results — including fault
         runs, whose hooks live above the engine layer; the reference
         path exists as the executable specification the fast engines
@@ -126,15 +122,6 @@ class SimConfig:
         identical.  On by default; ``False`` is a pure opt-out escape
         hatch restoring PR 5's tick-capped horizon sizing.  Only the
         batched engine reads it.
-    speculative:
-        Opt-in: let the batched engine size horizons past the
-        conservative finite-work completion floor, validate the batch
-        against captured pre-batch state before any commit, and on
-        mis-speculation truncate to the proven prefix (replaying
-        singleton epochs below the kernel break-even).  Results remain
-        bitwise identical; off by default because the default path must
-        not depend on validate-and-retry.  Only the batched engine
-        reads it.
     """
 
     epoch_s: float = 1e-3
@@ -152,7 +139,6 @@ class SimConfig:
     label: str = ""
     profile: bool = True
     fuse_ticks: bool = True
-    speculative: bool = False
 
     def __post_init__(self) -> None:
         check_positive(self.epoch_s, "epoch_s")
@@ -162,10 +148,10 @@ class SimConfig:
             raise ValueError("contention_iterations must be >= 1")
         if self.pmu_collection_cost_s < 0:
             raise ValueError("pmu_collection_cost_s must be >= 0")
-        if self.engine not in ("batched", "vector", "reference", "stacked"):
+        if self.engine not in ("batched", "vector", "reference"):
             raise ValueError(
-                "engine must be 'batched', 'vector', 'reference' or "
-                f"'stacked', got {self.engine!r}"
+                "engine must be 'batched', 'vector' or 'reference', "
+                f"got {self.engine!r}"
             )
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise TypeError(
@@ -475,11 +461,7 @@ class Machine:
     def _ensure_engine(self) -> Optional[VectorEngine]:
         """The machine's epoch engine (built on demand), or None."""
         if self._engine is None:
-            if self.config.engine in ("batched", "stacked"):
-                # A solo machine configured "stacked" runs the batched
-                # engine — lane stacking is a cross-machine concern
-                # (repro.xen.stacked), and the per-lane contract is
-                # bitwise equality with exactly this path.
+            if self.config.engine == "batched":
                 self._engine = BatchedEngine(self)
             elif self.config.engine == "vector":
                 self._engine = VectorEngine(self)
@@ -563,45 +545,7 @@ class Machine:
         now = self.time
         epoch = self.config.epoch_s
         engine = self._ensure_engine()
-        self._epoch_prologue(now, engine)
 
-        # 4. Contention solve and progress.  The batched engine first
-        # sizes an event horizon — how many upcoming epochs are free of
-        # ticks, samples, wakes, phase changes, completions, faults and
-        # the run limit — and macro-steps all of them in one 2D batch;
-        # a horizon of 1 falls back to the inherited single-epoch path.
-        stepped = 1
-        if engine is not None and engine.supports_batch:
-            t0 = self.profiler.start()
-            batch = engine.compute_horizon(
-                now, limit if limit is not None else self.config.max_time_s
-            )
-            self.profiler.stop("horizon", t0)
-        else:
-            batch = 1
-        t0 = self.profiler.start()
-        if batch > 1:
-            end = engine.advance_batch(now, epoch, batch)
-            stepped = batch
-        else:
-            end = now + epoch
-            if engine is not None:
-                engine.advance_running(now, epoch)
-            else:
-                self._advance_running(now, epoch)
-        self.profiler.stop("epoch", t0)
-
-        self._epoch_epilogue(end, stepped, engine)
-
-    def _epoch_prologue(self, now: float, engine) -> None:
-        """Epoch phases 0–3: faults, tick, wakes, scheduling pass.
-
-        Split out of :meth:`_step_epoch` so the stacked engine
-        (:mod:`repro.xen.stacked`) can drive a lane's boundary phases
-        through the identical code path while substituting its own
-        phase 4; the stepper and the lane pump therefore cannot drift
-        apart on boundary accounting.
-        """
         # 0. Fault injection: stalls and domain crashes fire at the
         # epoch boundary, before wake processing, identically for both
         # engines (crashed VCPUs restart through the normal wake path).
@@ -664,12 +608,32 @@ class Machine:
         if auditor is not None:
             auditor.after_schedule(self)
 
-    def _epoch_epilogue(self, end: float, stepped: int, engine) -> None:
-        """Epoch phases 5–6 plus the time/epoch-index update.
+        # 4. Contention solve and progress.  The batched engine first
+        # sizes an event horizon — how many upcoming epochs are free of
+        # ticks, samples, wakes, phase changes, completions, faults and
+        # the run limit — and macro-steps all of them in one 2D batch;
+        # a horizon of 1 falls back to the inherited single-epoch path.
+        stepped = 1
+        if engine is not None and engine.supports_batch:
+            t0 = self.profiler.start()
+            batch = engine.compute_horizon(
+                now, limit if limit is not None else self.config.max_time_s
+            )
+            self.profiler.stop("horizon", t0)
+        else:
+            batch = 1
+        t0 = self.profiler.start()
+        if batch > 1:
+            end = engine.advance_batch(now, epoch, batch)
+            stepped = batch
+        else:
+            end = now + epoch
+            if engine is not None:
+                engine.advance_running(now, epoch)
+            else:
+                self._advance_running(now, epoch)
+        self.profiler.stop("epoch", t0)
 
-        Shared with the stacked engine for the same reason as
-        :meth:`_epoch_prologue`.
-        """
         # 5. Phase changes (heap-driven, or a cheap check per workload).
         # For a macro-step the horizon guarantees nothing was due at any
         # interior epoch end, so one check at the batch end is the same
@@ -694,7 +658,6 @@ class Machine:
 
         self.time = end
         self.epoch_index += stepped
-        auditor = self.auditor
         if auditor is not None:
             auditor.after_epoch(self, sample_boundary)
 

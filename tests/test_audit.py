@@ -210,6 +210,19 @@ class TestMutationDetection:
             "pmu_window", lambda: checker.after_epoch(machine, True)
         )
 
+    def test_epoch_clock_catches_epoch_index_drift(self):
+        machine = warm_machine()
+        checker = InvariantChecker(enabled=("epoch_clock",), every=1)
+        checker.after_epoch(machine, True)  # seeds the time chain
+        machine.epoch_index += 1
+        expect_violation("epoch_clock", lambda: checker.after_epoch(machine, True))
+
+    def test_epoch_clock_catches_tick_drift(self):
+        machine = warm_machine()
+        checker = InvariantChecker(enabled=("epoch_clock",), every=1)
+        machine.tick_index += 1
+        expect_violation("epoch_clock", lambda: checker.after_epoch(machine, True))
+
     def test_partition_spread_catches_uneven_round(self):
         machine = warm_machine()
         checker = InvariantChecker(enabled=("partition_spread",))

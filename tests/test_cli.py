@@ -40,20 +40,15 @@ class TestParser:
 
     def test_compare_engine_flag(self):
         args = build_parser().parse_args(["compare", "soplex"])
-        assert args.engine == "stacked"
-        assert args.stack_lanes is None
+        assert args.engine == "batched"
         args = build_parser().parse_args(
             ["compare", "soplex", "--engine", "reference"]
         )
         assert args.engine == "reference"
-        args = build_parser().parse_args(
-            ["compare", "soplex", "--stack-lanes", "4"]
-        )
-        assert args.stack_lanes == 4
 
     def test_bench_parses(self):
         args = build_parser().parse_args(["bench"])
-        assert args.suite == ["engine", "grid", "stacked", "profiler", "audit"]
+        assert args.suite == ["engine", "grid", "profiler", "audit"]
         args = build_parser().parse_args(["bench", "--suite", "engine"])
         assert args.suite == ["engine"]
         args = build_parser().parse_args(["bench", "--suite", "audit"])

@@ -69,95 +69,3 @@ def test_engines_agree_on_canonical_summary(params):
         assert candidate == reference, (
             f"{engine} diverged from reference on {params!r}"
         )
-
-
-stacked_params = st.fixed_dictionaries(
-    {
-        "profile": st.sampled_from(["soplex", "povray", "lu"]),
-        # Lanes of one stack may run different policies; draw a lane
-        # count and a (possibly repeating) scheduler assignment.
-        "lanes": st.integers(min_value=2, max_value=5),
-        "schedulers": st.lists(
-            st.sampled_from(["credit", "vprobe", "lb", "brm"]),
-            min_size=5,
-            max_size=5,
-        ),
-        "work_scale": st.sampled_from([0.02, 0.05]),
-        "base_seed": st.integers(min_value=0, max_value=2**16),
-        "faults": st.sampled_from([None] + sorted(FAULT_PRESETS)),
-        # Optional mid-run cut: stop the whole stack at an epoch
-        # boundary, then restack to completion — the continuation must
-        # be bitwise the single-shot run.
-        "cut_s": st.sampled_from([None, 0.15, 0.3]),
-    }
-)
-
-
-def _lane_config(engine: str, params: dict, lane: int) -> ScenarioConfig:
-    plan = fault_preset(params["faults"]) if params["faults"] else None
-    return ScenarioConfig(
-        work_scale=params["work_scale"],
-        seed=params["base_seed"] + lane,
-        engine=engine,
-        faults=None if plan is None or plan.is_null() else plan,
-        label=f"stacked parity {params['profile']}",
-    )
-
-
-@settings(max_examples=8, deadline=None)
-@given(params=stacked_params)
-def test_stacked_lanes_agree_with_solo_batched(params):
-    """Every stacked lane serializes to its solo batched canonical JSON.
-
-    The matrix covers lane count × scheduler mix × fault preset ×
-    mid-run cut: seeds vary per lane (the grid axis stacking exists
-    for), schedulers may differ between stack-mates, fault plans ride
-    the machine layer above the kernel, and an interrupted-and-resumed
-    stack must replay the exact epoch stream.
-    """
-    from repro.xen.stacked import run_stacked
-
-    lanes = params["lanes"]
-    schedulers = params["schedulers"][:lanes]
-    solo = []
-    for lane, scheduler in enumerate(schedulers):
-        cfg = _lane_config("batched", params, lane)
-        machine = spec_scenario(params["profile"], make_scheduler(scheduler), cfg)
-        machine.run(max_time_s=0.6)
-        summary = summarize(machine).to_dict()
-        summary.pop("phase_profile", None)
-        summary.pop("horizon_stats", None)
-        solo.append(json.dumps(summary, sort_keys=True))
-
-    machines = [
-        spec_scenario(
-            params["profile"],
-            make_scheduler(scheduler),
-            _lane_config("stacked", params, lane),
-        )
-        for lane, scheduler in enumerate(schedulers)
-    ]
-    cut_s = params["cut_s"]
-    if cut_s is None:
-        assert all(r.ok for r in run_stacked(machines, max_time_s=0.6))
-    else:
-        # Interrupt every still-running lane at the cut (the epoch
-        # boundary stop the checkpoint machinery uses), then restack
-        # only the interrupted lanes — a lane that already completed
-        # must keep its final state untouched.
-        checks = [lambda m=m: m.time >= cut_s for m in machines]
-        first = run_stacked(machines, max_time_s=0.6, stop_checks=checks)
-        assert all(r.ok for r in first)
-        resumable = [
-            m for r, m in zip(first, machines) if r.result.interrupted
-        ]
-        if resumable:
-            assert all(r.ok for r in run_stacked(resumable, max_time_s=0.6))
-    for lane, machine in enumerate(machines):
-        summary = summarize(machine).to_dict()
-        summary.pop("phase_profile", None)
-        summary.pop("horizon_stats", None)
-        candidate = json.dumps(summary, sort_keys=True)
-        assert candidate == solo[lane], (
-            f"stacked lane {lane} diverged from solo batched on {params!r}"
-        )

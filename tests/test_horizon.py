@@ -6,9 +6,9 @@ tick a horizon spans is recorded in the fuse plan, and that burst and
 phase expiries may land only on the batch-final epoch.  These tests
 check those structural invariants on every horizon decision of real
 runs (by wrapping the sizing call), pin down the conservative-refusal
-paths (fault stalls, the hardened vProbe), and verify the two opt-outs
-— ``fuse_ticks=False`` and ``speculative=True`` — change execution
-strategy without changing a single simulated bit.
+paths (fault stalls, the hardened vProbe), and verify the
+``fuse_ticks=False`` opt-out changes execution strategy without
+changing a single simulated bit.
 """
 
 import math
@@ -179,7 +179,7 @@ def _summary(**cfg_kw):
 
 
 class TestExecutionStrategyOptOuts:
-    """fuse_ticks / speculative change scheduling of work, not results."""
+    """fuse_ticks changes scheduling of work, not results."""
 
     def test_fuse_ticks_false_is_bitwise_identical(self):
         reference = _summary(engine="reference")
@@ -187,14 +187,6 @@ class TestExecutionStrategyOptOuts:
         unfused = _summary(engine="batched", fuse_ticks=False)
         assert fused == reference
         assert unfused == reference
-
-    def test_speculative_is_bitwise_identical(self):
-        reference = _summary(engine="reference")
-        speculative = _summary(engine="batched", speculative=True)
-        assert speculative == reference
-        # The conservative completion floor binds on this scenario, so
-        # speculation must actually have been exercised.
-        assert speculative.horizon_stats["spec_attempts"] > 0
 
 
 class TestReplayBreakEven:

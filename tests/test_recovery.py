@@ -290,6 +290,22 @@ class TestJournal:
         assert reloaded.loaded_cells == 1
         assert reloaded.get_cell("k9") is None
 
+    def test_resume_truncates_torn_tail_before_appending(self, tmp_path):
+        path = tmp_path / "journal.jsonl"
+        journal = GridJournal(path)
+        journal.record_cell("k1", "cell#0", self.summary())
+        journal.record_cell("k2", "cell#1", self.summary("vprobe"))
+        data = path.read_bytes()
+        path.write_bytes(data[:-40])  # a crash mid-way through record k2
+        resumed = GridJournal(path, resume=True)
+        assert resumed.loaded_cells == 1
+        fresh = self.summary("vprobe")
+        resumed.record_cell("k3", "cell#2", fresh)
+        reloaded = GridJournal(path, resume=True)
+        assert reloaded.get_cell("k3") == fresh
+        assert reloaded.get_cell("k1") is not None
+        assert reloaded.get_cell("k2") is None
+
     def test_quarantine_roundtrip_and_clear(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         journal = GridJournal(path)
