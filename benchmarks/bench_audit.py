@@ -38,7 +38,7 @@ BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_audit.json"
 #: Allowed overhead of default-cadence auditing on the epoch microbench.
 MAX_OVERHEAD_FRACTION = 0.05
 
-ENGINES = ("vector", "batched")
+ENGINES = ("batched",)
 
 
 def _steady_machine(engine: str):

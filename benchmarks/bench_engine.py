@@ -4,17 +4,14 @@ These time the engine itself (not a paper experiment) so performance
 regressions in the contention solve or the scheduler pass are caught:
 per the project's optimisation rules, measure before optimising.
 
-``test_engine_speedup`` is the acceptance gate for the fast engines:
-it times the reference, vector and batched engines back to back with
+``test_engine_speedup`` is the acceptance gate for the fast engine:
+it times the reference and batched engines back to back with
 ``time.perf_counter`` (so it runs even under ``--benchmark-disable``),
-asserts the vector engine is at least 3x and the batched engine at
-least 2x faster per epoch than the reference, asserts the batched
-engine beats the vector engine end to end on the loaded scenario, and
-writes the measured numbers — full cold-run wall clocks at
-``work_scale=1.0`` plus the batched run's horizon histogram and
-fused-tick counters — to ``benchmarks/BENCH_engine.json``.  CI runs
-this test as its perf-regression smoke and uploads the JSON as an
-artifact.
+asserts the batched engine is at least 2x faster per epoch than the
+reference, and writes the measured numbers — full cold-run wall clocks
+at ``work_scale=1.0`` plus the batched run's horizon histogram — to
+``benchmarks/BENCH_engine.json``.  CI runs this test as its
+perf-regression smoke and uploads the JSON as an artifact.
 """
 
 import json
@@ -33,27 +30,14 @@ BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_engine.json"
 #: epoch loop dominates every experiment's wall time.
 SPEEDUP_SCENARIO = "spec soplex, 24 VCPUs / 8 PCPUs, vprobe, work_scale=1.0"
 
-#: Every engine variant, slowest first.
-ENGINES = ("reference", "vector", "batched")
+#: Both engines, slowest first.
+ENGINES = ("reference", "batched")
 
-#: Perf-regression floors enforced against the reference engine's
-#: per-epoch cost.  The batched floor is deliberately below the
-#: vector floor: on the fully loaded SPEC scenario event density
-#: (slice expiries, wakes, phase changes) keeps most macro-step
-#: horizons short, so batching wins only modestly over the singleton
-#: vector path there — its large wins are on quieter scenarios.
-MIN_VECTOR_SPEEDUP = 3.0
+#: Perf-regression floor enforced against the reference engine's
+#: per-epoch cost.  On the fully loaded SPEC scenario event density
+#: (ticks, slice expiries, wakes, phase changes) keeps most macro-step
+#: horizons short, so the floor sits well below the measured ratio.
 MIN_BATCHED_SPEEDUP = 2.0
-
-#: End-to-end floor for the batched engine against the vector engine
-#: on the loaded scenario: CPU time, min-of-2 interleaved cold runs.
-#: Measured
-#: ~1.25-1.30x: with 24 VCPUs contending for 8 PCPUs nearly every
-#: Credit tick rotates an incumbent (only ~1.5% of ticks are quiescent)
-#: and wakes truncate horizons to p50 = 3 epochs, so tick fusion's
-#: end-to-end win is bounded by event density, not by per-epoch cost —
-#: see DESIGN.md §6.  The floor leaves margin for CI machine noise.
-MIN_BATCHED_VS_VECTOR = 1.1
 
 
 def _steady_machine(engine: str):
@@ -80,13 +64,6 @@ def _us_per_epoch(machine, epochs: int) -> float:
     return elapsed / (machine.epoch_index - start_epoch) * 1e6
 
 
-def test_epoch_step_throughput(benchmark):
-    """Steady-state cost of one simulated epoch (24 VCPUs, 8 PCPUs)."""
-    machine = _steady_machine("vector")
-
-    benchmark(machine._step_epoch)
-
-
 def test_epoch_step_throughput_reference(benchmark):
     """The same epoch cost through the reference (dict) engine."""
     machine = _steady_machine("reference")
@@ -102,11 +79,11 @@ def test_epoch_step_throughput_batched(benchmark):
 
 
 def test_engine_speedup():
-    """Fast engines beat the reference per epoch, measured paired.
+    """The batched engine beats the reference per epoch, measured paired.
 
-    All three engines' measurements interleave (ref, vec, bat, ref,
-    ...) and each keeps its minimum, so a background-load spike during
-    one round cannot skew the ratios.  The result — microbench and
+    Both engines' measurements interleave (ref, bat, ref, ...) and each
+    keeps its minimum, so a background-load spike during one round
+    cannot skew the ratio.  The result — microbench and
     full cold-run wall clocks at ``work_scale=1.0`` — is written to
     ``BENCH_engine.json`` as the committed before/after record.
     """
@@ -120,7 +97,6 @@ def test_engine_speedup():
     for _ in range(rounds):
         for engine in ENGINES:
             best[engine] = min(best[engine], _us_per_epoch(machines[engine], epochs))
-    vector_speedup = best["reference"] / best["vector"]
     batched_speedup = best["reference"] / best["batched"]
 
     # End-to-end cold runs: the same workload from scratch at full
@@ -142,15 +118,6 @@ def test_engine_speedup():
         walls[engine], cpus[engine], machine = run_full(engine)
         if engine == "batched":
             batched_machine = machine
-    # The batched-vs-vector ratio is a gate, so it compares CPU time
-    # (immune to background load) over the min of two interleaved
-    # rounds: a load spike during a single cold run would otherwise
-    # fail the floor spuriously.
-    for engine in ("vector", "batched"):
-        wall, cpu, _ = run_full(engine)
-        walls[engine] = min(walls[engine], wall)
-        cpus[engine] = min(cpus[engine], cpu)
-    batched_vs_vector = cpus["vector"] / cpus["batched"]
 
     horizon = batched_machine._engine.horizon_stats()
     assert horizon is not None
@@ -169,25 +136,18 @@ def test_engine_speedup():
                     "epochs_per_round": epochs,
                     "rounds": rounds,
                     "reference_us_per_epoch": round(best["reference"], 2),
-                    "vector_us_per_epoch": round(best["vector"], 2),
                     "batched_us_per_epoch": round(best["batched"], 2),
-                    "vector_speedup": round(vector_speedup, 2),
                     "batched_speedup": round(batched_speedup, 2),
                 },
                 "end_to_end": {
                     "scenario": "spec soplex, work_scale=1.0, cold full run",
                     "reference_wall_s": round(walls["reference"], 3),
-                    "vector_wall_s": round(walls["vector"], 3),
                     "batched_wall_s": round(walls["batched"], 3),
-                    "vector_speedup": round(
-                        walls["reference"] / walls["vector"], 2
-                    ),
                     "batched_speedup": round(
                         walls["reference"] / walls["batched"], 2
                     ),
-                    "vector_cpu_s": round(cpus["vector"], 3),
+                    "reference_cpu_s": round(cpus["reference"], 3),
                     "batched_cpu_s": round(cpus["batched"], 3),
-                    "batched_vs_vector": round(batched_vs_vector, 2),
                 },
                 "horizon": horizon,
             },
@@ -196,20 +156,10 @@ def test_engine_speedup():
         + "\n"
     )
 
-    assert vector_speedup >= MIN_VECTOR_SPEEDUP, (
-        f"vector engine speedup {vector_speedup:.2f}x "
-        f"({best['reference']:.1f} -> {best['vector']:.1f} us/epoch) "
-        f"fell below {MIN_VECTOR_SPEEDUP}x"
-    )
     assert batched_speedup >= MIN_BATCHED_SPEEDUP, (
         f"batched engine speedup {batched_speedup:.2f}x "
         f"({best['reference']:.1f} -> {best['batched']:.1f} us/epoch) "
         f"fell below {MIN_BATCHED_SPEEDUP}x"
-    )
-    assert batched_vs_vector >= MIN_BATCHED_VS_VECTOR, (
-        f"batched engine end-to-end {batched_vs_vector:.2f}x vs vector "
-        f"({cpus['vector']:.2f}s -> {cpus['batched']:.2f}s CPU) "
-        f"fell below {MIN_BATCHED_VS_VECTOR}x"
     )
 
 

@@ -10,7 +10,7 @@ correctness contracts:
   Attach with ``machine.run(audit=True)`` or
   ``run_one(..., audit=InvariantChecker(...))``.
 * :mod:`repro.audit.fuzz` / :mod:`repro.audit.metamorphic` — seeded
-  random scenarios run under all three engines with invariants on,
+  random scenarios run under both engines with invariants on,
   summaries diffed canonically, plus metamorphic relations (relabel,
   work-scale doubling, restricted node permutation).
 * :mod:`repro.audit.shrink` — delta-debugging of failures into minimal

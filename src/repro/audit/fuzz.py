@@ -1,11 +1,11 @@
-"""Differential scenario fuzzing across the three engines.
+"""Differential scenario fuzzing across the two engines.
 
-The engine-parity contract says reference, vector and batched runs of
-the same scenario are *bitwise identical*.  The unit suite checks that
+The engine-parity contract says reference and batched runs of the same
+scenario are *bitwise identical*.  The unit suite checks that
 on a handful of hand-picked scenarios; this module generates seeded
 random ones — topologies beyond the paper's 2x4, mixed application
 profiles, fault presets, mid-run domain churn — and runs each under
-all three engines with every runtime invariant enabled
+both engines with every runtime invariant enabled
 (:mod:`repro.audit.invariants`), then diffs the canonical
 :class:`~repro.metrics.collectors.RunSummary` JSON.
 
@@ -48,7 +48,7 @@ __all__ = [
 ]
 
 #: The engine-parity set; the first entry is the diff baseline.
-ENGINES: Tuple[str, ...] = ("reference", "vector", "batched")
+ENGINES: Tuple[str, ...] = ("reference", "batched")
 
 #: Topologies worth fuzzing: the paper's 2x4 plus smaller/odd shapes
 #: that exercise single-node degenerate paths and >2-node scan orders.

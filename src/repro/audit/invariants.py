@@ -4,7 +4,7 @@ The reproduction rests on a closed feedback loop — simulated PMU
 counters drive scheduling decisions that in turn determine the
 counters — so a silent bookkeeping bug (lost credits, a VCPU dropped
 from a run queue, a negative counter delta) corrupts every figure
-without failing any engine-parity test: all three engines would
+without failing any engine-parity test: both engines would
 reproduce the same wrong numbers bit for bit.  This module provides the
 independent witness: a registry of cheap, toggleable assertions over
 live machine state, evaluated at epoch and sampling-period boundaries

@@ -1,7 +1,7 @@
 """Metamorphic relations: transformed inputs with predictable outputs.
 
 Differential fuzzing (:mod:`repro.audit.fuzz`) catches engines
-disagreeing with *each other*; metamorphic relations catch all three
+disagreeing with *each other*; metamorphic relations catch both
 agreeing on something *wrong*.  Each relation transforms a scenario in
 a way whose effect on the result is known exactly:
 

@@ -87,14 +87,6 @@ class BRMScheduler(CreditScheduler):
         self.lock = lock or GlobalLockModel()
         self._snapshots: Dict[int, VcpuCounters] = {}
 
-    def tick_is_quiescent(self, tick_index: int) -> bool:
-        # BRM acts on every tick: penalty updates behind the global lock
-        # and (periodically) migration rounds drawing from the
-        # ``brm.migrate`` stream.  No tick is ever fusable — stated
-        # explicitly although the inherited on_tick-override check would
-        # already refuse.
-        return False
-
     # ------------------------------------------------------------------
     # Penalty maintenance (lock-protected on every update)
     # ------------------------------------------------------------------

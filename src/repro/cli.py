@@ -37,7 +37,7 @@ Commands
 
 ``audit``
     Fuzz the engine-parity contract: seeded random scenarios run under
-    all three engines with every runtime invariant enabled, summaries
+    both engines with every runtime invariant enabled, summaries
     diffed, metamorphic relations checked, failures shrunk to minimal
     pytest repros; exits non-zero on any finding::
 
@@ -142,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument(
         "--engine",
         default="batched",
-        choices=["batched", "vector", "reference"],
-        help="simulator engine (results are bitwise-identical across all three)",
+        choices=["batched", "reference"],
+        help="simulator engine (results are bitwise-identical across both)",
     )
     cmp_p.add_argument(
         "--jobs",
@@ -183,8 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument(
         "--engine",
         default="batched",
-        choices=["batched", "vector", "reference"],
-        help="simulator engine (traces are byte-identical across all three)",
+        choices=["batched", "reference"],
+        help="simulator engine (traces are byte-identical across both)",
     )
     trace_p.add_argument(
         "--faults",
@@ -221,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engines",
         nargs="+",
         default=None,
-        choices=["reference", "vector", "batched"],
-        help="engines to diff (default: all three; first is the baseline)",
+        choices=["reference", "batched"],
+        help="engines to diff (default: both; first is the baseline)",
     )
     audit_p.add_argument(
         "--no-metamorphic",
@@ -658,8 +658,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     Each suite's measuring test rewrites its ``benchmarks/BENCH_*.json``
     record in place, so a successful run leaves the committed numbers
-    refreshed: ``engine`` covers the reference/vector/batched per-epoch
-    and cold-run comparison, ``grid`` the cache-aware report dispatch,
+    refreshed: ``engine`` covers the reference/batched per-epoch and
+    cold-run comparison, ``grid`` the cache-aware report dispatch,
     ``profiler`` the always-on profiling overhead guard, ``audit`` the
     runtime-invariant and differential-fuzz overhead record.
     """

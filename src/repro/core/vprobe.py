@@ -183,25 +183,6 @@ class VProbeScheduler(CreditScheduler):
             self.name = "vprobe-h"
 
     # ------------------------------------------------------------------
-    # Tick fusion
-    # ------------------------------------------------------------------
-    def tick_is_quiescent(self, tick_index: int) -> bool:
-        """Stock Credit ticks, except under hardening.
-
-        vProbe never overrides ``on_tick`` — its probing work rides the
-        1 s sampling boundary, which caps every fused horizon anyway —
-        so plain variants inherit Credit's stock-arithmetic promise.
-        The hardened variant (``vprobe-h``) conservatively refuses:
-        its confidence/hysteresis bookkeeping entangles per-VCPU Credit
-        fallback with telemetry state, and keeping it off the fused
-        path keeps the quiescence proof obligations to the stock
-        arithmetic only.
-        """
-        if self.vparams.hardened:
-            return False
-        return super().tick_is_quiescent(tick_index)
-
-    # ------------------------------------------------------------------
     # Telemetry trust
     # ------------------------------------------------------------------
     def trusted(self, vcpu: Vcpu) -> bool:

@@ -266,8 +266,7 @@ class ParallelRunner:
         picks :func:`_auto_chunksize`; ``1`` forces the historical
         one-future-per-cell dispatch.
     engine:
-        Optional engine selector (``"batched"``, ``"vector"`` or
-        ``"reference"``).  When set, every dispatched cell's config is
+        Optional engine selector (``"batched"`` or ``"reference"``).  When set, every dispatched cell's config is
         rewritten to run on that engine — the selector travels inside
         the pickled :class:`ScenarioConfig`, so workers need no extra
         plumbing.  ``None`` (default) respects each cell's own config.
@@ -310,9 +309,9 @@ class ParallelRunner:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if chunksize is not None and chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        if engine is not None and engine not in ("batched", "vector", "reference"):
+        if engine is not None and engine not in ("batched", "reference"):
             raise ValueError(
-                "engine must be 'batched', 'vector', 'reference' or None, "
+                "engine must be 'batched', 'reference' or None, "
                 f"got {engine!r}"
             )
         self.jobs = jobs

@@ -92,10 +92,9 @@ class ScenarioConfig:
     latency:
         Memory latency model override.
     engine:
-        Simulator engine: ``"batched"`` (default, macro-stepping),
-        ``"vector"`` (singleton array kernels) or ``"reference"``
-        (scalar dict loop).  All three are bitwise-identical; the
-        default is simply the fastest.
+        Simulator engine: ``"batched"`` (default, macro-stepping) or
+        ``"reference"`` (scalar dict loop).  Both are bitwise-identical;
+        the default is simply the faster.
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan` injected into
         every machine built from this config; None (default) runs
@@ -106,10 +105,6 @@ class ScenarioConfig:
         the scenario instead of spinning forever.
     label:
         Human-readable scenario name carried into error messages.
-    fuse_ticks:
-        Forwarded to :attr:`~repro.xen.simulator.SimConfig.fuse_ticks`;
-        ``False`` restores the tick-capped horizon sizing (batched
-        engine only, results identical either way).
     """
 
     work_scale: float = 0.10
@@ -123,7 +118,6 @@ class ScenarioConfig:
     faults: Optional[FaultPlan] = None
     max_epochs: Optional[int] = None
     label: str = ""
-    fuse_ticks: bool = True
 
     def __post_init__(self) -> None:
         check_positive(self.work_scale, "work_scale")
@@ -142,7 +136,6 @@ class ScenarioConfig:
             faults=self.faults,
             max_epochs=self.max_epochs,
             label=self.label,
-            fuse_ticks=self.fuse_ticks,
         )
 
 

@@ -13,7 +13,7 @@ epoch engine:
 * domain crashes mutate live VCPU/queue state at the epoch boundary,
   before either engine's wake processing runs.
 
-That layering is what makes fault runs engine-independent: the vector
+That layering is what makes fault runs engine-independent: the batched
 engine reproduces faulted runs bitwise without fault-specific code
 (``tests/test_faults.py`` enforces it).  Any future fault that cannot
 keep that property must trigger the explicit reference-engine fallback

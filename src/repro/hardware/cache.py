@@ -441,24 +441,3 @@ class CacheModel:
         """Advance warmth after an epoch in which ``demands`` ran here."""
         running = {k: d.working_set_bytes for k, d in demands.items()}
         self.state.advance(dt, running)
-
-    def advance_compact(
-        self,
-        dt: float,
-        keys: Sequence[int],
-        charge_factors: Sequence[float],
-        key_set: AbstractSet[int] | None = None,
-    ) -> None:
-        """Fast-path :meth:`advance`; see :meth:`LLCState.advance_compact`."""
-        self.state.advance_compact(dt, keys, charge_factors, key_set)
-
-    def advance_compact_batch(
-        self,
-        dt: float,
-        steps: int,
-        keys: Sequence[int],
-        final_warmth: Sequence[float],
-        key_set: AbstractSet[int] | None = None,
-    ) -> None:
-        """Batched advance; see :meth:`LLCState.advance_compact_batch`."""
-        self.state.advance_compact_batch(dt, steps, keys, final_warmth, key_set)

@@ -144,9 +144,8 @@ class RunSummary:
     equality contracts compare simulated results only.
 
     ``horizon_stats`` carries the batched engine's horizon-length
-    distribution and fusion counters
-    (:meth:`~repro.xen.engine.BatchedEngine.horizon_stats`); it is None
-    on the reference and vector engines and therefore also excluded
+    distribution (:meth:`~repro.xen.engine.BatchedEngine.horizon_stats`);
+    it is None on the reference engine and therefore also excluded
     from equality — it describes how the run was *executed*, not what
     it computed.
     """
@@ -238,6 +237,6 @@ def summarize(machine: Machine) -> RunSummary:
 
 
 def _horizon_stats(machine: Machine) -> Optional[Dict[str, Any]]:
-    """The batched engine's horizon histogram; None on other engines."""
-    stats = getattr(machine._engine, "horizon_stats", None)
-    return stats() if stats is not None else None
+    """The batched engine's horizon histogram; None on the reference engine."""
+    engine = machine._engine
+    return engine.horizon_stats() if engine is not None else None

@@ -39,17 +39,12 @@ The canonical phases (see :data:`SCHEDULER_PHASES`):
     test pins their sum within 5 % of it).
 ``epoch``
     One engine advance (contention solve + progress) — a single epoch
-    on the reference/vector engines, a whole macro-step on the batched
-    engine.
+    on the reference engine, a whole horizon (one or more epochs) on
+    the batched engine.
 ``horizon``
     One :meth:`~repro.xen.engine.BatchedEngine.compute_horizon` call —
     sizing the event-free epoch run the batched engine may advance in
-    one step.  Absent on the reference/vector engines.
-``tick_fuse``
-    Committing the fused boundaries of one batch — replaying the real
-    tick (and, for fused slice-expiry re-picks, steal/context-switch)
-    calls the horizon proved quiescent.  Batched engine only, absent
-    with ``fuse_ticks=False``.
+    one step.  Absent on the reference engine.
 """
 
 from __future__ import annotations
@@ -104,7 +99,7 @@ class PhaseProfiler:
     token, and each accumulates its own full span.
 
     Event *counters* (:meth:`count`) track interesting occurrences that
-    have no duration of their own — e.g. vector-engine gather rebuilds.
+    have no duration of their own — e.g. batched-engine gather rebuilds.
     """
 
     __slots__ = ("enabled", "_acc", "_counters")

@@ -15,7 +15,7 @@ Two schema families are defined:
   experiment's ``to_json()`` and ``repro compare --json`` emit:
   ``{"schema": ..., "kind": ..., "payload": {...}}``.  v2 run
   summaries may carry a ``horizon_stats`` block (the batched engine's
-  horizon histogram and fusion counters; null on other engines);
+  horizon histogram; null on the reference engine);
 * audit reports (``repro.audit/v1``) — what ``repro audit`` emits:
   per-seed differential verdicts, metamorphic relation outcomes and
   shrunken failure repros (:mod:`repro.audit.report`).
@@ -76,7 +76,7 @@ TRACE_LINE_SCHEMAS: Dict[str, Dict[str, Any]] = {
             "policy": _STRING,
             "scenario": _STRING,
             "seed": _INT,
-            "engine": {"enum": ["batched", "vector", "reference"]},
+            "engine": {"enum": ["batched", "reference"]},
             "config_hash": _STRING,
             "config": {"type": "object"},
             "faults": {"type": ["object", "null"]},

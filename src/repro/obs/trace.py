@@ -14,7 +14,7 @@ Everything is serialized through
 :func:`~repro.obs.manifest.canonical_dumps`, and no wall-clock data is
 included (the phase profile rides in reports, never in traces), so a
 fixed (scenario, seed, policy) run writes **byte-identical** files from
-the reference and vectorized engines — the engine-parity contract,
+the reference and batched engines — the engine-parity contract,
 extended to disk.
 """
 
@@ -153,7 +153,7 @@ def diff_traces(
     Returns human-readable descriptions (empty list = identical).
     ``ignore_manifest=True`` skips the first line of each file — the
     right mode when diffing runs that differ only in provenance the
-    manifest is *expected* to record (e.g. reference vs vector engine).
+    manifest is *expected* to record (e.g. reference vs batched engine).
     """
     lines_a = pathlib.Path(path_a).read_text(encoding="utf-8").splitlines()
     lines_b = pathlib.Path(path_b).read_text(encoding="utf-8").splitlines()

@@ -7,7 +7,7 @@ a complete description of the rest of the run:
 
 * :mod:`repro.recovery.checkpoint` — versioned, ``config_hash``-stamped
   snapshots of a live :class:`~repro.xen.simulator.Machine`, with
-  bitwise resume parity across all three engines;
+  bitwise resume parity across both engines;
 * :mod:`repro.recovery.journal` — a write-ahead JSONL journal of
   per-cell grid outcomes, so ``repro report --resume`` re-dispatches
   only cells that never finished;

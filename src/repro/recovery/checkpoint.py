@@ -8,14 +8,14 @@ fault injector's cursors, PMU windows, event log and profiler
 counters.  The lazily-built epoch engine is deliberately *excluded*:
 every engine reconstructs itself from live machine state (that is
 already how ``add_domain`` invalidates it), so a restored machine
-replays identically on any of the three engines — the resume-parity
+replays identically on either engine — the resume-parity
 matrix in ``tests/test_recovery.py`` proves it.
 
 File format
 -----------
 One UTF-8 JSON header line, then the raw pickle payload::
 
-    {"schema": "repro.checkpoint/v1", "version": ..., "config_hash":
+    {"schema": "repro.checkpoint/v2", "version": ..., "config_hash":
      ..., "epoch_index": ..., "payload_sha256": ..., ...}\\n
     <pickle bytes>
 
@@ -63,7 +63,7 @@ __all__ = [
 #: Snapshot schema identifier.  Bump on ANY change to what the payload
 #: contains or how it is produced; a bump orphans every existing
 #: snapshot, which is the point (DESIGN.md "snapshot versioning").
-CHECKPOINT_SCHEMA = "repro.checkpoint/v1"
+CHECKPOINT_SCHEMA = "repro.checkpoint/v2"
 
 #: Pickle protocol pinned explicitly so the payload bytes are a
 #: deterministic function of the machine state and the schema version.

@@ -73,16 +73,6 @@ class SchedulerPolicy:
     #: Whether this policy reads PMU counters (charges collection cost).
     collects_pmu = False
 
-    #: Licence for the batched engine's fused slice-expiry re-pick: True
-    #: promises that :meth:`steal` returns ``None`` whenever every queued
-    #: VCPU machine-wide stopped running at exactly ``now`` (cache-hot)
-    #: and the thief's own queue is non-empty.  The engine still *calls*
-    #: the real steal at the fused boundary — the flag only licenses
-    #: proving the call is a no-op in advance, so any RNG it draws
-    #: replays exactly.  Policies with a custom steal must leave this
-    #: False unless the same guarantee holds.
-    fused_repick_steals_none = False
-
     def __init__(self, params: CreditParams | None = None) -> None:
         self.params = params or CreditParams()
         self.machine: Optional["Machine"] = None
@@ -108,26 +98,6 @@ class SchedulerPolicy:
         """
         raise NotImplementedError
 
-    def tick_is_quiescent(self, tick_index: int) -> bool:
-        """May the batched engine fold the tick at ``tick_index`` into a batch?
-
-        Returning True promises that :meth:`on_tick` at ``tick_index`` is
-        *exactly* the stock Credit arithmetic — debit running VCPUs,
-        refill+requeue on accounting periods, slice/priority preemption —
-        with no additional state, RNG draws, or hypervisor charges beyond
-        one ``pmu.record_collection()`` per occupied PCPU (the stepper's
-        refresh charge, replayed by the engine).  The engine then decides
-        no-op-ness from projected credit/priority/slice state alone; a
-        tick it cannot prove quiescent still terminates the horizon as
-        before.  Fused horizons never cross a sampling boundary (the
-        horizon is capped there structurally), so sampling-period work
-        such as vProbe's partitioning pass is outside this contract.
-
-        The base policy conservatively refuses; subclasses opt in only
-        when the promise above holds for *their* tick behaviour.
-        """
-        return False
-
     def on_sample_period(self, now: float) -> None:
         """End of a sampling period (vProbe's partitioning point)."""
 
@@ -147,25 +117,6 @@ class CreditScheduler(SchedulerPolicy):
     """Stock Xen Credit scheduler with NUMA-blind load balancing."""
 
     name = "credit"
-
-    #: Credit's balancer skips cache-hot candidates, and an ``under_only``
-    #: call has no desperation fallback — so with every queued VCPU
-    #: freshly preempted at ``now`` a re-pick-time steal provably returns
-    #: None (it still draws its ``credit.steal`` permutation, which the
-    #: engine replays by making the real call).
-    fused_repick_steals_none = True
-
-    def tick_is_quiescent(self, tick_index: int) -> bool:
-        # Stock-arithmetic promise: honoured only while *this class's*
-        # tick machinery is in force.  A subclass that overrides any of
-        # the three methods (BRM's penalty/migration ticks override
-        # on_tick, for example) opts out automatically.
-        cls = type(self)
-        return (
-            cls.on_tick is CreditScheduler.on_tick
-            and cls._refill_credits is CreditScheduler._refill_credits
-            and cls._requeue_for_priority is CreditScheduler._requeue_for_priority
-        )
 
     # ------------------------------------------------------------------
     # Accounting

@@ -33,7 +33,7 @@ from repro.util.rng import RngStreams
 from repro.util.validation import check_positive
 from repro.xen.credit import SchedulerPolicy
 from repro.xen.domain import Domain
-from repro.xen.engine import BatchedEngine, VectorEngine
+from repro.xen.engine import BatchedEngine
 from repro.xen.memalloc import MemoryPlacement
 from repro.xen.pcpu import Pcpu
 from repro.xen.vcpu import Vcpu, VcpuState
@@ -85,17 +85,16 @@ class SimConfig:
     stop_on_finite_completion:
         Stop once every finite active workload has completed.
     engine:
-        ``"batched"`` runs epochs through the macro-stepping
+        ``"batched"`` (default) runs epochs through the macro-stepping
         :class:`~repro.xen.engine.BatchedEngine`, which advances whole
-        event-free epoch runs in one 2D kernel pass; ``"vector"``
-        (default here, for compatibility — scenario configs default to
-        batched) steps one epoch at a time through the
-        structure-of-arrays :class:`~repro.xen.engine.VectorEngine`;
-        ``"reference"`` keeps the original dict-based loop.  All three
+        event-free epoch runs in one fused scalar replay and single
+        epochs through its structure-of-arrays
+        :class:`~repro.xen.engine.VectorEngine` base;
+        ``"reference"`` keeps the original dict-based loop.  Both
         produce bitwise-identical simulated results — including fault
         runs, whose hooks live above the engine layer; the reference
-        path exists as the executable specification the fast engines
-        are tested against.
+        path exists as the executable specification the fast engine
+        is tested against.
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan`; its injector
         draws from dedicated ``faults.*`` streams of the run seed, so
@@ -114,14 +113,6 @@ class SimConfig:
         On by default: the hooks cost <3% of an epoch (pinned by
         ``benchmarks/bench_profiler.py``) and, like ``log_events``,
         cannot affect simulated results.
-    fuse_ticks:
-        Let the batched engine extend horizons across Credit ticks and
-        slice expiries it can prove quiescent (the policy's
-        ``tick_is_quiescent`` contract); fused boundaries replay the
-        real tick/scheduling code at commit, so results stay bitwise
-        identical.  On by default; ``False`` is a pure opt-out escape
-        hatch restoring PR 5's tick-capped horizon sizing.  Only the
-        batched engine reads it.
     """
 
     epoch_s: float = 1e-3
@@ -133,12 +124,11 @@ class SimConfig:
     contention_iterations: int = 2
     pmu_collection_cost_s: float = 0.3e-6
     stop_on_finite_completion: bool = True
-    engine: str = "vector"
+    engine: str = "batched"
     faults: Optional[FaultPlan] = None
     max_epochs: Optional[int] = None
     label: str = ""
     profile: bool = True
-    fuse_ticks: bool = True
 
     def __post_init__(self) -> None:
         check_positive(self.epoch_s, "epoch_s")
@@ -148,9 +138,9 @@ class SimConfig:
             raise ValueError("contention_iterations must be >= 1")
         if self.pmu_collection_cost_s < 0:
             raise ValueError("pmu_collection_cost_s must be >= 0")
-        if self.engine not in ("batched", "vector", "reference"):
+        if self.engine not in ("batched", "reference"):
             raise ValueError(
-                "engine must be 'batched', 'vector' or 'reference', "
+                "engine must be 'batched' or 'reference', "
                 f"got {self.engine!r}"
             )
         if self.faults is not None and not isinstance(self.faults, FaultPlan):
@@ -239,9 +229,9 @@ class Machine:
         self.domains: List[Domain] = []
         self._domains_by_name: Dict[str, Domain] = {}
         self.vcpus: List[Vcpu] = []
-        #: lazily built VectorEngine (None with engine="reference" or
+        #: lazily built BatchedEngine (None with engine="reference" or
         #: whenever the VCPU population changed since the last epoch)
-        self._engine: Optional[VectorEngine] = None
+        self._engine: Optional[BatchedEngine] = None
         #: runtime invariant checker (:mod:`repro.audit.invariants`),
         #: attached via :meth:`run`'s ``audit=`` hook.  None (default)
         #: keeps the audit layer completely out of the epoch loop — the
@@ -458,13 +448,10 @@ class Machine:
     # ------------------------------------------------------------------
     # Main loop
     # ------------------------------------------------------------------
-    def _ensure_engine(self) -> Optional[VectorEngine]:
+    def _ensure_engine(self) -> Optional[BatchedEngine]:
         """The machine's epoch engine (built on demand), or None."""
-        if self._engine is None:
-            if self.config.engine == "batched":
-                self._engine = BatchedEngine(self)
-            elif self.config.engine == "vector":
-                self._engine = VectorEngine(self)
+        if self._engine is None and self.config.engine == "batched":
+            self._engine = BatchedEngine(self)
         return self._engine
 
     def run(
@@ -554,7 +541,14 @@ class Machine:
 
         # 1. Credit tick (credits, preemption) and PMU refresh charges.
         if self.epoch_index % self._epochs_per_tick == 0:
-            self._run_tick(now)
+            self.policy.on_tick(now, self.tick_index)
+            if self.policy.collects_pmu:
+                for pcpu in self.pcpus:
+                    if pcpu.current is not None:
+                        self.charge_overhead(
+                            "pmu", pcpu, self.pmu.record_collection()
+                        )
+            self.tick_index += 1
 
         # 2. Wakeups: a VCPU waking from sleep gets BOOST priority and
         # preempts a lower-class incumbent on its PCPU (__runq_tickle).
@@ -598,7 +592,29 @@ class Machine:
         # Like Xen's schedule(): prefer a local UNDER candidate; if the
         # best local work is OVER (or none), give the balancer a chance
         # to find an UNDER VCPU elsewhere before settling for it.
-        self._schedule_pass(now)
+        for pcpu in self.pcpus:
+            cur = pcpu.current
+            if cur is not None and not cur.runnable:
+                pcpu.current = None
+                cur = None
+            if cur is None:
+                # Local candidate first; if it is OVER (or the queue is
+                # empty), the balancer may find strictly better work
+                # elsewhere (Xen's csched_load_balance condition).
+                head_rank = pcpu.queue.head_rank()
+                nxt: Optional[Vcpu] = None
+                if head_rank is None or head_rank >= 2:
+                    t0 = self.profiler.start()
+                    nxt = self.policy.steal(
+                        pcpu, now, under_only=head_rank is not None
+                    )
+                    self.profiler.stop("balance", t0)
+                    if nxt is not None:
+                        self._account_steal(pcpu, nxt, now)
+                if nxt is None:
+                    nxt = pcpu.queue.pop()
+                if nxt is not None:
+                    self._switch_in(pcpu, nxt, now)
 
         # Audit hook: placement and work conservation are only
         # guaranteed right here, after the pass filled every PCPU it
@@ -611,10 +627,10 @@ class Machine:
         # 4. Contention solve and progress.  The batched engine first
         # sizes an event horizon — how many upcoming epochs are free of
         # ticks, samples, wakes, phase changes, completions, faults and
-        # the run limit — and macro-steps all of them in one 2D batch;
-        # a horizon of 1 falls back to the inherited single-epoch path.
+        # the run limit — and macro-steps all of them in one batch; a
+        # horizon of 1 falls back to the inherited single-epoch path.
         stepped = 1
-        if engine is not None and engine.supports_batch:
+        if engine is not None:
             t0 = self.profiler.start()
             batch = engine.compute_horizon(
                 now, limit if limit is not None else self.config.max_time_s
@@ -660,53 +676,6 @@ class Machine:
         self.epoch_index += stepped
         if auditor is not None:
             auditor.after_epoch(self, sample_boundary)
-
-    def _run_tick(self, now: float) -> None:
-        """Phase 1 of an epoch: Credit tick plus PMU refresh charges.
-
-        Split out of :meth:`_step_epoch` so the batched engine can
-        replay *fused* interior ticks through the identical code path
-        (see ``BatchedEngine.advance_batch``); the stepper and the
-        engine therefore cannot drift apart on tick accounting.
-        """
-        self.policy.on_tick(now, self.tick_index)
-        if self.policy.collects_pmu:
-            for pcpu in self.pcpus:
-                if pcpu.current is not None:
-                    self.charge_overhead("pmu", pcpu, self.pmu.record_collection())
-        self.tick_index += 1
-
-    def _schedule_pass(self, now: float) -> None:
-        """Phase 3 of an epoch: fill idle PCPUs, stealing if needed.
-
-        Also shared with the batched engine, which replays it at fused
-        slice-expiry boundaries (where it re-picks the just-preempted
-        incumbent) and — implicitly, via the same pick/steal sequence —
-        for idle PCPUs at interior batch epochs.
-        """
-        for pcpu in self.pcpus:
-            cur = pcpu.current
-            if cur is not None and not cur.runnable:
-                pcpu.current = None
-                cur = None
-            if cur is None:
-                # Local candidate first; if it is OVER (or the queue is
-                # empty), the balancer may find strictly better work
-                # elsewhere (Xen's csched_load_balance condition).
-                head_rank = pcpu.queue.head_rank()
-                nxt: Optional[Vcpu] = None
-                if head_rank is None or head_rank >= 2:
-                    t0 = self.profiler.start()
-                    nxt = self.policy.steal(
-                        pcpu, now, under_only=head_rank is not None
-                    )
-                    self.profiler.stop("balance", t0)
-                    if nxt is not None:
-                        self._account_steal(pcpu, nxt, now)
-                if nxt is None:
-                    nxt = pcpu.queue.pop()
-                if nxt is not None:
-                    self._switch_in(pcpu, nxt, now)
 
     def _account_steal(self, thief: Pcpu, vcpu: Vcpu, now: float) -> None:
         source = vcpu.pcpu

@@ -329,21 +329,21 @@ class TestFuzzScenario:
 
 class TestDifferential:
     def test_clean_scenario_passes(self):
-        result = run_differential(tiny_scenario(), engines=("reference", "vector"))
+        result = run_differential(tiny_scenario(), engines=("reference", "batched"))
         assert result.ok and result.kind == "ok"
         assert result.checks_run > 0
-        assert set(result.summaries) == {"reference", "vector"}
-        assert result.summaries["reference"] == result.summaries["vector"]
+        assert set(result.summaries) == {"reference", "batched"}
+        assert result.summaries["reference"] == result.summaries["batched"]
 
     def test_divergence_reported_with_first_difference(self, monkeypatch):
         import repro.audit.fuzz as fuzz
 
         texts = iter(['{"steals": 4}', '{"steals": 5}'])
         monkeypatch.setattr(fuzz, "canonical_dumps", lambda obj: next(texts))
-        result = run_differential(tiny_scenario(), engines=("reference", "vector"))
+        result = run_differential(tiny_scenario(), engines=("reference", "batched"))
         assert not result.ok
         assert result.kind == "divergence"
-        assert result.engine == "vector"
+        assert result.engine == "batched"
         assert "first difference at char" in result.detail
 
     def test_invariant_violation_reported(self, monkeypatch):
@@ -378,7 +378,7 @@ def synthetic_check(predicate):
     def check(scenario):
         if predicate(scenario):
             return DifferentialResult(
-                scenario, ok=False, kind="divergence", engine="vector",
+                scenario, ok=False, kind="divergence", engine="batched",
                 detail="synthetic",
             )
         return DifferentialResult(scenario, ok=True, kind="ok")
@@ -418,7 +418,7 @@ class TestShrink:
         def check(scenario):
             calls.append(scenario)
             return DifferentialResult(
-                scenario, ok=False, kind="divergence", engine="vector"
+                scenario, ok=False, kind="divergence", engine="batched"
             )
 
         shrink(self.big_failure(check), budget=3, check=check)
@@ -490,7 +490,7 @@ class TestCliAudit:
                 "--no-metamorphic",
                 "--engines",
                 "reference",
-                "vector",
+                "batched",
                 "--out",
                 str(out),
             ]

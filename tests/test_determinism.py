@@ -1,9 +1,8 @@
-"""Fast engines produce bit-for-bit the reference engine's results.
+"""The fast engine produces bit-for-bit the reference engine's results.
 
-The :class:`~repro.xen.engine.VectorEngine` and
-:class:`~repro.xen.engine.BatchedEngine` contract is not "close
+The :class:`~repro.xen.engine.BatchedEngine` contract is not "close
 enough" — it is exact equality of every simulated outcome.  These tests
-run the same seeded scenario through all three engines and compare the
+run the same seeded scenario through both engines and compare the
 full :class:`~repro.metrics.collectors.RunSummary` dataclasses (finish
 times, instruction/access counters, migration counts, overhead
 accounting) field by field via ``==``.  The only excluded field is
@@ -27,7 +26,7 @@ from repro.experiments.scenarios import (
 )
 from repro.metrics.collectors import summarize
 
-ENGINES = ("reference", "vector", "batched")
+ENGINES = ("reference", "batched")
 
 
 def _run(builder, scheduler: str, engine: str, seed: int = 0):
@@ -39,28 +38,27 @@ def _run(builder, scheduler: str, engine: str, seed: int = 0):
 
 def _assert_identical(builder, scheduler: str, seed: int = 0) -> None:
     reference = _run(builder, scheduler, "reference", seed)
-    for engine in ("vector", "batched"):
-        candidate = _run(builder, scheduler, engine, seed)
-        if reference != candidate:  # pragma: no cover - failure diagnostics
-            diffs = [
-                f"{field.name}: {a!r} != {b!r}"
-                for field, a, b in zip(
-                    dataclasses.fields(reference),
-                    dataclasses.astuple(reference),
-                    dataclasses.astuple(candidate),
-                )
-                if a != b
-            ]
-            pytest.fail(
-                f"{engine} diverged from reference for {scheduler} "
-                f"(seed {seed}):\n" + "\n".join(diffs)
+    candidate = _run(builder, scheduler, "batched", seed)
+    if reference != candidate:  # pragma: no cover - failure diagnostics
+        diffs = [
+            f"{field.name}: {a!r} != {b!r}"
+            for field, a, b in zip(
+                dataclasses.fields(reference),
+                dataclasses.astuple(reference),
+                dataclasses.astuple(candidate),
             )
+            if a != b
+        ]
+        pytest.fail(
+            f"batched diverged from reference for {scheduler} "
+            f"(seed {seed}):\n" + "\n".join(diffs)
+        )
 
 
 class TestBitwiseDeterminism:
     @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
     def test_spec_scenario_all_schedulers(self, scheduler):
-        """Every scheduling approach: vector == batched == reference."""
+        """Every scheduling approach: batched == reference."""
         builder = lambda p, c: spec_scenario("soplex", p, c)
         _assert_identical(builder, scheduler)
 
@@ -87,12 +85,12 @@ class TestBitwiseDeterminism:
             machine = spec_scenario("soplex", make_scheduler("vprobe"), cfg)
             machine.run(max_time_s=0.4)
             machines[engine] = machine
-        reference = summarize(machines["reference"])
-        assert reference == summarize(machines["vector"])
-        assert reference == summarize(machines["batched"])
-        # Continue all runs: state carried across the cut stays equal.
+        assert summarize(machines["reference"]) == summarize(
+            machines["batched"]
+        )
+        # Continue both runs: state carried across the cut stays equal.
         for machine in machines.values():
             machine.run(max_time_s=0.8)
-        reference = summarize(machines["reference"])
-        assert reference == summarize(machines["vector"])
-        assert reference == summarize(machines["batched"])
+        assert summarize(machines["reference"]) == summarize(
+            machines["batched"]
+        )

@@ -4,7 +4,7 @@ Three contracts matter:
 
 * **determinism** — one (seed, plan) pair always replays bitwise, a
   zero-rate plan is indistinguishable from no plan at all, and fault
-  runs stay engine-independent (vector == reference);
+  runs stay engine-independent (batched == reference);
 * **effect** — each fault kind actually fires, is counted, and hurts
   the way its model says it should;
 * **graceful degradation** — the hardened scheduler never does worse
@@ -119,15 +119,15 @@ class TestFaultDeterminism:
         ) == dataclasses.replace(plain, fault_stats=None)
 
     @pytest.mark.parametrize("scheduler", ["credit", "vprobe", "vprobe-h"])
-    def test_vector_matches_reference_under_chaos(self, scheduler):
+    def test_batched_matches_reference_under_chaos(self, scheduler):
         """Fault hooks live above the engines; both replay them alike."""
         runs = {}
-        for engine in ("reference", "vector"):
+        for engine in ("reference", "batched"):
             cfg = _cfg(
                 work_scale=0.1, faults=fault_preset("chaos"), engine=engine
             )
             runs[engine] = run_one(mix_scenario, scheduler, cfg)
-        assert runs["reference"] == runs["vector"]
+        assert runs["reference"] == runs["batched"]
 
     def test_serial_matches_parallel_with_faults(self):
         cells = [

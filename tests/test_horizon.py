@@ -1,13 +1,12 @@
-"""The batched engine's fused event-horizon sizing.
+"""The batched engine's event-horizon sizing and macro-step replay.
 
 :meth:`~repro.xen.engine.BatchedEngine.compute_horizon` promises that
-no discrete event fires strictly inside a batch, that every Credit
-tick a horizon spans is recorded in the fuse plan, and that burst and
-phase expiries may land only on the batch-final epoch.  These tests
-check those structural invariants on every horizon decision of real
-runs (by wrapping the sizing call), pin down the conservative-refusal
-paths (fault stalls, the hardened vProbe), and verify the
-``fuse_ticks=False`` opt-out changes execution strategy without
+no discrete event fires strictly inside a batch: no Credit tick, no
+sampling boundary, no wake or phase change, and no burst or phase
+expiry except on the batch-final epoch.  These tests check those
+structural invariants on every horizon decision of real runs (by
+wrapping the sizing call), pin down the fault-stall cap, and verify
+that idle-PCPU horizons go through the fused scalar replay without
 changing a single simulated bit.
 """
 
@@ -15,46 +14,38 @@ import math
 
 import pytest
 
-from repro.baselines.brm import BRMScheduler
-from repro.core.vprobe import vprobe, vprobe_hardened
 from repro.experiments.scenarios import (
     ScenarioConfig,
     make_scheduler,
+    overhead_scenario,
     spec_scenario,
 )
 from repro.faults.plan import FaultPlan
 from repro.metrics.collectors import summarize
-from repro.xen.credit import CreditScheduler, SchedulerPolicy
+from repro.obs.manifest import canonical_dumps
 from repro.xen.engine import BatchedEngine
 
 
-def _batched_run(
-    monkeypatch=None,
-    check=None,
-    scheduler="vprobe",
-    max_time_s=1.0,
-    **cfg_kw,
-):
-    """Run the loaded soplex scenario on the batched engine.
+def _batched_run(monkeypatch, check, **cfg_kw):
+    """Run the loaded soplex scenario on the batched engine for 1 s.
 
     ``check(engine, e0, now, kb)`` is invoked after every horizon
-    decision when given (installed via ``monkeypatch`` on the class).
+    decision (installed via ``monkeypatch`` on the class).
     """
-    if check is not None:
-        orig = BatchedEngine.compute_horizon
+    orig = BatchedEngine.compute_horizon
 
-        def checked(self, now, limit):
-            e0 = self.machine.epoch_index
-            kb = orig(self, now, limit)
-            check(self, e0, now, kb)
-            return kb
+    def checked(self, now, limit):
+        e0 = self.machine.epoch_index
+        kb = orig(self, now, limit)
+        check(self, e0, now, kb)
+        return kb
 
-        monkeypatch.setattr(BatchedEngine, "compute_horizon", checked)
+    monkeypatch.setattr(BatchedEngine, "compute_horizon", checked)
     cfg = ScenarioConfig(
         work_scale=0.15, seed=0, engine="batched", **cfg_kw
     )
-    machine = spec_scenario("soplex", make_scheduler(scheduler), cfg)
-    machine.run(max_time_s=max_time_s)
+    machine = spec_scenario("soplex", make_scheduler("vprobe"), cfg)
+    machine.run(max_time_s=1.0)
     return machine
 
 
@@ -70,18 +61,11 @@ class TestHorizonInvariants:
             eps = machine._epochs_per_sample
             ept = machine._epochs_per_tick
             assert kb >= 1
-            # Fused or not, a horizon never crosses a sampling boundary
-            # (vProbe's partitioning pass runs there).
+            # A horizon never crosses a sampling boundary (vProbe's
+            # partitioning pass runs there) or a Credit tick.
             assert kb <= eps - (e0 % eps)
+            assert kb <= ept - (e0 % ept)
             if kb > 1:
-                plan = engine._fuse_plan or []
-                # Every Credit tick interior to the batch must have been
-                # proven quiescent and planned for replay; ticks outside
-                # the plan must not exist.
-                interior_ticks = {
-                    j for j in range(1, kb) if (e0 + j) % ept == 0
-                }
-                assert {entry[0] for entry in plan} == interior_ticks
                 # Burst expiries are inclusive: an incumbent's budget may
                 # reach zero only on the batch-final epoch.  Replay the
                 # exact subtraction chain the progress pass performs.
@@ -112,94 +96,59 @@ class TestHorizonInvariants:
                     assert phase > t
             decisions.append(kb)
 
-        _batched_run(monkeypatch, check)
+        machine = _batched_run(monkeypatch, check)
         assert decisions and max(decisions) > 1
-
-    def test_fused_ticks_engage_on_loaded_scenario(self):
-        machine = _batched_run()
         stats = machine._engine.horizon_stats()
-        assert stats["fused_ticks"] > 0
         assert stats["batches"] < stats["epochs"]
 
-    def test_classic_sizing_never_crosses_a_tick(self, monkeypatch):
-        """With fusion off, every tick terminates the horizon."""
+
+class TestFaultStalls:
+    def test_pending_stalls_cap_horizons(self, monkeypatch):
+        """stall_rate > 0: no horizon runs past the next stall epoch."""
+        capped = []
 
         def check(engine, e0, now, kb):
-            ept = engine.machine._epochs_per_tick
-            assert kb <= ept - (e0 % ept)
-            assert engine._fuse_plan is None
-
-        machine = _batched_run(monkeypatch, check, fuse_ticks=False)
-        assert machine._engine.horizon_stats()["fused_ticks"] == 0
-
-
-class TestQuiescenceRefusals:
-    """Conservative-False paths of the tick-quiescence contract."""
-
-    def test_policy_contract_defaults(self):
-        assert not SchedulerPolicy().tick_is_quiescent(7)
-        assert CreditScheduler().tick_is_quiescent(7)
-        assert vprobe().tick_is_quiescent(7)
-        assert not BRMScheduler().tick_is_quiescent(7)
-
-    def test_hardened_vprobe_refuses_every_tick(self, monkeypatch):
-        hardened = vprobe_hardened()
-        assert all(not hardened.tick_is_quiescent(i) for i in range(32))
-
-        # End to end: the hardened policy's horizons stop at every tick,
-        # exactly like the classic sizing.
-        def check(engine, e0, now, kb):
-            ept = engine.machine._epochs_per_tick
-            assert kb <= ept - (e0 % ept)
-
-        machine = _batched_run(monkeypatch, check, scheduler="vprobe-h")
-        assert machine._engine.horizon_stats()["fused_ticks"] == 0
-
-    def test_pending_stalls_disable_fusion(self, monkeypatch):
-        """stall_rate > 0 keeps the classic stall-capped sizing."""
-
-        def check(engine, e0, now, kb):
-            assert engine._fuse_plan is None
+            next_stall = engine.machine.faults.next_stall_epoch()
+            if next_stall is not None and kb > 1:
+                assert e0 + kb <= next_stall
+                capped.append(kb)
 
         machine = _batched_run(
             monkeypatch,
             check,
             faults=FaultPlan(stall_rate=0.05, stall_epochs=5),
         )
-        stats = machine._engine.horizon_stats()
-        assert stats["fused_ticks"] == 0
-        assert stats["fused_repicks"] == 0
+        assert capped
+        assert machine.faults.stalls_injected > 0
 
 
-def _summary(**cfg_kw):
-    cfg = ScenarioConfig(work_scale=0.15, seed=0, **cfg_kw)
-    machine = spec_scenario("soplex", make_scheduler("vprobe"), cfg)
-    machine.run(max_time_s=1.0)
-    return summarize(machine)
+def _idle_summary(scheduler, engine):
+    cfg = ScenarioConfig(work_scale=0.02, seed=1, engine=engine)
+    machine = overhead_scenario(1, make_scheduler(scheduler), cfg)
+    machine.run()
+    summary = summarize(machine).to_dict()
+    # Host wall-clock and execution-strategy fields, not simulated ones.
+    summary.pop("phase_profile", None)
+    summary.pop("horizon_stats", None)
+    return canonical_dumps(summary)
 
 
-class TestExecutionStrategyOptOuts:
-    """fuse_ticks changes scheduling of work, not results."""
+class TestIdleReplay:
+    """Idle-PCPU horizons: steals made up front, then the fused replay."""
 
-    def test_fuse_ticks_false_is_bitwise_identical(self):
-        reference = _summary(engine="reference")
-        fused = _summary(engine="batched")
-        unfused = _summary(engine="batched", fuse_ticks=False)
-        assert fused == reference
-        assert unfused == reference
+    @pytest.mark.parametrize("scheduler", ["credit", "vprobe"])
+    def test_idle_pcpu_horizons_use_fused_replay(self, monkeypatch, scheduler):
+        # One VM x 2 VCPUs on 8 PCPUs: most PCPUs idle all run, so
+        # every macro-step has idle PCPUs making per-epoch steal calls.
+        idle_calls = []
+        orig = BatchedEngine._advance_replay_fused
 
+        def wrapped(self, *args, **kwargs):
+            if any(p.current is None for p in self.machine.pcpus):
+                idle_calls.append(args[2])
+            return orig(self, *args, **kwargs)
 
-class TestReplayBreakEven:
-    """The scalar-replay/kernel dispatch edge is a pure perf choice."""
-
-    def test_default_break_even(self):
-        # Break-even measured on the loaded scenario: the fused scalar
-        # replay beats the 2D kernel for every horizon up to ~16 epochs
-        # (the kernel's dispatch overhead dominates at small k).
-        assert BatchedEngine._REPLAY_MAX == 16
-
-    @pytest.mark.parametrize("replay_max", [1, 16, 10**9])
-    def test_dispatch_edge_is_bitwise_neutral(self, monkeypatch, replay_max):
-        reference = _summary(engine="reference")
-        monkeypatch.setattr(BatchedEngine, "_REPLAY_MAX", replay_max)
-        assert _summary(engine="batched") == reference
+        monkeypatch.setattr(BatchedEngine, "_advance_replay_fused", wrapped)
+        batched = _idle_summary(scheduler, "batched")
+        assert idle_calls, "no idle-PCPU horizon took the fused replay"
+        assert _idle_summary(scheduler, "reference") == batched

@@ -47,8 +47,8 @@ def _run(engine: str):
 
 
 @pytest.fixture(scope="module")
-def vector_run():
-    return _run("vector")
+def batched_run():
+    return _run("batched")
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +124,7 @@ class TestPhaseProfiler:
 
 class TestManifest:
     def test_config_hash_ignores_non_result_fields(self):
-        base = _scenario_config("vector").sim_config()
+        base = _scenario_config("batched").sim_config()
         for variant in (
             _scenario_config("reference").sim_config(),
             ScenarioConfig(
@@ -138,7 +138,7 @@ class TestManifest:
             assert config_hash(base) == config_hash(variant)
 
     def test_config_hash_sees_result_fields(self):
-        base = _scenario_config("vector").sim_config()
+        base = _scenario_config("batched").sim_config()
         other = ScenarioConfig(
             work_scale=0.03,
             seed=4,
@@ -156,13 +156,13 @@ class TestManifest:
         with pytest.raises(ValueError):
             canonical_dumps({"x": math.nan})
 
-    def test_build_manifest_fields(self, vector_run):
-        machine, _ = vector_run
+    def test_build_manifest_fields(self, batched_run):
+        machine, _ = batched_run
         manifest = build_manifest(machine)
         assert manifest.policy == machine.policy.name
         assert manifest.scenario == "obs-test"  # falls back to config.label
         assert manifest.seed == 3
-        assert manifest.engine == "vector"
+        assert manifest.engine == "batched"
         assert manifest.faults is None
         line = manifest.to_dict()
         assert line["type"] == "manifest"
@@ -170,8 +170,8 @@ class TestManifest:
 
 
 class TestTraceRoundTrip:
-    def test_write_read_validate(self, vector_run, tmp_path):
-        machine, trace = vector_run
+    def test_write_read_validate(self, batched_run, tmp_path):
+        machine, trace = batched_run
         path = tmp_path / "run.jsonl"
         lines = write_trace(machine, path, trace=trace, scenario="lu")
         # manifest + events + snapshots + summary
@@ -188,16 +188,16 @@ class TestTraceRoundTrip:
         times = [e["t"] for e in parsed.events]
         assert times == sorted(times)
 
-    def test_rewrite_is_byte_identical(self, vector_run, tmp_path):
-        machine, trace = vector_run
+    def test_rewrite_is_byte_identical(self, batched_run, tmp_path):
+        machine, trace = batched_run
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_trace(machine, a, trace=trace)
         write_trace(machine, b, trace=trace)
         assert a.read_bytes() == b.read_bytes()
         assert diff_traces(a, b) == []
 
-    def test_diff_reports_changed_line(self, vector_run, tmp_path):
-        machine, trace = vector_run
+    def test_diff_reports_changed_line(self, batched_run, tmp_path):
+        machine, trace = batched_run
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_trace(machine, a, trace=trace)
         lines = a.read_text().splitlines()
@@ -211,36 +211,36 @@ class TestEngineParity:
     """Acceptance: a fixed run traces byte-identically from both engines."""
 
     def test_traces_identical_after_manifest(
-        self, vector_run, reference_run, tmp_path
+        self, batched_run, reference_run, tmp_path
     ):
-        vec_machine, vec_trace = vector_run
+        fast_machine, fast_trace = batched_run
         ref_machine, ref_trace = reference_run
-        vec_path, ref_path = tmp_path / "vec.jsonl", tmp_path / "ref.jsonl"
-        write_trace(vec_machine, vec_path, trace=vec_trace)
+        fast_path, ref_path = tmp_path / "fast.jsonl", tmp_path / "ref.jsonl"
+        write_trace(fast_machine, fast_path, trace=fast_trace)
         write_trace(ref_machine, ref_path, trace=ref_trace)
 
-        assert diff_traces(vec_path, ref_path, ignore_manifest=True) == []
+        assert diff_traces(fast_path, ref_path, ignore_manifest=True) == []
 
-        vec_manifest = read_trace(vec_path).manifest
+        fast_manifest = read_trace(fast_path).manifest
         ref_manifest = read_trace(ref_path).manifest
         differing = {
             k
-            for k in vec_manifest
-            if vec_manifest[k] != ref_manifest[k]
+            for k in fast_manifest
+            if fast_manifest[k] != ref_manifest[k]
         }
         assert differing == {"engine", "config"}
-        assert vec_manifest["config_hash"] == ref_manifest["config_hash"]
+        assert fast_manifest["config_hash"] == ref_manifest["config_hash"]
         config_diff = {
             k
-            for k in vec_manifest["config"]
-            if vec_manifest["config"][k] != ref_manifest["config"][k]
+            for k in fast_manifest["config"]
+            if fast_manifest["config"][k] != ref_manifest["config"][k]
         }
         assert config_diff == {"engine"}
 
-    def test_summaries_equal_despite_profiles(self, vector_run, reference_run):
-        vec_summary = summarize(vector_run[0])
+    def test_summaries_equal_despite_profiles(self, batched_run, reference_run):
+        fast_summary = summarize(batched_run[0])
         ref_summary = summarize(reference_run[0])
-        assert vec_summary == ref_summary  # phase_profile excluded from eq
+        assert fast_summary == ref_summary  # phase_profile excluded from eq
 
 
 class TestSchemaValidator:
@@ -304,11 +304,11 @@ class TestSchemaValidator:
 class TestProfilerAccounting:
     """Acceptance: inner phases explain the sample-period envelope."""
 
-    def test_phases_recorded_for_vprobe_run(self, vector_run):
-        prof = vector_run[0].profiler
+    def test_phases_recorded_for_vprobe_run(self, batched_run):
+        prof = batched_run[0].profiler
         for phase in ("analyzer", "partition", "balance", "epoch", "sample_period"):
             assert prof.calls(phase) > 0, phase
-        assert prof.counter("gather_build") > 0  # vector engine rebuilds
+        assert prof.counter("gather_build") > 0  # batched engine rebuilds
 
     def test_reference_engine_has_no_gather_counter(self, reference_run):
         assert reference_run[0].profiler.counter("gather_build") == 0
@@ -317,7 +317,7 @@ class TestProfilerAccounting:
         # Wall-clock assertion: best-of-3 to ride out scheduler jitter.
         best = 0.0
         for attempt in range(3):
-            machine, _ = _run("vector")
+            machine, _ = _run("batched")
             prof = machine.profiler
             envelope = prof.wall_s("sample_period")
             inner = prof.wall_s("analyzer") + prof.wall_s("partition")
@@ -327,8 +327,8 @@ class TestProfilerAccounting:
                 break
         assert best >= 0.95
 
-    def test_summary_carries_profile(self, vector_run):
-        summary = summarize(vector_run[0])
+    def test_summary_carries_profile(self, batched_run):
+        summary = summarize(batched_run[0])
         assert summary.phase_profile is not None
         assert summary.phase_profile["analyzer"].calls > 0
         payload = summary.to_dict()

@@ -46,7 +46,7 @@ from repro.xen.simulator import SimulationTimeout
 CFG = ScenarioConfig(work_scale=0.02, seed=1)
 BUILDER = partial(solo_scenario, "lu")
 
-ENGINES = ("batched", "vector", "reference")
+ENGINES = ("batched", "reference")
 SCHEDULERS = ("credit", "vprobe", "vcpu-p", "lb", "brm")
 FAULTS = ("none", "chaos")
 
@@ -93,7 +93,7 @@ class TestCheckpointFile:
         machine = run_partially(build_machine())
         path = tmp_path / "m.ckpt"
         header = save_checkpoint(machine, path)
-        assert header["schema"] == "repro.checkpoint/v1"
+        assert header["schema"] == "repro.checkpoint/v2"
         assert header["config_hash"] == config_hash(machine.config)
         assert header["epoch_index"] == machine.epoch_index
         assert read_header(path) == header

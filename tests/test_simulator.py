@@ -30,6 +30,10 @@ def machine_with(profile, num_vcpus=2, seed=0, max_time=10.0, pins=None, **cfg):
 
 
 class TestConfig:
+    def test_vector_engine_is_not_selectable(self):
+        with pytest.raises(ValueError, match="engine"):
+            SimConfig(engine="vector")
+
     def test_epoch_must_divide_tick(self):
         topo = xeon_e5620()
         with pytest.raises(ValueError, match="divide"):
@@ -146,11 +150,10 @@ class TestOverheadPlumbing:
         profile = synthetic_profile("llc-fr", total_instructions=None, with_phases=False)
         clean = machine_with(profile, num_vcpus=1, pins=[0])
         taxed = machine_with(profile, num_vcpus=1, pins=[0])
-        # Steal 50% of pcpu 0's time via overhead.
-        for _ in range(200):
-            taxed.pcpus[0].charge_overhead(0.5e-3)
-            taxed._step_epoch()
-            clean._step_epoch()
+        # Steal half of pcpu 0's time over a 200 ms run via overhead.
+        taxed.pcpus[0].charge_overhead(100e-3)
+        for machine in (clean, taxed):
+            machine.run(max_time_s=0.2)
         done_taxed = taxed.pmu.totals(0).instructions
         done_clean = clean.pmu.totals(0).instructions
         assert done_taxed < 0.7 * done_clean
