@@ -59,12 +59,10 @@ class TestHorizonInvariants:
             machine = engine.machine
             epoch = engine.epoch
             eps = machine._epochs_per_sample
-            ept = machine._epochs_per_tick
             assert kb >= 1
             # A horizon never crosses a sampling boundary (vProbe's
-            # partitioning pass runs there) or a Credit tick.
+            # partitioning pass runs there).
             assert kb <= eps - (e0 % eps)
-            assert kb <= ept - (e0 % ept)
             if kb > 1:
                 # Burst expiries are inclusive: an incumbent's budget may
                 # reach zero only on the batch-final epoch.  Replay the
@@ -100,6 +98,18 @@ class TestHorizonInvariants:
         assert decisions and max(decisions) > 1
         stats = machine._engine.horizon_stats()
         assert stats["batches"] < stats["epochs"]
+
+    def test_classic_sizing_never_crosses_a_tick(self, monkeypatch):
+        """Every Credit tick terminates the horizon."""
+        spans = []
+
+        def check(engine, e0, now, kb):
+            ept = engine.machine._epochs_per_tick
+            assert kb <= ept - (e0 % ept)
+            spans.append(kb)
+
+        _batched_run(monkeypatch, check)
+        assert spans and max(spans) > 1
 
 
 class TestFaultStalls:
