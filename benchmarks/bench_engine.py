@@ -122,9 +122,9 @@ def test_engine_speedup():
     horizon = batched_machine._engine.horizon_stats()
     assert horizon is not None
     # The whole point of macro-stepping: the batched run must cover its
-    # epochs in strictly fewer advance_batch calls than epochs stepped.
+    # epochs in strictly fewer multi-epoch macro-steps than epochs.
     assert horizon["batches"] < horizon["epochs"], (
-        f"batched engine made {horizon['batches']} advance_batch calls "
+        f"batched engine made {horizon['batches']} macro-steps "
         f"for {horizon['epochs']} epochs — horizons never exceeded 1"
     )
 

@@ -8,6 +8,9 @@ LLC-thrashing workload and reports how the gap evolves: more nodes
 mean more wrong places a NUMA-blind balancer can put a VCPU, so the
 remote-access gap widens with scale.
 
+The batched engine exists only for dual-socket hosts, so the 3- and
+4-node machines run the reference loop (same results, slower).
+
 Run with::
 
     python examples/numa_scaling.py

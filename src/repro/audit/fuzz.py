@@ -52,6 +52,10 @@ ENGINES: Tuple[str, ...] = ("reference", "batched")
 
 #: Topologies worth fuzzing: the paper's 2x4 plus smaller/odd shapes
 #: that exercise single-node degenerate paths and >2-node scan orders.
+#: The batched engine exists only for two-node hosts, so the non-dual
+#: shapes run the reference loop on both sides of the diff: they check
+#: scheduler invariants, while the fused replay's differential coverage
+#: comes from the 2-node draws (as it always did).
 _TOPOLOGIES: Tuple[Tuple[int, int], ...] = ((2, 4), (2, 2), (1, 4), (3, 2), (4, 2))
 
 #: Application pool spanning the type space: memory-intensive SPEC

@@ -8,8 +8,9 @@ epoch engine:
 * sampling-window faults (drop/noise/saturation) fire inside
   :meth:`Machine.read_pmu_window`, which both engines share;
 * PCPU stalls are charged as hypervisor overhead, which the reference
-  loop and the :class:`~repro.xen.engine.VectorEngine` consume with
-  identical arithmetic;
+  loop and the batched engine's fused replay
+  (:class:`~repro.xen.engine.BatchedEngine`) consume with identical
+  arithmetic;
 * domain crashes mutate live VCPU/queue state at the epoch boundary,
   before either engine's wake processing runs.
 

@@ -195,8 +195,9 @@ class LLCState:
 
     def __init__(self) -> None:
         self._warmth: Dict[int, float] = {}
-        # Decay factor memo for the fixed-dt fast path (advance_compact):
-        # exp(-dt / DECAY_TIME) is invariant while dt is.
+        # Decay factor memo for the fixed-dt fast path
+        # (advance_compact_batch): exp(-dt / DECAY_TIME) is invariant
+        # while dt is.
         self._decay_dt: float | None = None
         self._decay_factor: float = 1.0
 
@@ -247,44 +248,6 @@ class LLCState:
             # Exponential charge toward 1 with time constant tau.
             self._warmth[key] = 1.0 - (1.0 - current) * math.exp(-dt / tau)
 
-    def advance_compact(
-        self,
-        dt: float,
-        keys: Sequence[int],
-        charge_factors: Sequence[float],
-        key_set: AbstractSet[int] | None = None,
-    ) -> None:
-        """Validation-free :meth:`advance` with precomputed charge factors.
-
-        ``charge_factors[i]`` must equal
-        ``exp(-dt / max(1e-4, working_set_bytes[i] / FILL_BANDWIDTH))``
-        for the VCPU ``keys[i]`` that ran here during the epoch — the
-        caller caches that per VCPU and refreshes it on phase change.
-        ``key_set``, when given, must be ``set(keys)`` (callers with a
-        stable running set pass a cached one).  Produces bitwise-
-        identical warmth to :meth:`advance`.
-        """
-        if dt != self._decay_dt:
-            self._decay_dt = dt
-            self._decay_factor = math.exp(-dt / self.DECAY_TIME) if dt > 0 else 1.0
-        decay = self._decay_factor
-        warmth = self._warmth
-        running = set(keys) if key_set is None else key_set
-        stale: List[int] = []
-        for key, w in warmth.items():
-            if key in running:
-                continue
-            w *= decay
-            if w < self._EPSILON:
-                stale.append(key)
-            else:
-                warmth[key] = w
-        for key in stale:
-            del warmth[key]
-        for key, charge in zip(keys, charge_factors):
-            current = warmth.get(key, 0.0)
-            warmth[key] = 1.0 - (1.0 - current) * charge
-
     def advance_compact_batch(
         self,
         dt: float,
@@ -296,13 +259,17 @@ class LLCState:
         """Commit ``steps`` quiet epochs of warmth evolution at once.
 
         The caller (the batched engine) has already iterated the member
-        charge recurrence ``w <- 1 - (1 - w) * charge`` ``steps`` times
-        and passes the final values in ``final_warmth``; non-member keys
-        decay through the same sequential per-epoch multiplies the
-        per-epoch path performs.  The epsilon eviction check runs once
-        at the end, which is state-equivalent: decay is monotone, so a
-        key below the threshold at any interior epoch is below it at the
-        end too, and nothing reads non-member warmth mid-batch.
+        charge recurrence ``w <- 1 - (1 - w) * charge`` ``steps`` times,
+        where ``charge`` is ``exp(-dt / max(1e-4, working_set /
+        FILL_BANDWIDTH))`` as in :meth:`advance`, and passes the final
+        values in ``final_warmth``; ``key_set``, when given, must be
+        ``set(keys)``.  Non-member keys decay through the same
+        sequential per-epoch multiplies :meth:`advance` performs.  The
+        epsilon eviction check runs once at the end, which is
+        state-equivalent: decay is monotone, so a key below the
+        threshold at any interior epoch is below it at the end too, and
+        nothing reads non-member warmth mid-batch.  With no members
+        (``keys`` empty) this is ``steps`` idle epochs of pure decay.
         """
         if dt != self._decay_dt:
             self._decay_dt = dt
@@ -391,7 +358,8 @@ class CacheModel:
 
         The allocations depend only on capacity and the demands — not on
         warmth — so callers with a stable co-runner set can compute them
-        once and feed :meth:`miss_rates_from_shares` every epoch.
+        once and apply the current warmth every epoch, exactly as
+        :meth:`solve` does.
         """
         weights = []
         caps = []
@@ -399,43 +367,6 @@ class CacheModel:
             weights.append(d.intensity * max(d.working_set_bytes, 1.0))
             caps.append(d.working_set_bytes)
         return waterfill_shares(self.capacity_bytes, weights, caps)
-
-    def miss_rates_from_shares(
-        self,
-        keys: Sequence[int],
-        demands: Sequence[CacheDemand],
-        allocs: Sequence[float],
-    ) -> List[float]:
-        """Per-VCPU miss rates given precomputed waterfill allocations.
-
-        The per-epoch half of :meth:`solve_compact`: applies the current
-        warmth to the cached allocations and evaluates each demand's
-        miss-rate curve, in key order.
-        """
-        warmth = self.state.warmth
-        rates: List[float] = []
-        for key, d, alloc in zip(keys, demands, allocs):
-            ws = d.working_set_bytes
-            if ws <= 0:
-                frac = 1.0
-            else:
-                frac = min(1.0, alloc / ws) * warmth(key)
-            rates.append(d.miss_rate(frac))
-        return rates
-
-    def solve_compact(
-        self,
-        keys: Sequence[int],
-        demands: Sequence[CacheDemand],
-    ) -> List[float]:
-        """Array-style :meth:`solve`: miss rates only, no result dicts.
-
-        ``keys`` must be sorted ascending (the order :meth:`solve`
-        iterates) with ``demands`` aligned.  Returns one miss rate per
-        key, bitwise-identical to ``solve(...).miss_rates``.
-        """
-        allocs = self.occupancy_shares(demands)
-        return self.miss_rates_from_shares(keys, demands, allocs)
 
     def advance(self, dt: float, demands: Mapping[int, CacheDemand]) -> None:
         """Advance warmth after an epoch in which ``demands`` ran here."""

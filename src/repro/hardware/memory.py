@@ -19,7 +19,7 @@ M/M/1-style factor ``1 / (1 - rho)`` capped to keep overload finite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence
+from typing import Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -194,129 +194,6 @@ class MemorySystem:
             qpi_utilisation=qpi_rho,
             local_fraction=local_frac,
         )
-
-    def solve_compact(
-        self,
-        traffic: "np.ndarray | Sequence[float]",
-        run_node: Sequence[int],
-        page_mix: "np.ndarray | Sequence[Sequence[float]]",
-    ) -> List[float]:
-        """Array-style :meth:`solve`: per-VCPU penalties only.
-
-        Parameters are positional arrays over the k running VCPUs:
-        ``traffic`` of shape ``(k,)``, ``run_node`` of length k and
-        ``page_mix`` of shape ``(k, num_nodes)``; ndarrays and plain
-        (nested) lists are both accepted.  Skips validation and the
-        utilisation/local-fraction dicts, but accumulates traffic and
-        penalties in the same sequential order as :meth:`solve`, so the
-        returned penalties are bitwise-identical.
-        """
-        num_nodes = self.topology.num_nodes
-        traffic_l = traffic.tolist() if isinstance(traffic, np.ndarray) else traffic
-        mix_l = page_mix.tolist() if isinstance(page_mix, np.ndarray) else page_mix
-        k = len(traffic_l)
-        if num_nodes == 2:
-            return self._solve_compact_2node(traffic_l, run_node, mix_l, k)
-        imc_traffic = [0.0] * num_nodes
-        qpi_traffic = 0.0
-        for i in range(k):
-            t = traffic_l[i]
-            mix = mix_l[i]
-            node = run_node[i]
-            for target in range(num_nodes):
-                flow = t * mix[target]
-                imc_traffic[target] += flow
-                if target != node:
-                    qpi_traffic += flow
-
-        # queue_inflation() with the default cap, minus the validation.
-        cap = 8.0
-        knee = 1.0 - 1.0 / cap
-        imc_factor = [0.0] * num_nodes
-        for n, spec in enumerate(self.topology.nodes):
-            rho = imc_traffic[n] / spec.imc_bandwidth
-            imc_factor[n] = cap if rho >= knee else 1.0 / (1.0 - rho)
-        qpi_rho = qpi_traffic / self.topology.qpi_bandwidth
-        qpi_factor = cap if qpi_rho >= knee else 1.0 / (1.0 - qpi_rho)
-
-        lat = self.latency
-        local_dram = lat.local_dram_ns
-        remote_extra = lat.remote_extra_ns
-        penalties = [0.0] * k
-        for i in range(k):
-            mix = mix_l[i]
-            node = run_node[i]
-            penalty = 0.0
-            for target in range(num_nodes):
-                frac = mix[target]
-                if frac <= 0:
-                    continue
-                dram = local_dram * imc_factor[target]
-                if target == node:
-                    penalty += frac * dram
-                else:
-                    penalty += frac * (dram + remote_extra * qpi_factor)
-            penalties[i] = penalty
-        return penalties
-
-    def _solve_compact_2node(
-        self,
-        traffic_l: Sequence[float],
-        run_node: Sequence[int],
-        mix_l: Sequence[Sequence[float]],
-        k: int,
-    ) -> List[float]:
-        """Two-socket :meth:`solve_compact`, loops unrolled.
-
-        The dual-socket host of the paper is the overwhelmingly common
-        topology, so the per-target inner loops are flattened.  Each
-        accumulation happens in the reference's exact order (per VCPU:
-        node 0's flow, then node 1's), so results stay bitwise equal.
-        """
-        imc0 = 0.0
-        imc1 = 0.0
-        qpi_traffic = 0.0
-        for i in range(k):
-            t = traffic_l[i]
-            mix = mix_l[i]
-            flow0 = t * mix[0]
-            flow1 = t * mix[1]
-            imc0 += flow0
-            imc1 += flow1
-            if run_node[i] == 0:
-                qpi_traffic += flow1
-            else:
-                qpi_traffic += flow0
-
-        cap = 8.0
-        knee = 1.0 - 1.0 / cap
-        nodes = self.topology.nodes
-        rho0 = imc0 / nodes[0].imc_bandwidth
-        rho1 = imc1 / nodes[1].imc_bandwidth
-        factor0 = cap if rho0 >= knee else 1.0 / (1.0 - rho0)
-        factor1 = cap if rho1 >= knee else 1.0 / (1.0 - rho1)
-        qpi_rho = qpi_traffic / self.topology.qpi_bandwidth
-        qpi_factor = cap if qpi_rho >= knee else 1.0 / (1.0 - qpi_rho)
-
-        lat = self.latency
-        # Hoisted per-node DRAM latencies and the remote adder: the same
-        # products the reference computes inside its per-VCPU loop.
-        dram0 = lat.local_dram_ns * factor0
-        dram1 = lat.local_dram_ns * factor1
-        remote_add = lat.remote_extra_ns * qpi_factor
-        penalties = [0.0] * k
-        for i in range(k):
-            mix = mix_l[i]
-            local = run_node[i] == 0
-            penalty = 0.0
-            frac = mix[0]
-            if frac > 0:
-                penalty += frac * dram0 if local else frac * (dram0 + remote_add)
-            frac = mix[1]
-            if frac > 0:
-                penalty += frac * (dram1 + remote_add) if local else frac * dram1
-            penalties[i] = penalty
-        return penalties
 
     def traffic_for(
         self,

@@ -118,8 +118,9 @@ class PMU:
         self._collection_events = 0
         # Structure-of-arrays storage for the per-node access counters:
         # each registered bank's ``node_accesses`` is a row view into
-        # this matrix, so the per-epoch batch charge lands with a single
-        # fancy-indexed add instead of one ndarray add per bank.
+        # this matrix, so the batched engine commits a horizon's access
+        # counts with one indexed store per row instead of touching
+        # every bank's ndarray.
         self._row_of: Dict[int, int] = {}
         self._node_matrix = np.zeros((0, num_nodes))
 
@@ -128,7 +129,7 @@ class PMU:
         # Re-establish the row-view invariant.  Pickle serializes each
         # bank's ``node_accesses`` view as an independent array, so a
         # restored PMU would have banks detached from ``_node_matrix``:
-        # batched ``charge_epoch`` scatter-adds would land in the matrix
+        # the batched engine's matrix commits would land in the matrix
         # while every reader (window deltas, affinity) kept seeing the
         # bank's frozen copy.  Rebinding on restore is exactly what
         # :meth:`register` does after a matrix reallocation.
@@ -237,60 +238,6 @@ class PMU:
         local = float(accesses[run_node])
         bank.local_accesses += local
         bank.remote_accesses += float(accesses.sum()) - local
-
-    def charge_epoch(
-        self,
-        keys: Sequence[int],
-        instructions: Sequence[float],
-        llc_refs: Sequence[float],
-        llc_misses: Sequence[float],
-        accesses: "np.ndarray | Sequence[Sequence[float]]",
-        run_nodes: Sequence[int],
-        rows: "np.ndarray | None" = None,
-    ) -> None:
-        """Batched, validation-free :meth:`charge` for one epoch.
-
-        Positional arrays over the k VCPUs that ran: ``accesses`` has
-        shape ``(k, num_nodes)`` — an ndarray or a nested list — and
-        already equals ``llc_misses[i] * node_access_share[i]`` rowwise;
-        the caller computes it elementwise, which is bitwise-identical
-        to the scalar path.  ``rows``, when given, must be
-        ``rows_for(keys)`` (callers with a stable running set cache
-        it).  Bank accumulation order matches per-VCPU charges.
-        """
-        if rows is None:
-            row_of = self._row_of
-            rows = np.array([row_of[key] for key in keys])
-        # One scatter-add into the SoA matrix covers every bank's
-        # node_accesses (each bank's vector is a row view); keys are
-        # distinct, so the fancy-indexed add is an elementwise add per
-        # row — the same bits as per-bank `+=`.
-        if isinstance(accesses, np.ndarray):
-            self._node_matrix[rows] += accesses
-            # Row sums and local shares as Python floats: numpy reduces
-            # a contiguous row with the same routine whether summed
-            # alone or along axis 1, so these equal float(row[n]) /
-            # float(row.sum()) bit for bit.
-            acc_rows = accesses.tolist()
-            row_sums = accesses.sum(axis=1).tolist()
-        else:
-            acc_rows = accesses
-            self._node_matrix[rows] += np.asarray(acc_rows)
-            if self.num_nodes == 2:
-                # A two-element numpy reduction is a single sequential
-                # add — the same bits as the scalar sum.
-                row_sums = [row[0] + row[1] for row in acc_rows]
-            else:
-                row_sums = np.asarray(acc_rows).sum(axis=1).tolist()
-        counters = self._counters
-        for i, key in enumerate(keys):
-            bank = counters[key]
-            bank.instructions += instructions[i]
-            bank.llc_refs += llc_refs[i]
-            bank.llc_misses += llc_misses[i]
-            local = acc_rows[i][run_nodes[i]]
-            bank.local_accesses += local
-            bank.remote_accesses += row_sums[i] - local
 
     # ------------------------------------------------------------------
     # Reading (called by schedulers; costs hypervisor time)

@@ -39,8 +39,10 @@ The canonical phases (see :data:`SCHEDULER_PHASES`):
     test pins their sum within 5 % of it).
 ``epoch``
     One engine advance (contention solve + progress) — a single epoch
-    on the reference engine, a whole horizon (one or more epochs) on
-    the batched engine.
+    on the reference loop, one
+    :meth:`~repro.xen.engine.BatchedEngine.advance_batch` call on the
+    batched engine: a whole horizon of one or more epochs, through the
+    fused replay, or warmth decay alone when nothing runs.
 ``horizon``
     One :meth:`~repro.xen.engine.BatchedEngine.compute_horizon` call —
     sizing the event-free epoch run the batched engine may advance in

@@ -4,11 +4,13 @@ The reference implementation in :mod:`repro.xen.simulator` prices every
 epoch through per-VCPU dictionaries (demands, rates, traffic, penalties,
 page mixes) and rescans all VCPUs for wakeups, phase changes and finite
 completion.  That is the clearest possible statement of the model — and
-the hot path of every experiment, so :class:`VectorEngine` re-implements
-it with flat arrays keyed by VCPU index, cached invariants and event
-heaps, and :class:`BatchedEngine` — the ``"batched"`` engine, the one
-fast engine a run can select — macro-steps quiet epoch runs on top of
-it.
+the hot path of every experiment, so :class:`VectorEngine` keeps flat
+per-VCPU invariants keyed by VCPU index, event heaps and per-assignment
+replay plans, and :class:`BatchedEngine` — the ``"batched"`` engine,
+the one fast engine a run can select — advances every event horizon,
+from a single epoch up, through one fused scalar replay on top of it.
+Both are built only for the paper's dual-socket host; the machine runs
+other topologies through its reference loop.
 
 **The contract is bitwise equality**: for any scenario and seed, a run
 through the batched engine produces exactly the same simulated results
@@ -46,8 +48,6 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.hardware.cache import CacheDemand, LLCState
 from repro.hardware.memory import BYTES_PER_MISS
 from repro.xen.vcpu import Vcpu, VcpuState
@@ -59,182 +59,152 @@ __all__ = ["VectorEngine", "BatchedEngine"]
 
 
 class _Gather:
-    """Per-running-set arrays, valid while the set and phases hold.
+    """Replay plan for one VCPU→PCPU assignment.
 
     A VCPU→PCPU assignment typically survives a whole 30 ms slice
     (dozens of epochs), so everything derivable from *which* VCPUs run
     *where* — profile constants, per-node co-runner groups, waterfilled
-    LLC shares, page-mix gather indices — is built once per assignment
-    and reused until the assignment or a phase generation changes.
+    LLC shares, placement-mirror pairs — is built once, in one pass over
+    the running VCPUs, and reused by every horizon until the assignment
+    or a phase generation changes.  Per horizon only the warmth lists
+    and the placement mirrors are reseeded from live state.
+
+    * ``rows`` — one tuple per running VCPU, in PCPU order: ``(c, a,
+      row, over, rpi, cpi_base, mlp, clock, ns2c, mrow, node0, total,
+      drift, num_slices)``.  ``c``/``a`` are the slice concentration and
+      ``1.0 - c``; ``row``/``over`` are the VCPU's placement mirrors
+      (aliased readers share one, so intra-epoch interleavings replay
+      exactly); ``mrow`` is its page-mix scratch.
+    * ``miss`` — per-VCPU miss-rate scratch, overwritten each epoch.
+    * ``miss_plan`` — per-member miss-curve tuples ``(w_l, j, pos,
+      share, minmr, span, shape, bad)`` in node-then-key order (the
+      order the reference's ``sorted(demands)`` solve iterates);
+      ``share`` is the frozen ``min(1.0, alloc / ws)``, ``bad`` flags
+      ``ws <= 0``.
+    * ``charge_plan`` — ``(w_l, j, charge_factor)`` in the same order.
+    * ``reseed`` — ``(warmth_table, members, w_l)`` per occupied node.
+    * ``row_pairs`` / ``over_pairs`` — distinct ``(live, mirror)``
+      placement lists, reseeded before and committed after a horizon.
+    * ``stale`` — placements whose ndarrays a horizon's drift outdates.
+    * ``warmth_commit`` — ``(members, w_l, member_set)`` per node.
     """
 
     __slots__ = (
-        "keys",
-        "node_of",
-        "rpi",
-        "cpi_base",
-        "mlp",
-        "clock",
-        "ns2c",
-        "drift",
-        "totals",
-        "conc_col",
-        "anti_conc_col",
-        "conc_l",
-        "anti_l",
-        "mix_row_src",
-        "mix_over_src",
+        "rows",
+        "miss",
+        "miss_plan",
+        "charge_plan",
+        "reseed",
+        "row_pairs",
+        "over_pairs",
+        "stale",
+        "warmth_commit",
         "pmu_rows",
         "pmu_banks",
-        "node_members",
-        "node_member_sets",
-        "node_charge",
-        "node_positions",
-        "node_solve",
-        "node_miss_tuples",
-        "mix_groups",
-        "fused",
     )
 
-    def __init__(self, engine: "VectorEngine", pcpus, vcpus, k: int) -> None:
+    def __init__(self, engine: "VectorEngine", pcpus, vcpus) -> None:
         keys = [v.key for v in vcpus]
-        node_of = [p.node for p in pcpus]
-        self.keys = keys
-        self.node_of = node_of
-        self.rpi = [engine.rpi[key] for key in keys]
-        self.cpi_base = [engine.cpi_base[key] for key in keys]
-        self.mlp = [engine.mlp[key] for key in keys]
-        self.clock = [engine.node_clock[n] for n in node_of]
-        self.ns2c = [engine.node_ns2c[n] for n in node_of]
-        self.drift = [engine.drift_amount[key] for key in keys]
-        self.totals = [engine.total_instr[key] for key in keys]
-
-        # Concentration scalars; (1.0 - c) is identical bits to the
-        # scalar subtraction in MemoryPlacement.page_mix.  The column
-        # vectors only feed the multi-node ufunc mix path, so the
-        # dual-socket fast path skips building them.
-        conc_l = [engine.conc[key] for key in keys]
-        self.conc_l = conc_l
-        self.anti_l = [1.0 - c for c in conc_l]
-        if engine.two_node:
-            self.conc_col = None
-            self.anti_conc_col = None
-        else:
-            conc = np.array(conc_l)
-            self.conc_col = conc[:, None]
-            self.anti_conc_col = (1.0 - conc)[:, None]
-
         pmu = engine.machine.pmu
-        self.pmu_rows = pmu.rows_for(keys)
+        self.pmu_rows = pmu.rows_for(keys).tolist()
         self.pmu_banks = pmu.banks_for(keys)
 
-        # Per-node co-runner groups, sorted by key (the order the
-        # reference's sorted(demands) solve iterates).  The waterfilled
-        # allocations depend only on capacity and demands — not warmth —
-        # so they are computed once per co-runner set, along with the
-        # flattened miss-rate-curve scalars the per-epoch loop reads.
-        num_nodes = len(engine.node_clock)
-        index_of = {key: i for i, key in enumerate(keys)}
-        members: List[List[int]] = [[] for _ in range(num_nodes)]
-        for i in range(k):
-            members[node_of[i]].append(keys[i])
-        for m in members:
-            m.sort()
-        self.node_members = members
-        self.node_positions = [
-            [index_of[key] for key in m] for m in members
-        ]
-        self.node_member_sets = []
-        self.node_charge = []
-        self.node_solve = []
-        self.node_miss_tuples = []
-        caches = engine.machine.caches
-        for node in range(num_nodes):
-            m = members[node]
-            node_key = (node, tuple(m))
-            entry = engine._node_cache.get(node_key)
-            if entry is None:
-                demands = [engine.demand[key] for key in m]
-                charge_l = [engine.charge_factor[key] for key in m]
-                allocs = caches[node].occupancy_shares(demands)
-                ws_l = [d.working_set_bytes for d in demands]
-                minmr_l = [d.min_miss_rate for d in demands]
-                span_l = [d.max_miss_rate - d.min_miss_rate for d in demands]
-                shape_l = [d.curve_shape for d in demands]
-                # The capped share `min(1.0, alloc / ws)` is exactly the
-                # scalar the reference recomputes every epoch — same
-                # inputs, same float — so it is safe to freeze per
-                # co-runner set.
-                share_l = [
-                    min(1.0, allocs[j] / ws_l[j]) if ws_l[j] > 0 else 0.0
-                    for j in range(len(m))
-                ]
-                entry = (
-                    frozenset(m),
-                    charge_l,
-                    (allocs, ws_l, minmr_l, span_l, shape_l),
-                    # Member-ordered miss-curve tuples for the fused
-                    # replay plan: (share, minmr, span, shape, ws<=0).
-                    [
-                        (
-                            share_l[j],
-                            minmr_l[j],
-                            span_l[j],
-                            shape_l[j],
-                            ws_l[j] <= 0,
-                        )
-                        for j in range(len(m))
-                    ],
+        # One pass over the running VCPUs: replay rows, mirror pairs and
+        # the per-node (key, position) co-runner groups.
+        conc = engine.conc
+        rpi = engine.rpi
+        cpi_base = engine.cpi_base
+        mlp = engine.mlp
+        totals = engine.total_instr
+        drift_amount = engine.drift_amount
+        mix_row = engine.mix_row2
+        mix_over = engine.mix_over2
+        node_clock = engine.node_clock
+        node_ns2c = engine.node_ns2c
+        groups: Tuple[list, list] = ([], [])
+        rows = []
+        row_locs: Dict[int, list] = {}
+        over_locs: Dict[int, list] = {}
+        row_pairs = []
+        over_pairs = []
+        stale: Dict[int, object] = {}
+        for i, vcpu in enumerate(vcpus):
+            key = keys[i]
+            node = pcpus[i].node
+            groups[node].append((key, i))
+            src = mix_row[key]
+            row = row_locs.get(id(src))
+            if row is None:
+                row = row_locs[id(src)] = [0.0, 0.0]
+                row_pairs.append((src, row))
+            src = mix_over[key]
+            over = over_locs.get(id(src))
+            if over is None:
+                over = over_locs[id(src)] = [0.0, 0.0]
+                over_pairs.append((src, over))
+            placement = vcpu.domain.placement
+            drift = drift_amount[key]
+            if drift > 0:
+                stale[id(placement)] = placement
+            c = conc[key]
+            rows.append(
+                (
+                    c,
+                    1.0 - c,
+                    row,
+                    over,
+                    rpi[key],
+                    cpi_base[key],
+                    mlp[key],
+                    node_clock[node],
+                    node_ns2c[node],
+                    [0.0, 0.0],
+                    node == 0,
+                    totals[key],
+                    drift,
+                    placement.num_slices,
                 )
-                engine._node_cache[node_key] = entry
-            self.node_member_sets.append(entry[0])
-            self.node_charge.append(entry[1])
-            self.node_solve.append(entry[2])
-            self.node_miss_tuples.append(entry[3])
+            )
+        self.rows = rows
+        self.miss = [0.0] * len(rows)
+        self.row_pairs = row_pairs
+        self.over_pairs = over_pairs
+        self.stale = list(stale.values())
 
-        # Page-mix gather plan.  Dual-socket machines get direct
-        # references to each VCPU's placement-mirror row (stable list
-        # objects, see MemoryPlacement); other topologies group VCPUs
-        # by placement object so each group's slice rows load with one
-        # fancy index.
-        if engine.two_node:
-            row2 = engine.mix_row2
-            self.mix_groups = None
-            self.mix_row_src = [row2[key] for key in keys]
-            over2 = engine.mix_over2
-            self.mix_over_src = [over2[key] for key in keys]
-        else:
-            by_placement: Dict[int, Tuple[object, List[int], List[int]]] = {}
-            placement_of = engine.placement_of
-            for i in range(k):
-                vcpu = vcpus[i]
-                placement = placement_of[keys[i]]
-                group = by_placement.get(id(placement))
-                if group is None:
-                    group = (placement, [], [])
-                    by_placement[id(placement)] = group
-                group[1].append(vcpu.workload.slice_id)
-                group[2].append(i)
-            self.mix_groups = [
-                (placement, np.array(slices), np.array(positions))
-                for placement, slices, positions in by_placement.values()
-            ]
-            self.mix_row_src = None
-            self.mix_over_src = None
-        #: lazily-built fused-replay plan (see
-        #: BatchedEngine._build_fused_plan) — every structure the scalar
-        #: replay needs that depends only on the assignment, not on the
-        #: evolving warmth/progress state.
-        self.fused = None
+        # Per-node miss-curve and warmth plans.  The waterfilled
+        # allocations depend only on capacity and demands — not warmth —
+        # so they are memoised per co-runner set across gathers.
+        tables = engine._warmth_tables
+        miss_plan = []
+        charge_plan = []
+        reseed = []
+        warmth_commit = []
+        for node, group in enumerate(groups):
+            group.sort()
+            members = tuple([key for key, _ in group])
+            member_set, charges, curves = engine._node_entry(node, members)
+            w_l = [0.0] * len(members)
+            if members:
+                reseed.append((tables[node], members, w_l))
+            for j, (_, pos) in enumerate(group):
+                miss_plan.append((w_l, j, pos) + curves[j])
+                charge_plan.append((w_l, j, charges[j]))
+            warmth_commit.append((members, w_l, member_set))
+        self.miss_plan = miss_plan
+        self.charge_plan = charge_plan
+        self.reseed = reseed
+        self.warmth_commit = warmth_commit
 
 
 class VectorEngine:
-    """Vectorized epoch engine bound to one :class:`Machine`.
+    """Per-VCPU invariants, event heaps and replay plans for one machine.
 
-    Built lazily on the first stepped epoch and discarded whenever the
-    machine's VCPU population changes; construction scans the live
-    machine state once, after which per-epoch work touches only the
-    VCPUs that are actually running, waking or changing phase.
+    Built lazily on the first stepped epoch of a dual-socket machine and
+    discarded whenever the machine's VCPU population changes;
+    construction scans the live machine state once, after which
+    per-epoch work touches only the VCPUs that are actually running,
+    waking or changing phase.  :class:`BatchedEngine` adds the horizon
+    sizing and the replay kernel.
     """
 
     def __init__(self, machine: "Machine") -> None:
@@ -247,7 +217,6 @@ class VectorEngine:
         # the reference evaluates it (clock_hz * 1e-9).
         self.node_clock: List[float] = [node.clock_hz for node in topo.nodes]
         self.node_ns2c: List[float] = [c * 1e-9 for c in self.node_clock]
-        self.two_node = topo.num_nodes == 2
 
         # Per-VCPU invariants, keyed by VCPU key.  Profile constants are
         # immutable; the phase-dependent ones (rpi, demand, warmth
@@ -266,10 +235,8 @@ class VectorEngine:
         self.charge_factor: List[float] = [1.0] * n
         self.total_instr: List[float] = [0.0] * n
         # Per-key placement mirrors (refreshed with the phase, since the
-        # active slice moves with it).  Placement objects are fixed after
-        # machine setup and the dual-socket row/overall mirrors are
-        # stable list objects, so gather builds reduce to indexed loads.
-        self.placement_of: List[object] = [None] * n
+        # active slice moves with it).  The row/overall mirrors are
+        # stable list objects, so plan builds reduce to indexed loads.
         self.mix_row2: List[Optional[list]] = [None] * n
         self.mix_over2: List[Optional[list]] = [None] * n
         #: per-key phase generation: bumped by refresh_vcpu(), woven
@@ -293,20 +260,10 @@ class VectorEngine:
         for vcpu in vcpus:
             self.refresh_vcpu(vcpu)
 
-        # Live per-node warmth tables (stable dict objects) and bound
-        # per-LLC advance methods (skips the CacheModel hop per epoch).
+        # Live per-node warmth tables (stable dict objects).
         self._warmth_tables = [
             cache.state.warmth_table for cache in machine.caches
         ]
-        self._cache_advance = [
-            cache.state.advance_compact for cache in machine.caches
-        ]
-
-        # Reusable page-mix gather buffers, sliced to the running count.
-        num_pcpus = len(machine.pcpus)
-        num_nodes = len(self.node_clock)
-        self._rows_buf = np.empty((num_pcpus, num_nodes))
-        self._over_buf = np.empty((num_pcpus, num_nodes))
 
         # Wake-time min-heap replacing the all-VCPU step-2 scan.  Lazy
         # invalidation: entries are validated against live VCPU state at
@@ -353,10 +310,8 @@ class VectorEngine:
         self.charge_factor[key] = math.exp(-self.epoch / tau)
         self.total_instr[key] = w.profile.total_instructions
         placement = vcpu.domain.placement
-        self.placement_of[key] = placement
-        if self.two_node:
-            self.mix_row2[key] = placement._rows2[w.slice_id]
-            self.mix_over2[key] = placement._over2
+        self.mix_row2[key] = placement._rows2[w.slice_id]
+        self.mix_over2[key] = placement._over2
         self.key_gen[key] += 1
         # Selective eviction: only memos that embed this key's phase-
         # dependent data (demand, charge factor, slice id) are stale.
@@ -366,6 +321,40 @@ class VectorEngine:
         node_cache = self._node_cache
         for nk in [nk for nk in node_cache if key in nk[1]]:
             del node_cache[nk]
+
+    def _node_entry(self, node: int, members: Tuple[int, ...]) -> Tuple:
+        """``(member_set, charge_factors, curves)`` for one co-runner set.
+
+        ``members`` is sorted by key; ``curves[j]`` is member ``j``'s
+        ``(share, min_miss, miss_span, curve_shape, ws <= 0)``.  The
+        capped share ``min(1.0, alloc / ws)`` is exactly the scalar the
+        reference recomputes every epoch — same inputs, same float — so
+        it is safe to freeze per co-runner set.
+        """
+        node_key = (node, members)
+        entry = self._node_cache.get(node_key)
+        if entry is None:
+            demands = [self.demand[key] for key in members]
+            allocs = self.machine.caches[node].occupancy_shares(demands)
+            curves = []
+            for d, alloc in zip(demands, allocs):
+                ws = d.working_set_bytes
+                curves.append(
+                    (
+                        min(1.0, alloc / ws) if ws > 0 else 0.0,
+                        d.min_miss_rate,
+                        d.max_miss_rate - d.min_miss_rate,
+                        d.curve_shape,
+                        ws <= 0,
+                    )
+                )
+            entry = (
+                frozenset(members),
+                [self.charge_factor[key] for key in members],
+                curves,
+            )
+            self._node_cache[node_key] = entry
+        return entry
 
     # ------------------------------------------------------------------
     # Event-driven scans
@@ -428,7 +417,7 @@ class VectorEngine:
         return self.has_finite and self.finite_remaining == 0
 
     # ------------------------------------------------------------------
-    # Contention + progress (the vectorized _advance_running)
+    # Replay plans
     # ------------------------------------------------------------------
     def _gather_for(self, running_pcpus: list, running_vcpus: List[Vcpu]) -> _Gather:
         """Look up (or build) the gather for this VCPU→PCPU assignment."""
@@ -442,7 +431,7 @@ class VectorEngine:
         cache = self._gather_cache
         entry = cache.get(sig_kp)
         if entry is None or entry[0] != gens:
-            gather = _Gather(self, running_pcpus, running_vcpus, len(keys))
+            gather = _Gather(self, running_pcpus, running_vcpus)
             self.machine.profiler.count("gather_build")
             if len(cache) >= 1024:
                 cache.clear()
@@ -453,220 +442,19 @@ class VectorEngine:
         self._gather_sig = sig
         return gather
 
-    def advance_running(self, now: float, epoch: float) -> None:
-        machine = self.machine
-
-        running_pcpus = []
-        running_vcpus = []
-        for pcpu in machine.pcpus:
-            cur = pcpu.current
-            if cur is not None:
-                running_pcpus.append(pcpu)
-                running_vcpus.append(cur)
-        k = len(running_vcpus)
-        if k == 0:
-            # Nothing ran: warmth still decays on every LLC.
-            for advance in self._cache_advance:
-                advance(epoch, (), ())
-            return
-
-        gather = self._gather_for(running_pcpus, running_vcpus)
-
-        # Per-LLC miss rates from the cached waterfill shares and the
-        # current warmth (the only per-epoch input).  This is
-        # CacheModel.miss_rates_from_shares unrolled over the gather's
-        # flattened curve scalars — the op sequence per VCPU is exactly
-        # CacheDemand.miss_rate's.
-        miss = [0.0] * k
-        for node_id, members in enumerate(gather.node_members):
-            if not members:
-                continue
-            warmth = self._warmth_tables[node_id]
-            positions = gather.node_positions[node_id]
-            allocs, ws_l, minmr_l, span_l, shape_l = gather.node_solve[node_id]
-            for j in range(len(members)):
-                ws = ws_l[j]
-                if ws <= 0:
-                    f = 1.0
-                else:
-                    # In [0, 1] by construction (warmth and the capped
-                    # share both are), so miss_rate's clamp is a no-op.
-                    f = min(1.0, allocs[j] / ws) * warmth.get(members[j], 0.0)
-                shape = shape_l[j]
-                missing = 1.0 - f if shape == 1.0 else (1.0 - f) ** shape
-                miss[positions[j]] = minmr_l[j] + span_l[j] * missing
-
-        # Page mixes: each row is the reference's Domain.page_mix_for
-        # (concentration blend, then row-normalise).
-        mix = None
-        if gather.mix_row_src is not None:
-            # Dual-socket: scalar blend straight off the placement
-            # mirrors — the same elementwise ops as the ufunc path,
-            # without touching the (lazily synced) ndarrays.
-            conc_l = gather.conc_l
-            anti_l = gather.anti_l
-            row_src = gather.mix_row_src
-            over_src = gather.mix_over_src
-            mix_rows = [None] * k
-            for i in range(k):
-                c = conc_l[i]
-                a = anti_l[i]
-                row = row_src[i]
-                over = over_src[i]
-                m0 = c * row[0] + a * over[0]
-                m1 = c * row[1] + a * over[1]
-                s = m0 + m1
-                mix_rows[i] = [m0 / s, m1 / s]
-        else:
-            rows = self._rows_buf[:k]
-            over = self._over_buf[:k]
-            for placement, slices, positions in gather.mix_groups:
-                rows[positions] = placement.matrix[slices]
-                over[positions] = placement.overall
-            mix = gather.conc_col * rows + gather.anti_conc_col * over
-            mix /= mix.sum(axis=1)[:, None]
-            mix_rows = mix.tolist()
-
-        # Fixed point: rates -> traffic -> queueing -> rates.  Scalar
-        # float64 expressions in the reference's exact op order; at the
-        # machine's scale (co-runners == PCPUs) this beats ufunc
-        # dispatch while producing identical bits.
-        lat = machine.config.latency
-        hit_ns = lat.llc_hit_ns
-        node_of = gather.node_of
-        rpi = gather.rpi
-        cpi_base = gather.cpi_base
-        mlp = gather.mlp
-        clock = gather.clock
-        ns2c = gather.ns2c
-        penalty = [lat.local_dram_ns] * k
-        rates = [0.0] * k
-        traffic = [0.0] * k
-        for _ in range(machine.config.contention_iterations - 1):
-            for i in range(k):
-                mr = miss[i]
-                per_ref_ns = (1.0 - mr) * hit_ns + mr * penalty[i]
-                stall = rpi[i] * per_ref_ns * ns2c[i] / mlp[i]
-                rate = clock[i] / (cpi_base[i] + stall)
-                rates[i] = rate
-                traffic[i] = rate * rpi[i] * mr * BYTES_PER_MISS
-            penalty = machine.memsys.solve_compact(traffic, node_of, mix_rows)
-        # Last iteration: the reference recomputes rates and then makes
-        # one more (pure, side-effect-free) solve call whose result it
-        # discards — so only the rates are computed here.
-        for i in range(k):
-            mr = miss[i]
-            per_ref_ns = (1.0 - mr) * hit_ns + mr * penalty[i]
-            stall = rpi[i] * per_ref_ns * ns2c[i] / mlp[i]
-            rates[i] = clock[i] / (cpi_base[i] + stall)
-
-        # Progress pass 1: instruction budgets in PCPU order (overhead
-        # consumption and busy-time accumulation are ordered effects).
-        totals = gather.totals
-        instructions = [0.0] * k
-        refs = [0.0] * k
-        misses = [0.0] * k
-        for i in range(k):
-            pcpu = running_pcpus[i]
-            # Inlined Pcpu.consume_overhead with an overhead-free fast
-            # path (identical arithmetic when overhead is pending).
-            pending = pcpu.overhead_pending_s
-            if pending > 0.0:
-                used = pending if pending < epoch else epoch
-                pcpu.overhead_pending_s = pending - used
-                compute = epoch - used
-            else:
-                compute = epoch
-            pcpu.busy_time_s += epoch
-            machine.busy_time_s += epoch
-            done = rates[i] * compute
-            total = totals[i]
-            if total is not None:
-                remaining = total - running_vcpus[i].workload.instructions_done
-                if remaining < 0.0:
-                    remaining = 0.0
-                if remaining < done:
-                    done = remaining
-            instructions[i] = done
-            r = done * rpi[i]
-            refs[i] = r
-            misses[i] = r * miss[i]
-
-        # PMU charges, batched: the access matrix is elementwise
-        # (misses x page mix), the per-bank accumulation stays ordered.
-        if mix is None:
-            accesses = [
-                [misses[i] * mix_rows[i][0], misses[i] * mix_rows[i][1]]
-                for i in range(k)
-            ]
-        else:
-            accesses = np.array(misses)[:, None] * mix
-        machine.pmu.charge_epoch(
-            gather.keys,
-            instructions,
-            refs,
-            misses,
-            accesses,
-            node_of,
-            rows=gather.pmu_rows,
-        )
-
-        # Progress pass 2: retire work, drift placement, handle
-        # completion and blocking (same order, same transitions).
-        end = now + epoch
-        policy = machine.policy
-        log = machine.log
-        drift = gather.drift
-        for i in range(k):
-            pcpu = running_pcpus[i]
-            vcpu = running_vcpus[i]
-            w = vcpu.workload
-            w.instructions_done += instructions[i]
-            vcpu.slice_used_s += epoch
-            vcpu.run_burst_remaining_s -= epoch
-
-            if drift[i] > 0:
-                vcpu.domain.placement.drift_slice_fast(
-                    w.slice_id, pcpu.node, drift[i]
-                )
-
-            total = totals[i]
-            if total is not None and w.instructions_done >= total:
-                vcpu.mark_done(end)
-                pcpu.current = None
-                machine.context_switches += 1
-                policy.on_context_switch(pcpu, vcpu, None)
-                log.emit(end, "finish", vcpu=vcpu.name)
-                self.finite_remaining -= 1
-            elif vcpu.run_burst_remaining_s <= 0:
-                vcpu.block_until(end + w.draw_block_time())
-                self.push_wake(vcpu)
-                pcpu.current = None
-                machine.context_switches += 1
-                policy.on_context_switch(pcpu, vcpu, None)
-
-        # LLC warmth: charge running sets, decay everyone else, using
-        # the per-VCPU charge factors cached at phase boundaries.
-        for node_id, members in enumerate(gather.node_members):
-            self._cache_advance[node_id](
-                epoch,
-                members,
-                gather.node_charge[node_id],
-                gather.node_member_sets[node_id],
-            )
-
 
 class BatchedEngine(VectorEngine):
-    """Macro-stepping engine: one fused scalar replay per quiet-epoch run.
+    """Macro-stepping engine: one fused scalar replay per event horizon.
 
     Extends :class:`VectorEngine` with an *event horizon*: the number of
     upcoming epochs guaranteed free of discrete events — scheduler
     ticks, sampling boundaries, wakeups, phase changes, finite-work
     completions, run-burst expiries, fault stalls/crashes, the epoch cap
-    and the run's time limit.  All ``K`` quiet epochs advance in one
-    call to :meth:`_advance_replay_fused`, which runs the singleton
-    path's exact per-epoch arithmetic with the running-set scan, gather
-    lookup and every state commit hoisted out of the epoch loop.
+    and the run's time limit.  Every horizon, a single epoch included,
+    advances in one call to :meth:`_advance_replay_fused`, which runs
+    the reference loop's exact per-epoch arithmetic with the running-set
+    scan, plan lookup and every state commit hoisted out of the epoch
+    loop; a horizon with nothing running only decays LLC warmth.
 
     The bitwise contract survives batching because inside the horizon
     every epoch applies the same Python-float expressions, in the same
@@ -674,9 +462,8 @@ class BatchedEngine(VectorEngine):
     move to the batch edges.  Scheduler RNG parity is kept by replaying
     the (no-op) steal calls idle PCPUs would make each interior epoch.
 
-    Topologies other than the paper's dual-socket host fall back to
-    singleton stepping (``compute_horizon`` returns 1), which is the
-    inherited :class:`VectorEngine` path.
+    Dual-socket only: the replay inlines the two-node memory solve, and
+    ``Machine`` builds no engine for other topologies.
     """
 
     def __init__(self, machine: "Machine") -> None:
@@ -685,10 +472,24 @@ class BatchedEngine(VectorEngine):
             cache.state.advance_compact_batch for cache in machine.caches
         ]
         self._horizon_hist: Dict[int, int] = {}
-        self._batch_calls = 0
-        #: hoisted latency/topology constants for the fused replay,
-        #: built on first use (see _build_fused_plan).
-        self._fused_scalars: Optional[tuple] = None
+        # Latency/topology constants for the inlined dual-socket solve
+        # (queue_inflation's default cap and knee, minus validation).
+        lat = machine.config.latency
+        memsys = machine.memsys
+        nodes = memsys.topology.nodes
+        cap = 8.0
+        self._scalars = (
+            lat.llc_hit_ns,
+            lat.local_dram_ns,
+            nodes[0].imc_bandwidth,
+            nodes[1].imc_bandwidth,
+            memsys.topology.qpi_bandwidth,
+            memsys.latency.local_dram_ns,
+            memsys.latency.remote_extra_ns,
+            cap,
+            1.0 - 1.0 / cap,
+            BYTES_PER_MISS,
+        )
 
     # ------------------------------------------------------------------
     # Event horizon
@@ -701,7 +502,7 @@ class BatchedEngine(VectorEngine):
         could fire before the batch would end.  Every Credit tick and
         sampling boundary terminates the batch.
         """
-        kb = self._size_horizon(now, limit) if self.two_node else 1
+        kb = self._size_horizon(now, limit)
         hist = self._horizon_hist
         hist[kb] = hist.get(kb, 0) + 1
         return kb
@@ -813,7 +614,6 @@ class BatchedEngine(VectorEngine):
         discrete event fires strictly inside the batch.
         """
         machine = self.machine
-        self._batch_calls += 1
 
         running_pcpus = []
         running_vcpus = []
@@ -825,16 +625,6 @@ class BatchedEngine(VectorEngine):
                 running_vcpus.append(cur)
             else:
                 idle_pcpus.append(pcpu)
-        k = len(running_vcpus)
-        if (
-            k == 0
-            or not self.two_node
-            or machine.config.contention_iterations != 2
-        ):
-            # Nothing runs, or the fused replay's inlined dual-socket,
-            # two-round solve does not apply: replay the full per-epoch
-            # path.
-            return self._advance_replay(now, epoch, kb)
 
         # Interior scheduling passes: running PCPUs are untouched (their
         # VCPU stays runnable all batch), but each idle PCPU makes one
@@ -855,171 +645,14 @@ class BatchedEngine(VectorEngine):
                 profiler.stop("balance", t0)
         end_batch = t + epoch
 
+        if not running_vcpus:
+            # Nothing runs: warmth still decays on every LLC.
+            for advance in self._cache_advance_batch:
+                advance(epoch, kb, (), (), frozenset())
+            return end_batch
         gather = self._gather_for(running_pcpus, running_vcpus)
         return self._advance_replay_fused(
-            end_batch, epoch, kb, gather, running_pcpus, running_vcpus, k
-        )
-
-    def _advance_replay(self, now: float, epoch: float, kb: int) -> float:
-        """Replay the per-epoch path directly.
-
-        Each interior epoch runs the (no-op) idle-PCPU steal attempts
-        the reference's scheduling pass would make, then the inherited
-        singleton advance.  The same calls in the same order, so
-        equality is by construction rather than by proof.
-        """
-        machine = self.machine
-        profiler = machine.profiler
-        policy = machine.policy
-        t = now
-        for j in range(kb):
-            if j > 0:
-                for pcpu in machine.pcpus:
-                    if pcpu.current is None:
-                        t0 = profiler.start()
-                        policy.steal(pcpu, t, under_only=False)
-                        profiler.stop("balance", t0)
-            self.advance_running(t, epoch)
-            t = t + epoch
-        return t
-
-    def _build_fused_plan(
-        self, gather: _Gather, running_vcpus: List[Vcpu], k: int
-    ) -> tuple:
-        """Assignment-static structures for :meth:`_advance_replay_fused`.
-
-        Everything here depends only on the (keys, pcpus, generations)
-        signature the gather is memoised under, so it is built once and
-        cached on ``gather.fused``; per batch only the warmth lists and
-        the placement mirrors are reseeded from live state.  Returns
-        ``(flat_plan, flat_charge, row_a, row_b, miss, mix_rows,
-        reseed_w, row_pairs, over_pairs, rloc, oloc, w_by_node,
-        scalars)``:
-
-        * ``flat_plan`` — per-member miss-curve tuples ``(w_l, j, pos,
-          share, minmr, span, shape, bad)`` in node-then-member order;
-          ``share`` is the same precomputed ``min(1.0, alloc / ws)``
-          the per-epoch path multiplies in, ``bad`` flags ``ws <= 0``.
-        * ``flat_charge`` — ``(w_l, j, charge_factor)`` warmth-charge
-          tuples in the same order.
-        * ``row_a`` / ``row_b`` — zipped per-VCPU constant tuples for
-          the two epoch passes (one ``UNPACK_SEQUENCE`` per iteration
-          instead of a pile of list subscripts).
-        * ``miss`` / ``mix_rows`` — scratch lists fully overwritten
-          each epoch.
-        * ``reseed_w`` — ``(warmth_table, members, w_l)`` per node.
-        * ``row_pairs`` / ``over_pairs`` — distinct ``(live, mirror)``
-          list pairs; aliased readers share one mirror so intra-epoch
-          interleavings replay exactly.
-        * ``w_by_node`` — node id → warmth list for the final commit.
-        * ``scalars`` — hoisted latency/topology constants for the
-          inlined dual-socket solve.
-        """
-        reseed_w = []
-        w_by_node: Dict[int, list] = {}
-        flat_plan = []
-        flat_charge = []
-        for node_id, members in enumerate(gather.node_members):
-            if not members:
-                continue
-            positions = gather.node_positions[node_id]
-            w_l = [0.0] * len(members)
-            reseed_w.append((self._warmth_tables[node_id], members, w_l))
-            w_by_node[node_id] = w_l
-            for j, (share, minmr, span, shape, bad) in enumerate(
-                gather.node_miss_tuples[node_id]
-            ):
-                flat_plan.append(
-                    (w_l, j, positions[j], share, minmr, span, shape, bad)
-                )
-            for j, cf in enumerate(gather.node_charge[node_id]):
-                flat_charge.append((w_l, j, cf))
-
-        row_src = gather.mix_row_src
-        over_src = gather.mix_over_src
-        rloc_by_id: Dict[int, list] = {}
-        oloc_by_id: Dict[int, list] = {}
-        rloc: list = [None] * k
-        oloc: list = [None] * k
-        ns_l = [0] * k
-        row_pairs = []
-        over_pairs = []
-        for i in range(k):
-            row = row_src[i]
-            loc = rloc_by_id.get(id(row))
-            if loc is None:
-                loc = [0.0, 0.0]
-                rloc_by_id[id(row)] = loc
-                row_pairs.append((row, loc))
-            rloc[i] = loc
-            over = over_src[i]
-            loc = oloc_by_id.get(id(over))
-            if loc is None:
-                loc = [0.0, 0.0]
-                oloc_by_id[id(over)] = loc
-                over_pairs.append((over, loc))
-            oloc[i] = loc
-            ns_l[i] = running_vcpus[i].domain.placement.num_slices
-
-        node_of = gather.node_of
-        miss = [0.0] * k
-        mix_rows = [[0.0, 0.0] for _ in range(k)]
-        node0_l = [node_of[i] == 0 for i in range(k)]
-        # One merged per-VCPU tuple list serves both epoch passes: a
-        # single UNPACK_SEQUENCE per iteration replaces a pile of list
-        # subscripts, and one zip build (horizons are short, p50 ~3, so
-        # build cost matters more than unpack width).
-        rows = list(
-            zip(
-                gather.conc_l,
-                gather.anti_l,
-                rloc,
-                oloc,
-                gather.rpi,
-                gather.cpi_base,
-                gather.mlp,
-                gather.clock,
-                gather.ns2c,
-                mix_rows,
-                node0_l,
-                gather.totals,
-                gather.drift,
-                ns_l,
-            )
-        )
-
-        scalars = self._fused_scalars
-        if scalars is None:
-            machine = self.machine
-            lat = machine.config.latency
-            memsys = machine.memsys
-            mnodes = memsys.topology.nodes
-            cap = 8.0
-            scalars = self._fused_scalars = (
-                lat.llc_hit_ns,
-                lat.local_dram_ns,
-                mnodes[0].imc_bandwidth,
-                mnodes[1].imc_bandwidth,
-                memsys.topology.qpi_bandwidth,
-                memsys.latency.local_dram_ns,
-                memsys.latency.remote_extra_ns,
-                cap,
-                1.0 - 1.0 / cap,
-                BYTES_PER_MISS,
-            )
-        return (
-            flat_plan,
-            flat_charge,
-            rows,
-            miss,
-            mix_rows,
-            reseed_w,
-            row_pairs,
-            over_pairs,
-            rloc,
-            oloc,
-            w_by_node,
-            scalars,
+            end_batch, epoch, kb, gather, running_pcpus, running_vcpus
         )
 
     def _advance_replay_fused(
@@ -1030,45 +663,22 @@ class BatchedEngine(VectorEngine):
         gather: _Gather,
         running_pcpus: list,
         running_vcpus: List[Vcpu],
-        k: int,
     ) -> float:
         """Event-free horizon: scalar replay with hoisted state.
 
-        Runs :meth:`advance_running`'s exact arithmetic — same Python-
-        float expressions, same accumulation order — for ``kb`` epochs,
-        but performs the running-set scan, gather lookup, warmth/PMU/
-        placement reads and every state commit once per batch instead
-        of once per epoch.  All accumulator chains (busy time, PMU
-        banks, placement drift, page-mix rows, the shared `overall`
-        vectors) evolve on Python locals seeded from live state; the
-        finals are written back after the last epoch, which is bitwise
-        neutral because nothing else reads them mid-batch (the caller
-        guarantees an event-free interior and has already made the idle
-        PCPUs' steal attempts, which read none of this state).
-        Dual-socket only.
+        Runs the reference loop's exact arithmetic — same Python-float
+        expressions, same accumulation order — for ``kb`` epochs, but
+        performs the running-set scan, plan lookup, warmth/PMU/placement
+        reads and every state commit once per batch instead of once per
+        epoch.  All accumulator chains (busy time, PMU banks, placement
+        drift, page-mix rows, the shared `overall` vectors) evolve on
+        Python locals seeded from live state; the finals are written
+        back after the last epoch, which is bitwise neutral because
+        nothing else reads them mid-batch (the caller guarantees an
+        event-free interior and has already made the idle PCPUs' steal
+        attempts, which read none of this state).
         """
         machine = self.machine
-
-        # --- Assignment-static plan, cached on the gather --------------
-        plan = gather.fused
-        if plan is None:
-            plan = gather.fused = self._build_fused_plan(
-                gather, running_vcpus, k
-            )
-        (
-            flat_plan,
-            flat_charge,
-            rows,
-            miss,
-            mix_rows,
-            reseed_w,
-            row_pairs,
-            over_pairs,
-            rloc,
-            oloc,
-            w_by_node,
-            scalars,
-        ) = plan
         (
             hit_ns,
             local_dram,
@@ -1080,23 +690,23 @@ class BatchedEngine(VectorEngine):
             cap,
             knee,
             bpm,
-        ) = scalars
-        drift = gather.drift
-        totals = gather.totals
-        row_src = gather.mix_row_src
-        over_src = gather.mix_over_src
+        ) = self._scalars
+        rows = gather.rows
+        miss = gather.miss
+        miss_plan = gather.miss_plan
+        charge_plan = gather.charge_plan
 
         # Reseed the state-dependent inputs: member warmth from the live
         # tables, placement-row / `overall` mirrors from the live lists
         # (aliased readers share one mirror, so intra-epoch
         # interleavings replay exactly).
-        for table, members, w_l in reseed_w:
+        for table, members, w_l in gather.reseed:
             for j, key in enumerate(members):
                 w_l[j] = table.get(key, 0.0)
-        for src, loc in row_pairs:
+        for src, loc in gather.row_pairs:
             loc[0] = src[0]
             loc[1] = src[1]
-        for src, loc in over_pairs:
+        for src, loc in gather.over_pairs:
             loc[0] = src[0]
             loc[1] = src[1]
 
@@ -1107,17 +717,16 @@ class BatchedEngine(VectorEngine):
         id_l = [v.workload.instructions_done for v in running_vcpus]
         slice_l = [v.slice_used_s for v in running_vcpus]
         burst_l = [v.run_burst_remaining_s for v in running_vcpus]
-        pmu = machine.pmu
         banks = gather.pmu_banks
-        rows_arr = gather.pmu_rows
-        matrix = pmu._node_matrix
+        pmu_rows = gather.pmu_rows
+        matrix = machine.pmu._node_matrix
         bi_l = [b.instructions for b in banks]
         br_l = [b.llc_refs for b in banks]
         bm_l = [b.llc_misses for b in banks]
         bl_l = [b.local_accesses for b in banks]
         bx_l = [b.remote_accesses for b in banks]
-        m0_l = [float(matrix[r, 0]) for r in rows_arr.tolist()]
-        m1_l = [float(matrix[r, 1]) for r in rows_arr.tolist()]
+        m0_l = [float(matrix[r, 0]) for r in pmu_rows]
+        m1_l = [float(matrix[r, 1]) for r in pmu_rows]
 
         # --- Per-epoch replay ------------------------------------------
         # Each epoch preserves the reference phase order: miss curves,
@@ -1129,7 +738,7 @@ class BatchedEngine(VectorEngine):
         # cross-VCPU accumulator (imc/qpi flows, machine busy time)
         # still folds in ascending VCPU order.
         for _tt in range(kb):
-            for w_l, j, pos, share, minmr, span, shape, bad in flat_plan:
+            for w_l, j, pos, share, minmr, span, shape, bad in miss_plan:
                 f = 1.0 if bad else share * w_l[j]
                 missing = 1.0 - f if shape == 1.0 else (1.0 - f) ** shape
                 miss[pos] = minmr + span * missing
@@ -1242,12 +851,11 @@ class BatchedEngine(VectorEngine):
                     over[0] += (n0 - r0) / nsl
                     over[1] += (n1 - r1) / nsl
 
-            for w_l, j, cf in flat_charge:
+            for w_l, j, cf in charge_plan:
                 w_l[j] = 1.0 - (1.0 - w_l[j]) * cf
 
         # --- Commit ----------------------------------------------------
-        for i in range(k):
-            pcpu = running_pcpus[i]
+        for i, pcpu in enumerate(running_pcpus):
             pcpu.overhead_pending_s = pend_l[i]
             pcpu.busy_time_s = busy_l[i]
             vcpu = running_vcpus[i]
@@ -1256,47 +864,36 @@ class BatchedEngine(VectorEngine):
             vcpu.run_burst_remaining_s = burst_l[i]
         machine.busy_time_s = mbusy
 
-        rows_l = rows_arr.tolist()
-        for i in range(k):
-            b = banks[i]
+        for i, b in enumerate(banks):
             b.instructions = bi_l[i]
             b.llc_refs = br_l[i]
             b.llc_misses = bm_l[i]
             b.local_accesses = bl_l[i]
             b.remote_accesses = bx_l[i]
-            r = rows_l[i]
+            r = pmu_rows[i]
             matrix[r, 0] = m0_l[i]
             matrix[r, 1] = m1_l[i]
 
-        committed_rows: Set[int] = set()
-        for i in range(k):
-            if drift[i] <= 0:
-                continue
-            row = row_src[i]
-            rid = id(row)
-            if rid not in committed_rows:
-                committed_rows.add(rid)
-                loc = rloc[i]
-                row[0] = loc[0]
-                row[1] = loc[1]
-            running_vcpus[i].domain.placement._np_stale = True
-        for i in range(k):
-            over = over_src[i]
-            loc = oloc[i]
-            over[0] = loc[0]
-            over[1] = loc[1]
+        # Mirrors only drifting VCPUs wrote come back unchanged, so
+        # writing every pair back is bitwise neutral.
+        for src, loc in gather.row_pairs:
+            src[0] = loc[0]
+            src[1] = loc[1]
+        for src, loc in gather.over_pairs:
+            src[0] = loc[0]
+            src[1] = loc[1]
+        for placement in gather.stale:
+            placement._np_stale = True
 
         # Batch-final transitions, in running order (interior epochs are
         # transition-free by the horizon contract; the burst cap is
         # inclusive, so a burst draining to zero blocks here).
         policy = machine.policy
         log = machine.log
-        for i in range(k):
-            vcpu = running_vcpus[i]
+        for pcpu, vcpu in zip(running_pcpus, running_vcpus):
             w = vcpu.workload
-            total = totals[i]
+            total = w.profile.total_instructions
             if total is not None and w.instructions_done >= total:
-                pcpu = running_pcpus[i]
                 vcpu.mark_done(end_batch)
                 pcpu.current = None
                 machine.context_switches += 1
@@ -1304,7 +901,6 @@ class BatchedEngine(VectorEngine):
                 log.emit(end_batch, "finish", vcpu=vcpu.name)
                 self.finite_remaining -= 1
             elif vcpu.run_burst_remaining_s <= 0:
-                pcpu = running_pcpus[i]
                 vcpu.block_until(end_batch + w.draw_block_time())
                 self.push_wake(vcpu)
                 pcpu.current = None
@@ -1313,15 +909,11 @@ class BatchedEngine(VectorEngine):
 
         # --- LLC warmth commit -----------------------------------------
         # Every node advances (a member-less node still decays its
-        # warm entries), exactly like the per-epoch path.
-        for node_id, members in enumerate(gather.node_members):
-            self._cache_advance_batch[node_id](
-                epoch,
-                kb,
-                members,
-                w_by_node.get(node_id, ()),
-                gather.node_member_sets[node_id],
-            )
+        # warm entries), exactly like the reference loop.
+        for advance, (members, w_l, member_set) in zip(
+            self._cache_advance_batch, gather.warmth_commit
+        ):
+            advance(epoch, kb, members, w_l, member_set)
         return end_batch
 
     # ------------------------------------------------------------------
@@ -1333,8 +925,8 @@ class BatchedEngine(VectorEngine):
         Returns None before the first horizon decision.  ``p50``/``p90``
         are weighted percentiles over per-decision horizon lengths (the
         smallest length covering that fraction of decisions); ``epochs``
-        is their weighted sum, ``batches`` counts advance_batch calls
-        (horizons of length > 1).  Counters reset with the engine, so a
+        is their weighted sum, ``batches`` counts horizons of length > 1
+        (macro-steps).  Counters reset with the engine, so a
         run resumed from a checkpoint reports post-resume statistics
         only.
         """
@@ -1356,7 +948,7 @@ class BatchedEngine(VectorEngine):
         return {
             "horizons": steps,
             "epochs": sum(length * n for length, n in hist.items()),
-            "batches": self._batch_calls,
+            "batches": sum(n for length, n in hist.items() if length > 1),
             "p50": pct(0.5),
             "p90": pct(0.9),
             "max": lengths[-1],

@@ -107,8 +107,8 @@ class MemoryPlacement:
     def matrix(self) -> np.ndarray:
         """Raw ``(num_slices, num_nodes)`` placement matrix.
 
-        A live view for the epoch engine's batched page-mix gather —
-        treat as read-only; mutate through :meth:`drift_slice` /
+        A live view, synced from the dual-socket mirror first — treat
+        as read-only; mutate through :meth:`drift_slice` /
         :meth:`migrate_slice` so ``_overall`` stays consistent.
         """
         self._sync_np()
@@ -181,15 +181,6 @@ class MemoryPlacement:
         check_fraction(amount, "amount")
         if amount <= 0.0:
             return
-        self.drift_slice_fast(slice_id, toward_node, amount)
-
-    def drift_slice_fast(self, slice_id: int, toward_node: int, amount: float) -> None:
-        """Validation-free :meth:`drift_slice` for the epoch hot path.
-
-        The caller guarantees ``slice_id``/``toward_node`` are in range
-        and ``0 < amount <= 1`` (the per-epoch drift is a cached
-        invariant of the workload profile).
-        """
         rows = self._rows2
         if rows is not None:
             # Dual-socket fast path: the same elementwise operations on

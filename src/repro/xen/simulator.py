@@ -40,6 +40,10 @@ from repro.xen.vcpu import Vcpu, VcpuState
 
 __all__ = ["SimConfig", "SimResult", "SimulationTimeout", "Machine"]
 
+#: Rounds of the reference loop's traffic->queueing->rate fixed point.
+#: The batched engine's fused replay inlines exactly this many.
+CONTENTION_ROUNDS = 2
+
 
 class SimulationTimeout(RuntimeError):
     """A run exceeded its ``max_epochs`` hard cap.
@@ -78,23 +82,21 @@ class SimConfig:
         Memory-system base latencies.
     log_events:
         Record the structured event log (off for long benches).
-    contention_iterations:
-        Fixed-point iterations of the traffic->queueing->rate solve.
     pmu_collection_cost_s:
         Hypervisor time per counter collection event.
     stop_on_finite_completion:
         Stop once every finite active workload has completed.
     engine:
         ``"batched"`` (default) runs epochs through the macro-stepping
-        :class:`~repro.xen.engine.BatchedEngine`, which advances whole
-        event-free epoch runs in one fused scalar replay and single
-        epochs through its structure-of-arrays
-        :class:`~repro.xen.engine.VectorEngine` base;
-        ``"reference"`` keeps the original dict-based loop.  Both
-        produce bitwise-identical simulated results — including fault
-        runs, whose hooks live above the engine layer; the reference
-        path exists as the executable specification the fast engine
-        is tested against.
+        :class:`~repro.xen.engine.BatchedEngine`, which advances every
+        event horizon — a single epoch included — in one fused scalar
+        replay; ``"reference"`` keeps the original dict-based loop.
+        The engine exists only for dual-socket hosts (the paper's
+        testbed); other topologies run the reference loop under either
+        setting.  Both produce bitwise-identical simulated results —
+        including fault runs, whose hooks live above the engine layer;
+        the reference path exists as the executable specification the
+        fast engine is tested against.
     faults:
         Optional :class:`~repro.faults.plan.FaultPlan`; its injector
         draws from dedicated ``faults.*`` streams of the run seed, so
@@ -121,7 +123,6 @@ class SimConfig:
     seed: int = 0
     latency: LatencySpec = field(default_factory=LatencySpec)
     log_events: bool = False
-    contention_iterations: int = 2
     pmu_collection_cost_s: float = 0.3e-6
     stop_on_finite_completion: bool = True
     engine: str = "batched"
@@ -134,8 +135,6 @@ class SimConfig:
         check_positive(self.epoch_s, "epoch_s")
         check_positive(self.sample_period_s, "sample_period_s")
         check_positive(self.max_time_s, "max_time_s")
-        if self.contention_iterations < 1:
-            raise ValueError("contention_iterations must be >= 1")
         if self.pmu_collection_cost_s < 0:
             raise ValueError("pmu_collection_cost_s must be >= 0")
         if self.engine not in ("batched", "reference"):
@@ -229,8 +228,9 @@ class Machine:
         self.domains: List[Domain] = []
         self._domains_by_name: Dict[str, Domain] = {}
         self.vcpus: List[Vcpu] = []
-        #: lazily built BatchedEngine (None with engine="reference" or
-        #: whenever the VCPU population changed since the last epoch)
+        #: lazily built BatchedEngine (None with engine="reference", on
+        #: non-dual-socket hosts, or whenever the VCPU population
+        #: changed since the last epoch)
         self._engine: Optional[BatchedEngine] = None
         #: runtime invariant checker (:mod:`repro.audit.invariants`),
         #: attached via :meth:`run`'s ``audit=`` hook.  None (default)
@@ -449,8 +449,16 @@ class Machine:
     # Main loop
     # ------------------------------------------------------------------
     def _ensure_engine(self) -> Optional[BatchedEngine]:
-        """The machine's epoch engine (built on demand), or None."""
-        if self._engine is None and self.config.engine == "batched":
+        """The machine's epoch engine (built on demand), or None.
+
+        The fused replay inlines the dual-socket memory solve, so other
+        topologies always run the reference loop.
+        """
+        if (
+            self._engine is None
+            and self.config.engine == "batched"
+            and self.topology.num_nodes == 2
+        ):
             self._engine = BatchedEngine(self)
         return self._engine
 
@@ -627,33 +635,27 @@ class Machine:
         # 4. Contention solve and progress.  The batched engine first
         # sizes an event horizon — how many upcoming epochs are free of
         # ticks, samples, wakes, phase changes, completions, faults and
-        # the run limit — and macro-steps all of them in one batch; a
-        # horizon of 1 falls back to the inherited single-epoch path.
-        stepped = 1
+        # the run limit — and advances all of them in one call, a
+        # horizon of one epoch included.
         if engine is not None:
             t0 = self.profiler.start()
-            batch = engine.compute_horizon(
+            stepped = engine.compute_horizon(
                 now, limit if limit is not None else self.config.max_time_s
             )
             self.profiler.stop("horizon", t0)
+            t0 = self.profiler.start()
+            end = engine.advance_batch(now, epoch, stepped)
         else:
-            batch = 1
-        t0 = self.profiler.start()
-        if batch > 1:
-            end = engine.advance_batch(now, epoch, batch)
-            stepped = batch
-        else:
+            stepped = 1
+            t0 = self.profiler.start()
+            self._advance_running(now, epoch)
             end = now + epoch
-            if engine is not None:
-                engine.advance_running(now, epoch)
-            else:
-                self._advance_running(now, epoch)
         self.profiler.stop("epoch", t0)
 
         # 5. Phase changes (heap-driven, or a cheap check per workload).
         # For a macro-step the horizon guarantees nothing was due at any
         # interior epoch end, so one check at the batch end is the same
-        # sequence of applications the singleton path performs.
+        # sequence of applications the per-epoch reference loop performs.
         if engine is not None:
             engine.apply_phase_changes(end)
         else:
@@ -704,8 +706,8 @@ class Machine:
     # ------------------------------------------------------------------
     def _advance_running(self, now: float, epoch: float) -> None:
         # This dict-based loop is the executable specification that
-        # VectorEngine.advance_running replicates bitwise; changes here
-        # must be mirrored there (the determinism test enforces it).
+        # BatchedEngine._advance_replay_fused replicates bitwise; changes
+        # here must be mirrored there (the determinism test enforces it).
         running: List[Tuple[Pcpu, Vcpu]] = [
             (p, p.current) for p in self.pcpus if p.current is not None
         ]
@@ -734,7 +736,7 @@ class Machine:
         }
         rates: Dict[int, float] = {}
         mem_costs = None
-        for _ in range(self.config.contention_iterations):
+        for _ in range(CONTENTION_ROUNDS):
             traffic: Dict[int, float] = {}
             for pcpu, vcpu in running:
                 prof = vcpu.workload.profile
@@ -822,7 +824,7 @@ class Machine:
         are pure functions of VCPU/workload state, and its gather
         memos are caches.  Dropping it keeps snapshots compact and —
         more importantly — lets a snapshot taken under one engine
-        resume under any of the three with bitwise-identical results
+        resume under the other with bitwise-identical results
         (the resume-parity matrix in ``tests/test_recovery.py``).
         """
         state = self.__dict__.copy()

@@ -27,7 +27,14 @@ from repro.experiments.scenarios import (
     spec_scenario,
 )
 from repro.faults.plan import FAULT_PRESETS, fault_preset
+from repro.hardware.topology import symmetric_topology
 from repro.metrics.collectors import summarize
+from repro.workloads.generators import synthetic_profile
+from repro.xen.domain import Domain
+from repro.xen.memalloc import place_split
+from repro.xen.simulator import Machine, SimConfig
+
+GIB = 1024**3
 
 scenario_params = st.fixed_dictionaries(
     {
@@ -66,3 +73,29 @@ def test_engines_agree_on_canonical_summary(params):
     assert candidate == reference, (
         f"batched diverged from reference on {params!r}"
     )
+
+
+def _three_node_summary(engine: str):
+    topo = symmetric_topology(3, 2)
+    machine = Machine(
+        topo,
+        make_scheduler("vprobe"),
+        SimConfig(seed=5, sample_period_s=0.1, max_time_s=0.4, engine=engine),
+    )
+    prof = synthetic_profile("llc-fi", total_instructions=2e8)
+    machine.add_domain(
+        Domain.homogeneous("vm", 2 * GIB, place_split(8, 3), prof, 8)
+    )
+    machine.run()
+    summary = summarize(machine).to_dict()
+    summary.pop("phase_profile", None)
+    return machine, json.dumps(summary, sort_keys=True)
+
+
+def test_non_dual_socket_hosts_run_the_reference_loop():
+    """The fused replay is dual-socket only: a 3-node machine asked for
+    the batched engine builds none and matches the reference run."""
+    machine, batched = _three_node_summary("batched")
+    assert machine._engine is None
+    assert machine.epoch_index > 0
+    assert batched == _three_node_summary("reference")[1]

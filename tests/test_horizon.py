@@ -6,11 +6,13 @@ sampling boundary, no wake or phase change, and no burst or phase
 expiry except on the batch-final epoch.  These tests check those
 structural invariants on every horizon decision of real runs (by
 wrapping the sizing call), pin down the fault-stall cap, and verify
-that idle-PCPU horizons go through the fused scalar replay without
-changing a single simulated bit.
+that every kind of horizon — with idle PCPUs, a single epoch long, or
+with nothing running at all — goes through the one replay path
+without changing a single simulated bit.
 """
 
 import math
+from functools import partial
 
 import pytest
 
@@ -18,9 +20,11 @@ from repro.experiments.scenarios import (
     ScenarioConfig,
     make_scheduler,
     overhead_scenario,
+    solo_scenario,
     spec_scenario,
 )
 from repro.faults.plan import FaultPlan
+from repro.hardware.cache import LLCState
 from repro.metrics.collectors import summarize
 from repro.obs.manifest import canonical_dumps
 from repro.xen.engine import BatchedEngine
@@ -132,9 +136,9 @@ class TestFaultStalls:
         assert machine.faults.stalls_injected > 0
 
 
-def _idle_summary(scheduler, engine):
-    cfg = ScenarioConfig(work_scale=0.02, seed=1, engine=engine)
-    machine = overhead_scenario(1, make_scheduler(scheduler), cfg)
+def _summary(build, scheduler, engine, work_scale, seed=1):
+    cfg = ScenarioConfig(work_scale=work_scale, seed=seed, engine=engine)
+    machine = build(make_scheduler(scheduler), cfg)
     machine.run()
     summary = summarize(machine).to_dict()
     # Host wall-clock and execution-strategy fields, not simulated ones.
@@ -143,8 +147,8 @@ def _idle_summary(scheduler, engine):
     return canonical_dumps(summary)
 
 
-class TestIdleReplay:
-    """Idle-PCPU horizons: steals made up front, then the fused replay."""
+class TestFusedReplay:
+    """Every horizon goes through advance_batch and the one replay."""
 
     @pytest.mark.parametrize("scheduler", ["credit", "vprobe"])
     def test_idle_pcpu_horizons_use_fused_replay(self, monkeypatch, scheduler):
@@ -159,6 +163,58 @@ class TestIdleReplay:
             return orig(self, *args, **kwargs)
 
         monkeypatch.setattr(BatchedEngine, "_advance_replay_fused", wrapped)
-        batched = _idle_summary(scheduler, "batched")
+        build = partial(overhead_scenario, 1)
+        batched = _summary(build, scheduler, "batched", 0.02)
         assert idle_calls, "no idle-PCPU horizon took the fused replay"
-        assert _idle_summary(scheduler, "reference") == batched
+        assert _summary(build, scheduler, "reference", 0.02) == batched
+
+    def test_single_epoch_horizons_use_fused_replay(self, monkeypatch):
+        # The loaded NPB lu scenario has many one-epoch horizons (wakes
+        # and tick-adjacent bursts), and its VCPUs finish inside the run.
+        single = []
+        finished = []
+        orig = BatchedEngine._advance_replay_fused
+
+        def wrapped(self, end_batch, epoch, kb, gather, pcpus, vcpus):
+            end = orig(self, end_batch, epoch, kb, gather, pcpus, vcpus)
+            if kb == 1:
+                single.append(end)
+                finished.extend(v for v in vcpus if v.finish_time is not None)
+            return end
+
+        monkeypatch.setattr(BatchedEngine, "_advance_replay_fused", wrapped)
+        build = partial(spec_scenario, "lu")
+        batched = _summary(build, "credit", "batched", 0.05, seed=0)
+        assert len(single) > 10, "one-epoch horizons skipped the replay"
+        assert finished, "no completion landed on a one-epoch horizon"
+        assert _summary(build, "credit", "reference", 0.05, seed=0) == batched
+
+    def test_idle_machine_horizons_commit_batched_decay(self, monkeypatch):
+        # One pinned VCPU that blocks now and then: while it sleeps no
+        # PCPU runs anything, and such a horizon must commit its K
+        # epochs of warmth decay in one batched step per LLC.
+        idle_horizons = []
+        decay_steps = []
+        orig_batch = BatchedEngine.advance_batch
+        orig_decay = LLCState.advance_compact_batch
+
+        def batch(self, now, epoch, kb):
+            if kb > 1 and all(p.current is None for p in self.machine.pcpus):
+                idle_horizons.append(kb)
+            return orig_batch(self, now, epoch, kb)
+
+        def decay(self, dt, steps, keys, final_warmth, key_set=None):
+            if not keys and steps > 1:
+                decay_steps.append(steps)
+            return orig_decay(self, dt, steps, keys, final_warmth, key_set)
+
+        monkeypatch.setattr(BatchedEngine, "advance_batch", batch)
+        monkeypatch.setattr(LLCState, "advance_compact_batch", decay)
+        build = partial(solo_scenario, "lu")
+        batched = _summary(build, "vprobe", "batched", 0.05, seed=0)
+        assert idle_horizons, "no fully idle horizon longer than one epoch"
+        # Both LLCs see every idle horizon (member-less sockets of busy
+        # horizons add more empty-key steps, so this is a sub-multiset).
+        for kb in set(idle_horizons):
+            assert decay_steps.count(kb) >= 2 * idle_horizons.count(kb)
+        assert _summary(build, "vprobe", "reference", 0.05, seed=0) == batched

@@ -93,7 +93,7 @@ class TestCheckpointFile:
         machine = run_partially(build_machine())
         path = tmp_path / "m.ckpt"
         header = save_checkpoint(machine, path)
-        assert header["schema"] == "repro.checkpoint/v2"
+        assert header["schema"] == "repro.checkpoint/v3"
         assert header["config_hash"] == config_hash(machine.config)
         assert header["epoch_index"] == machine.epoch_index
         assert read_header(path) == header
@@ -235,9 +235,9 @@ class TestPmuPickle:
     def test_counter_views_rebound_after_unpickle(self):
         # Regression: numpy does not preserve view/base aliasing through
         # pickle, so a restored PMU's per-vcpu banks would be detached
-        # copies of their _node_matrix rows — batched charge_epoch
-        # scatter-adds landing in the matrix while every reader kept the
-        # frozen copy.  PMU.__setstate__ must rebind the views.
+        # copies of their _node_matrix rows — the batched engine's
+        # matrix commits landing in the matrix while every reader kept
+        # the frozen copy.  PMU.__setstate__ must rebind the views.
         machine = run_partially(build_machine())
         restored = pickle.loads(pickle.dumps(machine))
         pmu = restored.pmu
