@@ -25,6 +25,7 @@ from repro.audit.fuzz import (
     FuzzScenario,
     build_fuzz_machine,
     generate_scenario,
+    rng_states,
     run_differential,
 )
 from repro.audit.invariants import (
@@ -63,6 +64,7 @@ __all__ = [
     "generate_node_perm_spec",
     "generate_scenario",
     "repro_source",
+    "rng_states",
     "run_audit",
     "run_differential",
     "run_metamorphic",

@@ -7,7 +7,9 @@ random ones — topologies beyond the paper's 2x4, mixed application
 profiles, fault presets, mid-run domain churn — and runs each under
 both engines with every runtime invariant enabled
 (:mod:`repro.audit.invariants`), then diffs the canonical
-:class:`~repro.metrics.collectors.RunSummary` JSON.
+:class:`~repro.metrics.collectors.RunSummary` JSON and the end-of-run
+state of every RNG stream (:func:`rng_states`) — a surplus or missing
+draw in the final horizon leaves no trace in the summary.
 
 A scenario is a frozen, JSON-round-trippable description
 (:class:`FuzzScenario`), so any failure can be shrunk
@@ -44,6 +46,7 @@ __all__ = [
     "DifferentialResult",
     "generate_scenario",
     "build_fuzz_machine",
+    "rng_states",
     "run_differential",
 ]
 
@@ -280,10 +283,11 @@ class DifferentialResult:
 
     ``kind`` is ``"ok"``, ``"invariant"`` (an
     :class:`~repro.audit.invariants.InvariantViolation` fired),
-    ``"divergence"`` (engines disagree on the canonical summary) or
-    ``"error"`` (a run crashed outright — also a finding).  ``engine``
-    names the offender, ``detail`` carries the violation message or the
-    first differing region of the summaries.
+    ``"divergence"`` (engines disagree on the canonical summary or on
+    an RNG stream's end state) or ``"error"`` (a run crashed outright —
+    also a finding).  ``engine`` names the offender, ``detail`` carries
+    the violation message, the first differing region of the summaries
+    or the first stream whose end state differs.
     """
 
     scenario: FuzzScenario
@@ -321,6 +325,27 @@ def _first_difference(a: str, b: str, context: int = 60) -> str:
     )
 
 
+def rng_states(machine) -> Dict[str, Any]:
+    """Stream name → ``bit_generator.state`` for every RNG of a run.
+
+    Covers the machine's named streams and each VCPU's workload
+    generator (as ``workload:<vcpu name>``).
+    """
+    streams = machine.rng
+    states = {name: streams.get(name).bit_generator.state for name in streams.names()}
+    for vcpu in machine.vcpus:
+        states[f"workload:{vcpu.name}"] = vcpu.workload.rng.bit_generator.state
+    return states
+
+
+def _first_rng_difference(a: Dict[str, Any], b: Dict[str, Any]) -> Optional[str]:
+    """Name of the first stream (sorted) whose state differs, or None."""
+    for name in sorted(set(a) | set(b)):
+        if a.get(name) != b.get(name):
+            return name
+    return None
+
+
 def run_differential(
     scenario: FuzzScenario,
     engines: Sequence[str] = ENGINES,
@@ -332,9 +357,11 @@ def run_differential(
     Invariants default to *all* of them at every boundary
     (``every=1``); the summaries are compared in canonical JSON with
     the wall-clock profile excluded (``to_dict(include_profile=False)``
-    is the engine-parity comparison form).
+    is the engine-parity comparison form), then the end-of-run RNG
+    stream states are compared.
     """
     texts: Dict[str, str] = {}
+    rngs: Dict[str, Dict[str, Any]] = {}
     checks = 0
     for engine in engines:
         checker = InvariantChecker(enabled=invariants, every=every)
@@ -363,6 +390,7 @@ def run_differential(
         texts[engine] = canonical_dumps(
             summarize(machine).to_dict(include_profile=False)
         )
+        rngs[engine] = rng_states(machine)
 
     base = engines[0]
     for engine in engines[1:]:
@@ -375,6 +403,21 @@ def run_differential(
                 detail=(
                     f"{engine} summary differs from {base}: "
                     + _first_difference(texts[base], texts[engine])
+                ),
+                checks_run=checks,
+                summaries=texts,
+            )
+    for engine in engines[1:]:
+        stream = _first_rng_difference(rngs[base], rngs[engine])
+        if stream is not None:
+            return DifferentialResult(
+                scenario,
+                ok=False,
+                kind="divergence",
+                engine=engine,
+                detail=(
+                    f"{engine} RNG stream {stream!r} ends in a different "
+                    f"state from {base}"
                 ),
                 checks_run=checks,
                 summaries=texts,

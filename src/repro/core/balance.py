@@ -72,6 +72,9 @@ def numa_aware_steal(
     vProbe substitutes 0 for VCPUs whose telemetry it no longer
     trusts, so stale pressure readings cannot pin a VCPU in place.
     """
+    if not any(p.queue for p in machine.pcpus if p is not pcpu):
+        # Both passes skip empty queues: nothing to steal.
+        return None
     if pressure_of is None:
         pressure_of = _recorded_pressure
     hot_window = machine.policy.params.cache_hot_s

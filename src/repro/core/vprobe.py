@@ -284,6 +284,11 @@ class VProbeScheduler(CreditScheduler):
             return numa_aware_steal(machine, pcpu, now, pressure_of=pressure_of)
         return super().steal(pcpu, now, under_only=under_only)
 
+    def idle_steals(self, n: int) -> None:
+        # Algorithm 2 draws no RNG; without it this is Credit's scan.
+        if not self.vparams.enable_numa_lb:
+            super().idle_steals(n)
+
     def _gated_pressure(self, vcpu: Vcpu) -> float:
         """Steal-ranking pressure: 0 when the reading can't be trusted.
 

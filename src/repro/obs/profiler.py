@@ -32,7 +32,8 @@ The canonical phases (see :data:`SCHEDULER_PHASES`):
 ``balance``
     One steal attempt (Algorithm 2 under vProbe, Credit's scan
     otherwise), timed at the machine's call site so every policy is
-    covered.
+    covered — or, on the batched engine, one horizon's batched idle
+    steals (:meth:`~repro.xen.credit.SchedulerPolicy.idle_steals`).
 ``sample_period``
     The whole ``on_sample_period`` hook — the envelope the inner
     ``analyzer``/``partition`` phases must account for (the regression

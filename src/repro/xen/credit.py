@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+import numpy as np
+
 from repro.xen.pcpu import Pcpu
 from repro.xen.vcpu import Vcpu
 from repro.util.validation import check_positive
@@ -95,6 +97,20 @@ class SchedulerPolicy:
         VCPU is worth stealing (``under_only=True``).  Returns a VCPU
         already removed from its victim queue (the machine completes
         the migration bookkeeping), or None.
+
+        A policy whose ``steal`` draws scheduler RNG differently from
+        its parent's must also override :meth:`idle_steals`.
+        """
+        raise NotImplementedError
+
+    def idle_steals(self, n: int) -> None:
+        """Consume exactly the scheduler RNG that ``n`` steal calls would
+        consume while every run queue is empty, and do nothing else.
+
+        The batched engine calls this once per horizon for the steal
+        attempts idle PCPUs make in its interior epochs: with every
+        queue empty those attempts cannot find work, touch a queue or
+        log anything, so only their RNG draws are observable.
         """
         raise NotImplementedError
 
@@ -195,7 +211,11 @@ class CreditScheduler(SchedulerPolicy):
         """
         machine = self.machine
         assert machine is not None
-        order = machine.rng.get("credit.steal").permutation(len(machine.pcpus))
+        pcpus = machine.pcpus
+        order = machine.rng.get("credit.steal").permutation(len(pcpus))
+        if not any(p.queue for p in pcpus if p is not pcpu):
+            # Both scans below skip empty queues: nothing to steal.
+            return None
         max_rank = 1 if under_only else 2
         hot_window = self.params.cache_hot_s
 
@@ -203,7 +223,7 @@ class CreditScheduler(SchedulerPolicy):
             return now - v.last_ran_time >= hot_window
 
         for idx in order:
-            victim = machine.pcpus[int(idx)]
+            victim = pcpus[int(idx)]
             if victim is pcpu:
                 continue
             candidate = victim.queue.steal_candidate(max_rank, cold)
@@ -213,13 +233,27 @@ class CreditScheduler(SchedulerPolicy):
         if not under_only:
             # A PCPU about to idle takes cache-hot work rather than none.
             for idx in order:
-                victim = machine.pcpus[int(idx)]
+                victim = pcpus[int(idx)]
                 if victim is pcpu:
                     continue
                 candidate = victim.queue.pop()
                 if candidate is not None:
                     return candidate
         return None
+
+    def idle_steals(self, n: int) -> None:
+        """``n`` empty-machine steals: ``n`` draws of the peer permutation.
+
+        One batched ``permuted`` call over ``n`` rows of ``arange(P)``
+        leaves ``credit.steal`` in the same state, via the same values,
+        as ``n`` ``permutation(P)`` calls.
+        """
+        if n <= 0:
+            return
+        machine = self.machine
+        assert machine is not None
+        rows = np.tile(np.arange(len(machine.pcpus)), (n, 1))
+        machine.rng.get("credit.steal").permuted(rows, axis=1)
 
     # ------------------------------------------------------------------
     # Wake placement (the tickle path, equally NUMA-blind)

@@ -459,8 +459,10 @@ class BatchedEngine(VectorEngine):
     The bitwise contract survives batching because inside the horizon
     every epoch applies the same Python-float expressions, in the same
     order, to the same running set; only reads and writes of live state
-    move to the batch edges.  Scheduler RNG parity is kept by replaying
-    the (no-op) steal calls idle PCPUs would make each interior epoch.
+    move to the batch edges.  Scheduler RNG parity is kept by one
+    :meth:`~repro.xen.credit.SchedulerPolicy.idle_steals` call per
+    horizon, which draws what the (no-op) steal attempts of idle PCPUs
+    in the interior epochs would draw.
 
     Dual-socket only: the replay inlines the two-node memory solve, and
     ``Machine`` builds no engine for other topologies.
@@ -617,33 +619,31 @@ class BatchedEngine(VectorEngine):
 
         running_pcpus = []
         running_vcpus = []
-        idle_pcpus = []
         for pcpu in machine.pcpus:
             cur = pcpu.current
             if cur is not None:
                 running_pcpus.append(pcpu)
                 running_vcpus.append(cur)
-            else:
-                idle_pcpus.append(pcpu)
 
-        # Interior scheduling passes: running PCPUs are untouched (their
-        # VCPU stays runnable all batch), but each idle PCPU makes one
-        # steal attempt per epoch.  With every queue empty those calls
-        # cannot succeed, mutate queues or read anything the replay
-        # advances — they only draw scheduler RNG (e.g. credit.steal's
-        # permutation).  Making them all up front, epoch by epoch on the
-        # exact `t + epoch` chain, keeps every stream's draw order
-        # identical to the reference's.
-        profiler = machine.profiler
-        policy = machine.policy
         t = now
         for _ in range(1, kb):
             t = t + epoch
-            for pcpu in idle_pcpus:
-                t0 = profiler.start()
-                policy.steal(pcpu, t, under_only=False)
-                profiler.stop("balance", t0)
         end_batch = t + epoch
+
+        # Interior scheduling passes: running PCPUs are untouched (their
+        # VCPU stays runnable all batch), but each idle PCPU makes one
+        # steal attempt per interior epoch.  With every queue empty those
+        # attempts cannot succeed, mutate queues or read anything the
+        # replay advances — they only draw scheduler RNG (e.g.
+        # credit.steal's permutation), so one idle_steals call consumes
+        # all of them up front, leaving every stream where the
+        # reference's per-epoch calls would.
+        n = (kb - 1) * (len(machine.pcpus) - len(running_pcpus))
+        if n > 0:
+            profiler = machine.profiler
+            t0 = profiler.start()
+            machine.policy.idle_steals(n)
+            profiler.stop("balance", t0)
 
         if not running_vcpus:
             # Nothing runs: warmth still decays on every LLC.
@@ -675,8 +675,8 @@ class BatchedEngine(VectorEngine):
         Python locals seeded from live state; the finals are written
         back after the last epoch, which is bitwise neutral because
         nothing else reads them mid-batch (the caller guarantees an
-        event-free interior and has already made the idle PCPUs' steal
-        attempts, which read none of this state).
+        event-free interior and has already drawn the idle PCPUs' steal
+        RNG, which reads none of this state).
         """
         machine = self.machine
         (

@@ -346,6 +346,24 @@ class TestDifferential:
         assert result.engine == "batched"
         assert "first difference at char" in result.detail
 
+    def test_surplus_idle_steal_draw_reported(self, monkeypatch):
+        # One extra permutation per horizon changes no summary field:
+        # only the end-of-run RNG comparison can see it.
+        from repro.xen.credit import CreditScheduler
+
+        orig = CreditScheduler.idle_steals
+        monkeypatch.setattr(
+            CreditScheduler, "idle_steals", lambda self, n: orig(self, n + 1)
+        )
+        result = run_differential(
+            tiny_scenario(vcpus=(2,), active=(2,)), engines=("reference", "batched")
+        )
+        assert not result.ok
+        assert result.kind == "divergence"
+        assert result.engine == "batched"
+        assert "'credit.steal'" in result.detail
+        assert result.summaries["reference"] == result.summaries["batched"]
+
     def test_invariant_violation_reported(self, monkeypatch):
         import repro.audit.fuzz as fuzz
 

@@ -1,7 +1,10 @@
 """Tests for repro.xen.credit: accounting, preemption, NUMA-blind steal."""
 
+import numpy as np
 import pytest
 
+from repro.audit import rng_states
+from repro.experiments.scenarios import SCHEDULER_NAMES, make_scheduler
 from repro.hardware.topology import xeon_e5620
 from repro.workloads.generators import synthetic_profile
 from repro.xen.credit import CreditParams, CreditScheduler
@@ -120,6 +123,45 @@ class TestNumaBlindSteal:
         for vcpu in machine.vcpus:  # perfectly even load: 1 per PCPU
             assert policy.on_vcpu_wake(vcpu, 0.0) == vcpu.pcpu
         assert machine.rng.get("credit.wake").bit_generator.state == state_before
+
+
+class TestIdleSteals:
+    """``idle_steals(n)`` draws exactly what ``n`` empty-machine steals do."""
+
+    @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES + ("vprobe-h",))
+    @pytest.mark.parametrize("n", [0, 1, 9, 70])
+    def test_matches_real_steal_calls(self, scheduler, n):
+        def empty_machine():
+            policy = make_scheduler(scheduler)
+            return Machine(xeon_e5620(), policy, SimConfig(seed=11))
+
+        stealing = empty_machine()
+        for i in range(n):
+            pcpu = stealing.pcpus[i % len(stealing.pcpus)]
+            assert stealing.policy.steal(pcpu, 0.001 * i) is None
+        batched = empty_machine()
+        batched.policy.idle_steals(n)
+        assert rng_states(batched) == rng_states(stealing)
+        assert len(batched.log) == 0
+        assert not any(p.queue for p in batched.pcpus)
+
+    @pytest.mark.parametrize("under_only", [False, True])
+    @pytest.mark.parametrize("own_queue", [False, True])
+    def test_empty_peers_cost_one_permutation(self, under_only, own_queue):
+        # The early exit comes after the draw: the stream still moves.
+        machine = build_machine(num_vcpus=2, pins=[0, 0])
+        thief = machine.pcpus[0]
+        if not own_queue:
+            for vcpu in machine.vcpus:
+                thief.queue.remove(vcpu)
+        stream = machine.rng.get("credit.steal")
+        expected = np.random.default_rng()
+        expected.bit_generator.state = stream.bit_generator.state
+        expected.permutation(len(machine.pcpus))
+        queued = list(thief.queue)
+        assert machine.policy.steal(thief, 0.5, under_only=under_only) is None
+        assert stream.bit_generator.state == expected.bit_generator.state
+        assert list(thief.queue) == queued
 
 
 class TestWeights:

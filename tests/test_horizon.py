@@ -16,7 +16,9 @@ from functools import partial
 
 import pytest
 
+from repro.audit import rng_states
 from repro.experiments.scenarios import (
+    SCHEDULER_NAMES,
     ScenarioConfig,
     make_scheduler,
     overhead_scenario,
@@ -140,6 +142,10 @@ def _summary(build, scheduler, engine, work_scale, seed=1):
     cfg = ScenarioConfig(work_scale=work_scale, seed=seed, engine=engine)
     machine = build(make_scheduler(scheduler), cfg)
     machine.run()
+    return _canonical(machine)
+
+
+def _canonical(machine):
     summary = summarize(machine).to_dict()
     # Host wall-clock and execution-strategy fields, not simulated ones.
     summary.pop("phase_profile", None)
@@ -153,7 +159,8 @@ class TestFusedReplay:
     @pytest.mark.parametrize("scheduler", ["credit", "vprobe"])
     def test_idle_pcpu_horizons_use_fused_replay(self, monkeypatch, scheduler):
         # One VM x 2 VCPUs on 8 PCPUs: most PCPUs idle all run, so
-        # every macro-step has idle PCPUs making per-epoch steal calls.
+        # every macro-step has idle PCPUs whose per-epoch steal attempts
+        # the engine draws in one idle_steals call.
         idle_calls = []
         orig = BatchedEngine._advance_replay_fused
 
@@ -167,6 +174,31 @@ class TestFusedReplay:
         batched = _summary(build, scheduler, "batched", 0.02)
         assert idle_calls, "no idle-PCPU horizon took the fused replay"
         assert _summary(build, scheduler, "reference", 0.02) == batched
+
+    @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES + ("vprobe-h",))
+    def test_interior_idle_steals_are_one_batched_draw(self, scheduler):
+        # Idle PCPUs' interior steals collapse into idle_steals calls:
+        # far fewer real steal calls, the same summary and the same
+        # end state of every RNG stream.
+        def run(engine):
+            cfg = ScenarioConfig(work_scale=0.05, seed=3, engine=engine)
+            machine = overhead_scenario(1, make_scheduler(scheduler), cfg)
+            calls = []
+            steal = machine.policy.steal
+
+            def counted(*args, **kwargs):
+                calls.append(1)
+                return steal(*args, **kwargs)
+
+            machine.policy.steal = counted
+            machine.run()
+            return _canonical(machine), rng_states(machine), len(calls)
+
+        summary, rngs, calls = run("batched")
+        ref_summary, ref_rngs, ref_calls = run("reference")
+        assert summary == ref_summary
+        assert rngs == ref_rngs
+        assert 3 * calls <= ref_calls
 
     def test_single_epoch_horizons_use_fused_replay(self, monkeypatch):
         # The loaded NPB lu scenario has many one-epoch horizons (wakes
