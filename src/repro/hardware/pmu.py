@@ -16,7 +16,7 @@ overhead accounting of Table III.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
@@ -168,23 +168,15 @@ class PMU:
         self._counters.pop(vcpu_key, None)
         self._window_base.pop(vcpu_key, None)
 
-    def rows_for(self, keys: Sequence[int]) -> np.ndarray:
-        """Matrix row indices for ``keys`` (cacheable by batch chargers).
+    def bank_row(self, vcpu_key: int) -> Tuple[VcpuCounters, int]:
+        """A VCPU's live counter bank and its ``_node_matrix`` row.
 
-        Valid until any of the keys is unregistered; rows survive
-        matrix growth from later registrations.
+        Cacheable by batch chargers until the key is unregistered: the
+        bank object and the row index survive matrix growth from later
+        registrations (only the bank's ``node_accesses`` view is
+        rebound).
         """
-        return np.array([self._row_of[key] for key in keys])
-
-    def banks_for(self, keys: Sequence[int]) -> List[VcpuCounters]:
-        """Live counter banks for ``keys`` (cacheable by batch chargers).
-
-        Valid until any of the keys is unregistered; the bank objects
-        are stable across matrix growth (only their ``node_accesses``
-        views are rebound).
-        """
-        counters = self._counters
-        return [counters[key] for key in keys]
+        return self._counters[vcpu_key], self._row_of[vcpu_key]
 
     def known(self) -> Tuple[int, ...]:
         """Registered VCPU keys (sorted)."""

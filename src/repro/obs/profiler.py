@@ -102,7 +102,8 @@ class PhaseProfiler:
     token, and each accumulates its own full span.
 
     Event *counters* (:meth:`count`) track interesting occurrences that
-    have no duration of their own — e.g. batched-engine gather rebuilds.
+    have no duration of their own — e.g. ``gather_build``, the batched
+    engine's per-(VCPU, node) replay-record builds.
     """
 
     __slots__ = ("enabled", "_acc", "_counters")

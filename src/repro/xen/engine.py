@@ -5,10 +5,12 @@ epoch through per-VCPU dictionaries (demands, rates, traffic, penalties,
 page mixes) and rescans all VCPUs for wakeups, phase changes and finite
 completion.  That is the clearest possible statement of the model — and
 the hot path of every experiment, so :class:`VectorEngine` keeps flat
-per-VCPU invariants keyed by VCPU index, event heaps and per-assignment
-replay plans, and :class:`BatchedEngine` — the ``"batched"`` engine,
-the one fast engine a run can select — advances every event horizon,
-from a single epoch up, through one fused scalar replay on top of it.
+per-VCPU invariants keyed by VCPU index, event heaps and the persistent
+parts each horizon's replay plan is assembled from (per-(VCPU, node)
+records and per-co-runner-set node plans), and :class:`BatchedEngine`
+— the ``"batched"`` engine, the one fast engine a run can select —
+advances every event horizon, from a single epoch up, through one
+fused scalar replay on top of it.
 Both are built only for the paper's dual-socket host; the machine runs
 other topologies through its reference loop.
 
@@ -58,144 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["VectorEngine", "BatchedEngine"]
 
 
-class _Gather:
-    """Replay plan for one VCPU→PCPU assignment.
-
-    A VCPU→PCPU assignment typically survives a whole 30 ms slice
-    (dozens of epochs), so everything derivable from *which* VCPUs run
-    *where* — profile constants, per-node co-runner groups, waterfilled
-    LLC shares, placement-mirror pairs — is built once, in one pass over
-    the running VCPUs, and reused by every horizon until the assignment
-    or a phase generation changes.  Per horizon only the warmth lists
-    and the placement mirrors are reseeded from live state.
-
-    * ``rows`` — one tuple per running VCPU, in PCPU order: ``(c, a,
-      row, over, rpi, cpi_base, mlp, clock, ns2c, mrow, node0, total,
-      drift, num_slices)``.  ``c``/``a`` are the slice concentration and
-      ``1.0 - c``; ``row``/``over`` are the VCPU's placement mirrors
-      (aliased readers share one, so intra-epoch interleavings replay
-      exactly); ``mrow`` is its page-mix scratch.
-    * ``miss`` — per-VCPU miss-rate scratch, overwritten each epoch.
-    * ``miss_plan`` — per-member miss-curve tuples ``(w_l, j, pos,
-      share, minmr, span, shape, bad)`` in node-then-key order (the
-      order the reference's ``sorted(demands)`` solve iterates);
-      ``share`` is the frozen ``min(1.0, alloc / ws)``, ``bad`` flags
-      ``ws <= 0``.
-    * ``charge_plan`` — ``(w_l, j, charge_factor)`` in the same order.
-    * ``reseed`` — ``(warmth_table, members, w_l)`` per occupied node.
-    * ``row_pairs`` / ``over_pairs`` — distinct ``(live, mirror)``
-      placement lists, reseeded before and committed after a horizon.
-    * ``stale`` — placements whose ndarrays a horizon's drift outdates.
-    * ``warmth_commit`` — ``(members, w_l, member_set)`` per node.
-    """
-
-    __slots__ = (
-        "rows",
-        "miss",
-        "miss_plan",
-        "charge_plan",
-        "reseed",
-        "row_pairs",
-        "over_pairs",
-        "stale",
-        "warmth_commit",
-        "pmu_rows",
-        "pmu_banks",
-    )
-
-    def __init__(self, engine: "VectorEngine", pcpus, vcpus) -> None:
-        keys = [v.key for v in vcpus]
-        pmu = engine.machine.pmu
-        self.pmu_rows = pmu.rows_for(keys).tolist()
-        self.pmu_banks = pmu.banks_for(keys)
-
-        # One pass over the running VCPUs: replay rows, mirror pairs and
-        # the per-node (key, position) co-runner groups.
-        conc = engine.conc
-        rpi = engine.rpi
-        cpi_base = engine.cpi_base
-        mlp = engine.mlp
-        totals = engine.total_instr
-        drift_amount = engine.drift_amount
-        mix_row = engine.mix_row2
-        mix_over = engine.mix_over2
-        node_clock = engine.node_clock
-        node_ns2c = engine.node_ns2c
-        groups: Tuple[list, list] = ([], [])
-        rows = []
-        row_locs: Dict[int, list] = {}
-        over_locs: Dict[int, list] = {}
-        row_pairs = []
-        over_pairs = []
-        stale: Dict[int, object] = {}
-        for i, vcpu in enumerate(vcpus):
-            key = keys[i]
-            node = pcpus[i].node
-            groups[node].append((key, i))
-            src = mix_row[key]
-            row = row_locs.get(id(src))
-            if row is None:
-                row = row_locs[id(src)] = [0.0, 0.0]
-                row_pairs.append((src, row))
-            src = mix_over[key]
-            over = over_locs.get(id(src))
-            if over is None:
-                over = over_locs[id(src)] = [0.0, 0.0]
-                over_pairs.append((src, over))
-            placement = vcpu.domain.placement
-            drift = drift_amount[key]
-            if drift > 0:
-                stale[id(placement)] = placement
-            c = conc[key]
-            rows.append(
-                (
-                    c,
-                    1.0 - c,
-                    row,
-                    over,
-                    rpi[key],
-                    cpi_base[key],
-                    mlp[key],
-                    node_clock[node],
-                    node_ns2c[node],
-                    [0.0, 0.0],
-                    node == 0,
-                    totals[key],
-                    drift,
-                    placement.num_slices,
-                )
-            )
-        self.rows = rows
-        self.miss = [0.0] * len(rows)
-        self.row_pairs = row_pairs
-        self.over_pairs = over_pairs
-        self.stale = list(stale.values())
-
-        # Per-node miss-curve and warmth plans.  The waterfilled
-        # allocations depend only on capacity and demands — not warmth —
-        # so they are memoised per co-runner set across gathers.
-        tables = engine._warmth_tables
-        miss_plan = []
-        charge_plan = []
-        reseed = []
-        warmth_commit = []
-        for node, group in enumerate(groups):
-            group.sort()
-            members = tuple([key for key, _ in group])
-            member_set, charges, curves = engine._node_entry(node, members)
-            w_l = [0.0] * len(members)
-            if members:
-                reseed.append((tables[node], members, w_l))
-            for j, (_, pos) in enumerate(group):
-                miss_plan.append((w_l, j, pos) + curves[j])
-                charge_plan.append((w_l, j, charges[j]))
-            warmth_commit.append((members, w_l, member_set))
-        self.miss_plan = miss_plan
-        self.charge_plan = charge_plan
-        self.reseed = reseed
-        self.warmth_commit = warmth_commit
-
-
 class VectorEngine:
     """Per-VCPU invariants, event heaps and replay plans for one machine.
 
@@ -234,29 +98,26 @@ class VectorEngine:
         self.demand: List[Optional[CacheDemand]] = [None] * n
         self.charge_factor: List[float] = [1.0] * n
         self.total_instr: List[float] = [0.0] * n
-        # Per-key placement mirrors (refreshed with the phase, since the
-        # active slice moves with it).  The row/overall mirrors are
-        # stable list objects, so plan builds reduce to indexed loads.
-        self.mix_row2: List[Optional[list]] = [None] * n
-        self.mix_over2: List[Optional[list]] = [None] * n
-        #: per-key phase generation: bumped by refresh_vcpu(), woven
-        #: into the gather signature so a phase change invalidates only
-        #: the cached assignments that include the changed VCPU —
-        #: everyone else's memos survive.
+        #: per-key phase generation, bumped by refresh_vcpu(): a replay
+        #: record built under an older generation is rebuilt on next use.
         self.key_gen: List[int] = [0] * n
-        # Cached per-running-set gathers (see _Gather).  Assignments
-        # recur as queues rotate, so gathers are memoised by
-        # (keys, pcpus) with the per-key generations stored alongside:
-        # a phase change replaces the stale entry in place, so the dict
-        # never grows past the number of distinct assignments (the size
-        # cap is a safety valve only).
-        self._gather: Optional[_Gather] = None
-        self._gather_sig: Optional[Tuple] = None
-        self._gather_cache: Dict[Tuple, Tuple[Tuple, _Gather]] = {}
-        # Per-co-runner-set sub-memo shared across gathers (waterfill
-        # shares recur as queues rotate).  Phase-dependent, so
-        # refresh_vcpu() evicts entries mentioning the refreshed key.
+        # Per-key replay scratch ``[x0, x1, miss]`` (page mix and miss
+        # rate of the current epoch).  Stable list objects shared by the
+        # records and node plans, so no plan embeds a PCPU position.
+        self._scratch = [[0.0, 0.0, 0.0] for _ in range(n)]
+        # Replay records, ``_records[key][node]`` (see _record): a stale
+        # record is replaced in place, so the memo holds at most one per
+        # (VCPU, node) and needs no eviction.
+        self._records: List[List[Optional[tuple]]] = [
+            [None, None] for _ in range(n)
+        ]
+        # Per-co-runner-set node plans (see _node_entry).  Phase-
+        # dependent, so refresh_vcpu() evicts entries mentioning the key.
         self._node_cache: Dict[Tuple, Tuple] = {}
+        # Last horizon's plan and its (PCPUs, VCPUs, generations)
+        # signature: an unchanged running set reuses it outright.
+        self._plan: Optional[tuple] = None
+        self._plan_sig: Optional[tuple] = None
         for vcpu in vcpus:
             self.refresh_vcpu(vcpu)
 
@@ -309,52 +170,13 @@ class VectorEngine:
         tau = max(1e-4, demand.working_set_bytes / LLCState.FILL_BANDWIDTH)
         self.charge_factor[key] = math.exp(-self.epoch / tau)
         self.total_instr[key] = w.profile.total_instructions
-        placement = vcpu.domain.placement
-        self.mix_row2[key] = placement._rows2[w.slice_id]
-        self.mix_over2[key] = placement._over2
         self.key_gen[key] += 1
-        # Selective eviction: only memos that embed this key's phase-
-        # dependent data (demand, charge factor, slice id) are stale.
-        # Gather-cache entries mentioning the key become unreachable
-        # through their per-key-generation signatures; the size cap
-        # reclaims them.
+        # Selective eviction: only node plans that embed this key's
+        # phase-dependent data (demand, charge factor) are stale; its
+        # records fail their generation check on next use.
         node_cache = self._node_cache
         for nk in [nk for nk in node_cache if key in nk[1]]:
             del node_cache[nk]
-
-    def _node_entry(self, node: int, members: Tuple[int, ...]) -> Tuple:
-        """``(member_set, charge_factors, curves)`` for one co-runner set.
-
-        ``members`` is sorted by key; ``curves[j]`` is member ``j``'s
-        ``(share, min_miss, miss_span, curve_shape, ws <= 0)``.  The
-        capped share ``min(1.0, alloc / ws)`` is exactly the scalar the
-        reference recomputes every epoch — same inputs, same float — so
-        it is safe to freeze per co-runner set.
-        """
-        node_key = (node, members)
-        entry = self._node_cache.get(node_key)
-        if entry is None:
-            demands = [self.demand[key] for key in members]
-            allocs = self.machine.caches[node].occupancy_shares(demands)
-            curves = []
-            for d, alloc in zip(demands, allocs):
-                ws = d.working_set_bytes
-                curves.append(
-                    (
-                        min(1.0, alloc / ws) if ws > 0 else 0.0,
-                        d.min_miss_rate,
-                        d.max_miss_rate - d.min_miss_rate,
-                        d.curve_shape,
-                        ws <= 0,
-                    )
-                )
-            entry = (
-                frozenset(members),
-                [self.charge_factor[key] for key in members],
-                curves,
-            )
-            self._node_cache[node_key] = entry
-        return entry
 
     # ------------------------------------------------------------------
     # Event-driven scans
@@ -419,28 +241,133 @@ class VectorEngine:
     # ------------------------------------------------------------------
     # Replay plans
     # ------------------------------------------------------------------
-    def _gather_for(self, running_pcpus: list, running_vcpus: List[Vcpu]) -> _Gather:
-        """Look up (or build) the gather for this VCPU→PCPU assignment."""
-        keys = tuple([v.key for v in running_vcpus])
-        sig_kp = (keys, tuple([p.pcpu_id for p in running_pcpus]))
+    def _record(self, key: int, node: int) -> tuple:
+        """Replay record for VCPU ``key`` running on ``node``.
+
+        ``(gen, row, bank, pmu_row, placement)``: ``gen`` is the key's
+        phase generation at build time; ``row`` is the replay row ``(c,
+        1.0 - c, slice_row, overall, rpi, cpi_base, mlp, clock, ns2c,
+        scratch, node == 0, total, drift, num_slices)``, whose
+        ``slice_row``/``overall`` are the placement's live dual-socket
+        lists (aliased readers share them, so intra-epoch interleavings
+        replay exactly); ``bank``/``pmu_row`` are the PMU bank and its
+        node-matrix row; ``placement`` is the one to mark stale after a
+        horizon, or None when the VCPU does not drift.
+        """
+        self.machine.profiler.count("gather_build")
+        vcpu = self.machine.vcpus[key]
+        placement = vcpu.domain.placement
+        c = self.conc[key]
+        drift = self.drift_amount[key]
+        row = (
+            c,
+            1.0 - c,
+            placement._rows2[vcpu.workload.slice_id],
+            placement._over2,
+            self.rpi[key],
+            self.cpi_base[key],
+            self.mlp[key],
+            self.node_clock[node],
+            self.node_ns2c[node],
+            self._scratch[key],
+            node == 0,
+            self.total_instr[key],
+            drift,
+            placement.num_slices,
+        )
+        bank, pmu_row = self.machine.pmu.bank_row(key)
+        return (
+            self.key_gen[key], row, bank, pmu_row,
+            placement if drift > 0 else None,
+        )
+
+    def _node_entry(self, node: int, members: Tuple[int, ...]) -> Tuple:
+        """``(members, w_l, member_set, miss_plan, charge_plan)``.
+
+        The plan for one co-runner set (``members`` sorted by key) on
+        ``node``: ``w_l`` is the members' warmth scratch, reseeded from
+        the live table each horizon; ``miss_plan[j]`` is ``(w_l, j,
+        scratch, share, min_miss, miss_span, curve_shape, ws <= 0)``
+        and ``charge_plan[j]`` is ``(w_l, j, charge_factor)``.  The
+        capped share ``min(1.0, alloc / ws)`` is exactly the scalar the
+        reference recomputes every epoch — same inputs, same float — so
+        it is safe to freeze per co-runner set.
+        """
+        node_key = (node, members)
+        entry = self._node_cache.get(node_key)
+        if entry is None:
+            demands = [self.demand[key] for key in members]
+            allocs = self.machine.caches[node].occupancy_shares(demands)
+            w_l = [0.0] * len(members)
+            miss_plan = []
+            charge_plan = []
+            for j, key in enumerate(members):
+                d = demands[j]
+                ws = d.working_set_bytes
+                miss_plan.append(
+                    (
+                        w_l,
+                        j,
+                        self._scratch[key],
+                        min(1.0, allocs[j] / ws) if ws > 0 else 0.0,
+                        d.min_miss_rate,
+                        d.max_miss_rate - d.min_miss_rate,
+                        d.curve_shape,
+                        ws <= 0,
+                    )
+                )
+                charge_plan.append((w_l, j, self.charge_factor[key]))
+            entry = (members, w_l, frozenset(members), miss_plan, charge_plan)
+            self._node_cache[node_key] = entry
+        return entry
+
+    def _plan_for(
+        self, running_pcpus: list, running_vcpus: List[Vcpu]
+    ) -> tuple:
+        """This horizon's replay plan, assembled from records and node plans.
+
+        ``(rows, miss_plan, charge_plan, nodes, banks, pmu_rows,
+        stale)``: rows, banks and PMU rows in PCPU order; the miss and
+        charge plans in node-then-key order (the order the reference's
+        ``sorted(demands)`` solve iterates); one node plan per node.
+        """
         kg = self.key_gen
-        gens = tuple([kg[key] for key in keys])
-        sig = (sig_kp, gens)
-        if sig == self._gather_sig:
-            return self._gather
-        cache = self._gather_cache
-        entry = cache.get(sig_kp)
-        if entry is None or entry[0] != gens:
-            gather = _Gather(self, running_pcpus, running_vcpus)
-            self.machine.profiler.count("gather_build")
-            if len(cache) >= 1024:
-                cache.clear()
-            cache[sig_kp] = (gens, gather)
-        else:
-            gather = entry[1]
-        self._gather = gather
-        self._gather_sig = sig
-        return gather
+        gens = [kg[v.key] for v in running_vcpus]
+        sig = (running_pcpus, running_vcpus, gens)
+        if sig == self._plan_sig:
+            return self._plan
+        records = self._records
+        rows = []
+        banks = []
+        pmu_rows = []
+        stale = []
+        groups: Tuple[list, list] = ([], [])
+        for pcpu, vcpu, gen in zip(running_pcpus, running_vcpus, gens):
+            key = vcpu.key
+            node = pcpu.node
+            pair = records[key]
+            rec = pair[node]
+            if rec is None or rec[0] != gen:
+                rec = pair[node] = self._record(key, node)
+            rows.append(rec[1])
+            banks.append(rec[2])
+            pmu_rows.append(rec[3])
+            if rec[4] is not None:
+                stale.append(rec[4])
+            groups[node].append(key)
+        miss_plan = []
+        charge_plan = []
+        nodes = []
+        for node, group in enumerate(groups):
+            group.sort()
+            entry = self._node_entry(node, tuple(group))
+            miss_plan += entry[3]
+            charge_plan += entry[4]
+            nodes.append(entry)
+        plan = (rows, miss_plan, charge_plan, nodes, banks, pmu_rows, stale)
+        self._plan = plan
+        self._plan_sig = sig
+        return plan
 
 
 class BatchedEngine(VectorEngine):
@@ -650,9 +577,9 @@ class BatchedEngine(VectorEngine):
             for advance in self._cache_advance_batch:
                 advance(epoch, kb, (), (), frozenset())
             return end_batch
-        gather = self._gather_for(running_pcpus, running_vcpus)
+        plan = self._plan_for(running_pcpus, running_vcpus)
         return self._advance_replay_fused(
-            end_batch, epoch, kb, gather, running_pcpus, running_vcpus
+            end_batch, epoch, kb, plan, running_pcpus, running_vcpus
         )
 
     def _advance_replay_fused(
@@ -660,7 +587,7 @@ class BatchedEngine(VectorEngine):
         end_batch: float,
         epoch: float,
         kb: int,
-        gather: _Gather,
+        plan: tuple,
         running_pcpus: list,
         running_vcpus: List[Vcpu],
     ) -> float:
@@ -670,13 +597,13 @@ class BatchedEngine(VectorEngine):
         expressions, same accumulation order — for ``kb`` epochs, but
         performs the running-set scan, plan lookup, warmth/PMU/placement
         reads and every state commit once per batch instead of once per
-        epoch.  All accumulator chains (busy time, PMU banks, placement
-        drift, page-mix rows, the shared `overall` vectors) evolve on
-        Python locals seeded from live state; the finals are written
-        back after the last epoch, which is bitwise neutral because
-        nothing else reads them mid-batch (the caller guarantees an
-        event-free interior and has already drawn the idle PCPUs' steal
-        RNG, which reads none of this state).
+        epoch.  The accumulator chains (busy time, progress, PMU banks)
+        evolve on Python locals seeded from live state, and the finals
+        are written back after the last epoch; placement drift updates
+        the placements' live lists in place.  Both are bitwise neutral
+        because nothing else reads that state mid-batch (the caller
+        guarantees an event-free interior and has already drawn the
+        idle PCPUs' steal RNG, which reads none of it).
         """
         machine = self.machine
         (
@@ -691,24 +618,12 @@ class BatchedEngine(VectorEngine):
             knee,
             bpm,
         ) = self._scalars
-        rows = gather.rows
-        miss = gather.miss
-        miss_plan = gather.miss_plan
-        charge_plan = gather.charge_plan
+        rows, miss_plan, charge_plan, nodes, banks, pmu_rows, stale = plan
 
-        # Reseed the state-dependent inputs: member warmth from the live
-        # tables, placement-row / `overall` mirrors from the live lists
-        # (aliased readers share one mirror, so intra-epoch
-        # interleavings replay exactly).
-        for table, members, w_l in gather.reseed:
+        # Reseed member warmth from the live tables.
+        for table, (members, w_l, *_) in zip(self._warmth_tables, nodes):
             for j, key in enumerate(members):
                 w_l[j] = table.get(key, 0.0)
-        for src, loc in gather.row_pairs:
-            loc[0] = src[0]
-            loc[1] = src[1]
-        for src, loc in gather.over_pairs:
-            loc[0] = src[0]
-            loc[1] = src[1]
 
         # Accumulator seeds (live values in, finals out).
         pend_l = [p.overhead_pending_s for p in running_pcpus]
@@ -717,8 +632,6 @@ class BatchedEngine(VectorEngine):
         id_l = [v.workload.instructions_done for v in running_vcpus]
         slice_l = [v.slice_used_s for v in running_vcpus]
         burst_l = [v.run_burst_remaining_s for v in running_vcpus]
-        banks = gather.pmu_banks
-        pmu_rows = gather.pmu_rows
         matrix = machine.pmu._node_matrix
         bi_l = [b.instructions for b in banks]
         br_l = [b.llc_refs for b in banks]
@@ -738,27 +651,25 @@ class BatchedEngine(VectorEngine):
         # cross-VCPU accumulator (imc/qpi flows, machine busy time)
         # still folds in ascending VCPU order.
         for _tt in range(kb):
-            for w_l, j, pos, share, minmr, span, shape, bad in miss_plan:
+            for w_l, j, scr, share, minmr, span, shape, bad in miss_plan:
                 f = 1.0 if bad else share * w_l[j]
                 missing = 1.0 - f if shape == 1.0 else (1.0 - f) ** shape
-                miss[pos] = minmr + span * missing
+                scr[2] = minmr + span * missing
 
             imc0 = 0.0
             imc1 = 0.0
             qpi_t = 0.0
-            i = 0
             for (
-                c, a, row, over, rp, cb, ml, ck, n2, mrow, nd0, _t, _d, _n
+                c, a, row, over, rp, cb, ml, ck, n2, scr, nd0, _t, _d, _n
             ) in rows:
                 m0 = c * row[0] + a * over[0]
                 m1 = c * row[1] + a * over[1]
                 s = m0 + m1
                 x0 = m0 / s
                 x1 = m1 / s
-                mrow[0] = x0
-                mrow[1] = x1
-                mr = miss[i]
-                i += 1
+                scr[0] = x0
+                scr[1] = x1
+                mr = scr[2]
                 per_ref_ns = (1.0 - mr) * hit_ns + mr * local_dram
                 stall = rp * per_ref_ns * n2 / ml
                 rate = ck / (cb + stall)
@@ -784,21 +695,21 @@ class BatchedEngine(VectorEngine):
 
             i = 0
             for (
-                _c, _a, row, over, rp, cb, ml, ck, n2, mrow, nd0, total,
+                _c, _a, row, over, rp, cb, ml, ck, n2, scr, nd0, total,
                 d, nsl,
             ) in rows:
                 penalty = 0.0
-                frac = mrow[0]
+                frac = scr[0]
                 if frac > 0:
                     penalty += (
                         frac * dram0 if nd0 else frac * (dram0 + remote_add)
                     )
-                frac = mrow[1]
+                frac = scr[1]
                 if frac > 0:
                     penalty += (
                         frac * (dram1 + remote_add) if nd0 else frac * dram1
                     )
-                mr = miss[i]
+                mr = scr[2]
                 per_ref_ns = (1.0 - mr) * hit_ns + mr * penalty
                 stall = rp * per_ref_ns * n2 / ml
                 rate = ck / (cb + stall)
@@ -821,8 +732,8 @@ class BatchedEngine(VectorEngine):
                         done = remaining
                 r = done * rp
                 mi = r * mr
-                a0 = mi * mrow[0]
-                a1 = mi * mrow[1]
+                a0 = mi * scr[0]
+                a1 = mi * scr[1]
                 m0_l[i] += a0
                 m1_l[i] += a1
                 bi_l[i] += done
@@ -874,15 +785,7 @@ class BatchedEngine(VectorEngine):
             matrix[r, 0] = m0_l[i]
             matrix[r, 1] = m1_l[i]
 
-        # Mirrors only drifting VCPUs wrote come back unchanged, so
-        # writing every pair back is bitwise neutral.
-        for src, loc in gather.row_pairs:
-            src[0] = loc[0]
-            src[1] = loc[1]
-        for src, loc in gather.over_pairs:
-            src[0] = loc[0]
-            src[1] = loc[1]
-        for placement in gather.stale:
+        for placement in stale:
             placement._np_stale = True
 
         # Batch-final transitions, in running order (interior epochs are
@@ -910,8 +813,8 @@ class BatchedEngine(VectorEngine):
         # --- LLC warmth commit -----------------------------------------
         # Every node advances (a member-less node still decays its
         # warm entries), exactly like the reference loop.
-        for advance, (members, w_l, member_set) in zip(
-            self._cache_advance_batch, gather.warmth_commit
+        for advance, (members, w_l, member_set, *_) in zip(
+            self._cache_advance_batch, nodes
         ):
             advance(epoch, kb, members, w_l, member_set)
         return end_batch

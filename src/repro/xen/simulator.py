@@ -821,10 +821,10 @@ class Machine:
         The engine is a derived accelerator: it is rebuilt lazily from
         live machine state (exactly how :meth:`add_domain` already
         invalidates it), its wake/phase heaps and finite-work countdown
-        are pure functions of VCPU/workload state, and its gather
-        memos are caches.  Dropping it keeps snapshots compact and —
-        more importantly — lets a snapshot taken under one engine
-        resume under the other with bitwise-identical results
+        are pure functions of VCPU/workload state, and its replay
+        records and plans are caches.  Dropping it keeps snapshots
+        compact and — more importantly — lets a snapshot taken under
+        one engine resume under the other with bitwise-identical results
         (the resume-parity matrix in ``tests/test_recovery.py``).
         """
         state = self.__dict__.copy()

@@ -8,7 +8,10 @@ structural invariants on every horizon decision of real runs (by
 wrapping the sizing call), pin down the fault-stall cap, and verify
 that every kind of horizon — with idle PCPUs, a single epoch long, or
 with nothing running at all — goes through the one replay path
-without changing a single simulated bit.
+without changing a single simulated bit.  The last class pins down the
+per-VCPU replay records the plans are assembled from: aliased drift on
+the placements' live lists, invalidation on migration and phase
+change, and a bounded memo.
 """
 
 import math
@@ -20,6 +23,7 @@ from repro.audit import rng_states
 from repro.experiments.scenarios import (
     SCHEDULER_NAMES,
     ScenarioConfig,
+    build_machine,
     make_scheduler,
     overhead_scenario,
     solo_scenario,
@@ -29,7 +33,13 @@ from repro.faults.plan import FaultPlan
 from repro.hardware.cache import LLCState
 from repro.metrics.collectors import summarize
 from repro.obs.manifest import canonical_dumps
+from repro.util.rng import RngStreams
+from repro.workloads.appmodel import VcpuWorkload
+from repro.workloads.generators import scaled_profile
+from repro.workloads.suites import get_profile
+from repro.xen.domain import Domain
 from repro.xen.engine import BatchedEngine
+from repro.xen.memalloc import place_interleaved
 
 
 def _batched_run(monkeypatch, check, **cfg_kw):
@@ -250,3 +260,117 @@ class TestFusedReplay:
         for kb in set(idle_horizons):
             assert decay_steps.count(kb) >= 2 * idle_horizons.count(kb)
         assert _summary(build, "vprobe", "reference", 0.05, seed=0) == batched
+
+
+def _shared_slice_machine(engine):
+    """One VM whose two CPU-heavy VCPUs both work on slice 0.
+
+    Real runs reach a shared slice through slice rotation on a phase
+    change; here it holds from the start.  On an otherwise idle
+    machine the two VCPUs run side by side, and the shared row starts
+    evenly split across the sockets, so both of an epoch's drift
+    updates move it: a lost update cannot hide at a fixed point.
+    """
+    cfg = ScenarioConfig(work_scale=0.05, seed=2, engine=engine)
+    rng = RngStreams(cfg.seed)
+    profile = scaled_profile(get_profile("soplex"), cfg.work_scale)
+    assert profile.touch_rate > 0
+    workloads = [
+        VcpuWorkload(profile, rng.get(f"vm.v{i}"), slice_id=0, num_slices=2)
+        for i in range(2)
+    ]
+    domain = Domain(
+        "vm", 2 * 1024**3, place_interleaved(2, 2), workloads,
+        first_touch_init=False,
+    )
+    return build_machine(make_scheduler("credit"), cfg, [domain])
+
+
+class TestReplayRecords:
+    """Plans assembled from per-(VCPU, node) records and node plans."""
+
+    def test_shared_slice_drift_replays_on_live_lists(self, monkeypatch):
+        # Both VCPUs drift one live slice row and the domain's `overall`
+        # list inside every epoch: each must read the other's update
+        # from the same epoch, exactly as the reference interleaves them.
+        aliased = []
+        orig = BatchedEngine._advance_replay_fused
+
+        def wrapped(self, end_batch, epoch, kb, plan, pcpus, vcpus):
+            if len(vcpus) == 2:
+                a, b = plan[0]
+                if a[2] is b[2] and a[12] > 0:
+                    aliased.append(kb)
+            return orig(self, end_batch, epoch, kb, plan, pcpus, vcpus)
+
+        monkeypatch.setattr(BatchedEngine, "_advance_replay_fused", wrapped)
+        machine = _shared_slice_machine("batched")
+        machine.run(max_time_s=1.0)
+        ref = _shared_slice_machine("reference")
+        ref.run(max_time_s=1.0)
+        assert len(aliased) > 50, "the two VCPUs never drifted one row"
+        assert max(aliased) > 1
+        assert _canonical(machine) == _canonical(ref)
+        assert rng_states(machine) == rng_states(ref)
+        assert (
+            machine.domains[0].placement.matrix.tolist()
+            == ref.domains[0].placement.matrix.tolist()
+        )
+
+    def test_migration_and_phase_change_get_fresh_records(self, monkeypatch):
+        # Every replayed row must carry the constants of the node its
+        # VCPU runs on now and of the VCPU's current phase: a migrated
+        # VCPU needs its other node's record, a phase change (new rpi,
+        # possibly a rotated slice) a rebuilt one.
+        moved = set()
+        rebuilt = set()
+        last_node = {}
+        orig = BatchedEngine._advance_replay_fused
+
+        def wrapped(self, end_batch, epoch, kb, plan, pcpus, vcpus):
+            for row, pcpu, vcpu in zip(plan[0], pcpus, vcpus):
+                w = vcpu.workload
+                node = pcpu.node
+                assert row[2] is vcpu.domain.placement._rows2[w.slice_id]
+                assert row[4] == (
+                    w.profile.refs_per_instruction * w.intensity_multiplier
+                )
+                assert row[7] == self.node_clock[node]
+                assert row[8] == self.node_ns2c[node]
+                assert row[10] == (node == 0)
+                if last_node.setdefault(vcpu.key, node) != node:
+                    moved.add(vcpu.key)
+                last_node[vcpu.key] = node
+                if self.key_gen[vcpu.key] > 1:
+                    rebuilt.add(vcpu.key)
+            return orig(self, end_batch, epoch, kb, plan, pcpus, vcpus)
+
+        monkeypatch.setattr(BatchedEngine, "_advance_replay_fused", wrapped)
+
+        def run(engine):
+            cfg = ScenarioConfig(work_scale=0.15, seed=1, engine=engine)
+            machine = spec_scenario("soplex", make_scheduler("credit"), cfg)
+            machine.run(max_time_s=1.5)
+            return machine
+
+        machine = run("batched")
+        assert moved, "no VCPU migrated across sockets"
+        assert rebuilt, "no VCPU ran after a phase change"
+        ref = run("reference")
+        assert _canonical(machine) == _canonical(ref)
+        assert rng_states(machine) == rng_states(ref)
+
+    def test_record_memo_is_bounded(self):
+        # The seed-0 loaded soplex cell (24 VCPUs on 8 PCPUs, vProbe,
+        # 25 simulated seconds): records are kept per (VCPU, node) and
+        # a stale one is replaced in place, so the memo needs no safety
+        # valve, and a record is built far less often than a horizon.
+        cfg = ScenarioConfig(work_scale=1.0, seed=0, engine="batched")
+        machine = spec_scenario("soplex", make_scheduler("vprobe"), cfg)
+        machine.run(max_time_s=25.0)
+        engine = machine._engine
+        held = [rec for pair in engine._records for rec in pair if rec]
+        assert len(held) <= 2 * len(machine.vcpus)
+        horizons = engine.horizon_stats()["horizons"]
+        builds = machine.profiler.counter("gather_build")
+        assert 0 < builds < 0.1 * horizons
