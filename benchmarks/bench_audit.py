@@ -4,10 +4,10 @@ The audit layer's contract (see :mod:`repro.audit.invariants`) has
 three measurable clauses, each pinned here:
 
 * **enabled is cheap** — a checker at its default cadence (``every=32``)
-  costs less than 5 % of the steady-state epoch loop.  Like the
-  profiler guard, a naive A/B wall-clock comparison cannot resolve a
-  few-percent effect on a shared host (epoch cost drifts with
-  simulated state and run-to-run noise is larger than the effect), so
+  costs less than 5 % of the steady-state epoch loop.  A naive A/B
+  wall-clock comparison cannot resolve a few-percent effect on a
+  shared host (epoch cost drifts with simulated state and run-to-run
+  noise is larger than the effect), so
   the guard times the two stable quantities instead: the amortised
   cost of the per-epoch hook calls (a tight loop over
   ``after_schedule``/``after_epoch`` on frozen machine state, which
@@ -20,8 +20,8 @@ three measurable clauses, each pinned here:
 * **reads only** — an audited run's summary is bitwise identical to an
   unaudited one, so attaching the checker can never change a result.
 
-Like the profiler guard this times with ``time.perf_counter`` directly,
-so it still runs under ``--benchmark-disable``.
+The guard times with ``time.perf_counter`` directly, so it still runs
+under ``--benchmark-disable``.
 """
 
 import json

@@ -115,9 +115,7 @@ def main() -> int:
     # -- 3. journal replay is byte-stable ------------------------------
     # Delete the rendered artifacts (keeping the journal) and resume
     # again: every job re-renders purely from journaled summaries and
-    # must reproduce the exact bytes — including table3, whose host
-    # wall-clock phase profile only replays because the journal stores
-    # the full canonical summary.
+    # must reproduce the exact bytes.
     resumed_files = report_files(interrupted_dir)
     for name in resumed_files:
         (interrupted_dir / name).unlink()
@@ -129,17 +127,16 @@ def main() -> int:
         f"{[n for n in resumed_files if rerendered_files.get(n) != resumed_files[n]]}"
     )
 
-    # -- 4. sim-deterministic artifacts match a clean run --------------
-    # (table3 reports *host* wall-clock phase times, which legitimately
-    # differ between independent runs; everything simulated must not.)
+    # -- 4. every artifact matches a clean run -------------------------
+    # (reports hold simulated quantities only, so an independent
+    # uninterrupted run must reproduce every file byte for byte.)
     baseline = subprocess.run(report_cmd(clean_dir))
     assert baseline.returncode == 0, f"baseline exited {baseline.returncode}"
     clean_files = report_files(clean_dir)
     assert set(resumed_files) == set(clean_files), (
         f"artifact sets differ: {set(resumed_files) ^ set(clean_files)}"
     )
-    deterministic = [n for n in clean_files if not n.startswith("table3")]
-    mismatched = [n for n in deterministic if resumed_files[n] != clean_files[n]]
+    mismatched = [n for n in clean_files if resumed_files[n] != clean_files[n]]
     assert not mismatched, f"resumed reports differ from clean run: {mismatched}"
 
     # -- 4. no cell lost, none doubled, none recomputed ----------------

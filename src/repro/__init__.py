@@ -56,8 +56,6 @@ from repro.cache import ResultCache, resolve_cache
 from repro.metrics import RunSummary, summarize
 from repro.experiments import make_scheduler, quick_comparison
 from repro.obs import (
-    PhaseProfiler,
-    PhaseStat,
     diff_traces,
     read_trace,
     validate_trace_file,
@@ -109,8 +107,6 @@ __all__ = [
     "ResultCache",
     "resolve_cache",
     # observability
-    "PhaseProfiler",
-    "PhaseStat",
     "write_trace",
     "read_trace",
     "diff_traces",

@@ -13,7 +13,7 @@ present with a sane shape, and any :class:`KeyError` / ``TypeError``
 escaping :func:`summary_from_payload` makes the store treat the entry
 as corrupt (a miss), never as a partial result.  Derived keys that
 ``to_dict`` adds for human consumers (``total_accesses``,
-``remote_ratio``, ``total_events``, ``mean_us``, ...) are properties on
+``remote_ratio``, ``total_events``, ...) are properties on
 the dataclasses and are deliberately ignored on the way back in.
 """
 
@@ -23,7 +23,6 @@ from typing import Any, Dict, Optional
 
 from repro.faults.injector import FaultStats
 from repro.metrics.collectors import DomainStats, MachineStats, RunSummary
-from repro.obs.profiler import PhaseStat
 
 __all__ = ["summary_to_payload", "summary_from_payload"]
 
@@ -60,7 +59,7 @@ _FAULT_FIELDS = (
 
 
 def summary_to_payload(summary: RunSummary) -> Dict[str, Any]:
-    """The cacheable JSON form (profile included: hits must replay it)."""
+    """The cacheable JSON form (horizon stats included: hits must replay them)."""
     return summary.to_dict(include_profile=True)
 
 
@@ -79,19 +78,6 @@ def _faults_from(payload: Optional[Dict[str, Any]]) -> Optional[FaultStats]:
     return FaultStats(**{f: payload[f] for f in _FAULT_FIELDS})
 
 
-def _profile_from(
-    payload: Optional[Dict[str, Any]],
-) -> Optional[Dict[str, PhaseStat]]:
-    if payload is None:
-        return None
-    return {
-        phase: PhaseStat(
-            phase=stat["phase"], calls=stat["calls"], wall_s=stat["wall_s"]
-        )
-        for phase, stat in payload.items()
-    }
-
-
 def summary_from_payload(payload: Dict[str, Any]) -> RunSummary:
     """Rebuild a :class:`RunSummary` from its ``to_dict`` form.
 
@@ -105,6 +91,5 @@ def summary_from_payload(payload: Dict[str, Any]) -> RunSummary:
             name: _domain_from(d) for name, d in payload["domains"].items()
         },
         fault_stats=_faults_from(payload["fault_stats"]),
-        phase_profile=_profile_from(payload.get("phase_profile")),
         horizon_stats=payload.get("horizon_stats"),
     )

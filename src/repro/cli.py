@@ -23,8 +23,7 @@ Commands
 
 ``trace``
     Run one workload and export the full JSONL trace (manifest, event
-    stream, window snapshots, end-of-run summary) plus the scheduler
-    phase profile::
+    stream, window snapshots, end-of-run summary)::
 
         python -m repro trace soplex --out run.jsonl
         python -m repro trace mcf --out run.jsonl --scheduler vprobe --engine reference
@@ -43,13 +42,6 @@ Commands
 
         python -m repro audit --seeds 25
         python -m repro audit --seeds 5 --budget 120 --out audit.json
-
-``bench``
-    Re-run the committed benchmark suites and rewrite their
-    ``benchmarks/BENCH_*.json`` records (requires a source checkout)::
-
-        python -m repro bench
-        python -m repro bench --suite engine
 
 ``cache``
     Inspect or maintain a result-cache directory (``--cache-dir`` or
@@ -305,18 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_cache_flags(rep_p)
 
-    bench_p = sub.add_parser(
-        "bench",
-        help="run the committed benchmarks and rewrite BENCH_*.json",
-    )
-    bench_p.add_argument(
-        "--suite",
-        nargs="+",
-        default=["engine", "grid", "profiler", "audit"],
-        choices=["engine", "grid", "profiler", "audit"],
-        help="which benchmark suites to run (default: all of them)",
-    )
-
     cache_p = sub.add_parser(
         "cache", help="inspect or maintain a result-cache directory"
     )
@@ -490,9 +470,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         f"wrote {lines} trace lines to {args.out} "
         f"({len(machine.log)} events, {len(trace)} snapshots)"
     )
-    if machine.profiler.enabled:
-        print("\nscheduler phase profile (host wall-clock)")
-        print(machine.profiler.format())
     return 0
 
 
@@ -653,33 +630,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    """Re-run the committed benchmark suites through pytest.
-
-    Each suite's measuring test rewrites its ``benchmarks/BENCH_*.json``
-    record in place, so a successful run leaves the committed numbers
-    refreshed: ``engine`` covers the reference/batched per-epoch and
-    cold-run comparison, ``grid`` the cache-aware report dispatch,
-    ``profiler`` the always-on profiling overhead guard, ``audit`` the
-    runtime-invariant and differential-fuzz overhead record.
-    """
-    import pytest as _pytest
-
-    bench_dir = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
-    if not bench_dir.is_dir():
-        print(
-            "benchmarks/ not found next to src/ — `repro bench` needs a "
-            "source checkout (the benchmark suite is not installed)"
-        )
-        return 2
-    targets = [str(bench_dir / f"bench_{suite}.py") for suite in args.suite]
-    code = _pytest.main(["-q", "--benchmark-disable", *targets])
-    if code == 0:
-        names = ", ".join(f"BENCH_{suite}.json" for suite in args.suite)
-        print(f"rewrote {names} in {bench_dir}")
-    return int(code)
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     from repro.cache.store import resolve_cache
 
@@ -737,8 +687,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_solo(args)
     if args.command == "report":
         return _cmd_report(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "cache":
         return _cmd_cache(args)
     if args.command == "checkpoint":

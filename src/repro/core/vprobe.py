@@ -201,18 +201,14 @@ class VProbeScheduler(CreditScheduler):
     def on_sample_period(self, now: float) -> None:
         machine = self.machine
         assert machine is not None
-        profiler = machine.profiler
 
-        t0 = profiler.start()
         samples = self.analyzer.analyze(machine)
 
         if self._dynamic is not None:
             pressures = [s.llc_pressure for s in samples if s.instructions > 0]
             self.analyzer.bounds = self._dynamic.update(pressures)
-        profiler.stop("analyzer", t0)
 
         if self.vparams.enable_partition:
-            t0 = profiler.start()
             eligible = None
             if self.vparams.min_confidence > 0.0:
                 eligible = self.trusted
@@ -230,7 +226,6 @@ class VProbeScheduler(CreditScheduler):
 
             if self.vparams.page_migration:
                 self._migrate_pages(machine, now, decisions)
-            profiler.stop("partition", t0)
 
     def _migrate_pages(self, machine, now: float, decisions) -> None:
         """§VI combined strategy: pull forced-remote VCPUs' pages local.

@@ -41,20 +41,11 @@ PAPER_OVERHEAD_PCT: Dict[int, float] = {
 
 @dataclass(frozen=True, slots=True)
 class Table3Result:
-    """Overhead-time percentage per VM count.
-
-    ``phase_wall_ms`` carries the host wall-clock phase profile of each
-    run (:mod:`repro.obs.profiler`), reported next to the simulated
-    overhead budget: the paper's column says how much *hypervisor time*
-    vProbe charges the guests; the profile says where the *scheduler
-    implementation's* time actually goes (analyzer vs partition vs
-    balance).  Empty when profiling was disabled.
-    """
+    """Overhead-time percentage per VM count."""
 
     vm_counts: Tuple[int, ...]
     overhead_pct: Tuple[float, ...]
     breakdown: Tuple[Dict[str, float], ...]  #: per-source seconds
-    phase_wall_ms: Tuple[Dict[str, float], ...] = ()  #: per-phase host ms
 
     def overhead_at(self, num_vms: int) -> float:
         """Overhead percentage measured for a VM count."""
@@ -69,22 +60,9 @@ class Table3Result:
             (n, pct, PAPER_OVERHEAD_PCT.get(n, float("nan")))
             for n, pct in zip(self.vm_counts, self.overhead_pct)
         ]
-        table = format_table(
+        return format_table(
             ["VMs", "overhead time (%)", "paper (%)"], rows, float_fmt="{:.5f}"
         )
-        if not self.phase_wall_ms:
-            return table
-        phases = sorted({p for prof in self.phase_wall_ms for p in prof})
-        prof_rows = [
-            [n] + [prof.get(p, 0.0) for p in phases]
-            for n, prof in zip(self.vm_counts, self.phase_wall_ms)
-        ]
-        profile = format_table(
-            ["VMs"] + [f"{p} (host ms)" for p in phases],
-            prof_rows,
-            float_fmt="{:.2f}",
-        )
-        return f"{table}\n\nscheduler phase wall-clock (host)\n{profile}"
 
     def to_json(self) -> dict:
         """Schema-versioned machine-readable result."""
@@ -99,7 +77,6 @@ class Table3Result:
                     str(n): PAPER_OVERHEAD_PCT[n] for n in self.vm_counts
                 },
                 "breakdown_s": [dict(b) for b in self.breakdown],
-                "phase_wall_ms": [dict(p) for p in self.phase_wall_ms],
             },
         )
 
@@ -114,19 +91,14 @@ def run(
     config = cfg or ScenarioConfig(work_scale=0.1)
     pcts = []
     breakdowns = []
-    profiles = []
     for n in vm_counts:
         builder = partial(overhead_scenario, n)
         summary = run_one(builder, scheduler, config, cache=cache)
         stats = summary.machine_stats
         pcts.append(stats.overhead_fraction * 100.0)
         breakdowns.append(dict(stats.overhead_s))
-        profiles.append(
-            {p: s.wall_s * 1e3 for p, s in (summary.phase_profile or {}).items()}
-        )
     return Table3Result(
         vm_counts=tuple(vm_counts),
         overhead_pct=tuple(pcts),
         breakdown=tuple(breakdowns),
-        phase_wall_ms=tuple(profiles),
     )

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from repro.faults.injector import FaultStats
-from repro.obs.profiler import PhaseStat
 from repro.xen.domain import Domain
 from repro.xen.simulator import Machine
 
@@ -137,12 +136,6 @@ class RunSummary:
     carried a fault plan, so experiments can report injected fault
     pressure next to the metrics it perturbed.
 
-    ``phase_profile`` carries the run's host wall-clock per scheduler
-    phase (:mod:`repro.obs.profiler`); it is excluded from equality
-    (``compare=False``) because wall-clock differs between otherwise
-    bitwise-identical runs — the engine-parity and serial/parallel
-    equality contracts compare simulated results only.
-
     ``horizon_stats`` carries the batched engine's horizon-length
     distribution (:meth:`~repro.xen.engine.BatchedEngine.horizon_stats`);
     it is None on the reference engine and therefore also excluded
@@ -154,7 +147,6 @@ class RunSummary:
     machine_stats: MachineStats
     domains: Dict[str, DomainStats]
     fault_stats: Optional[FaultStats] = None
-    phase_profile: Optional[Dict[str, PhaseStat]] = field(default=None, compare=False)
     horizon_stats: Optional[Dict[str, Any]] = field(default=None, compare=False)
 
     def domain(self, name: str) -> DomainStats:
@@ -164,10 +156,10 @@ class RunSummary:
     def to_dict(self, include_profile: bool = True) -> Dict[str, Any]:
         """JSON-serializable form.
 
-        ``include_profile=False`` omits the execution-side extras — the
-        wall-clock phase profile and the batched engine's horizon
-        statistics — required wherever output must be identical across
-        engines and hosts (the JSONL trace writer uses it).
+        ``include_profile=False`` omits ``horizon_stats``, the batched
+        engine's execution-side statistics, which the reference engine
+        does not produce — required wherever output must be identical
+        across engines (the JSONL trace writer uses it).
         """
         out: Dict[str, Any] = {
             "policy": self.policy,
@@ -178,11 +170,6 @@ class RunSummary:
             ),
         }
         if include_profile:
-            out["phase_profile"] = (
-                {p: s.to_dict() for p, s in self.phase_profile.items()}
-                if self.phase_profile is not None
-                else None
-            )
             out["horizon_stats"] = self.horizon_stats
         return out
 
@@ -231,7 +218,6 @@ def summarize(machine: Machine) -> RunSummary:
         ),
         domains={d.name: collect_domain(machine, d) for d in machine.domains},
         fault_stats=machine.faults.stats() if machine.faults is not None else None,
-        phase_profile=machine.profiler.snapshot() if machine.profiler.enabled else None,
         horizon_stats=_horizon_stats(machine),
     )
 

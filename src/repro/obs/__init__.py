@@ -1,26 +1,15 @@
-"""Observability layer: JSONL traces, phase profiler, JSON schemas.
+"""Observability layer: run manifests, JSONL traces, JSON schemas.
 
-Split by dependency weight:
-
-* :mod:`repro.obs.profiler` imports nothing from the package — the
-  simulator imports it at module load, so it must stay cycle-free;
-* :mod:`repro.obs.manifest`, :mod:`repro.obs.trace` and
-  :mod:`repro.obs.schema` sit *above* the simulator and metrics layers.
-
-The heavy names are re-exported lazily (PEP 562) so that importing
-``repro.obs`` — which the simulator does transitively — never pulls the
-trace/metrics stack back into a partially-initialized import of the
-simulator itself.
+:mod:`repro.obs.manifest`, :mod:`repro.obs.trace` and
+:mod:`repro.obs.schema` sit *above* the simulator and metrics layers.
+Every name is re-exported lazily (PEP 562), so importing ``repro.obs``
+stays cheap and never pulls the trace/metrics stack into a
+partially-initialized import of the simulator.
 """
 
 from __future__ import annotations
 
-from repro.obs.profiler import SCHEDULER_PHASES, PhaseProfiler, PhaseStat
-
 __all__ = [
-    "PhaseProfiler",
-    "PhaseStat",
-    "SCHEDULER_PHASES",
     "RunManifest",
     "build_manifest",
     "canonical_dumps",

@@ -9,8 +9,7 @@ single event.
 
 The hash deliberately **excludes** fields that cannot change simulated
 results: ``engine`` (both engines are bitwise-identical by contract),
-``log_events`` and ``profile`` (observation toggles), and ``label``
-(cosmetic).  Two runs that differ only in those fields hash the same —
+``log_events`` (an observation toggle), and ``label`` (cosmetic).  Two runs that differ only in those fields hash the same —
 which is exactly the property the engine-parity trace test leans on.
 
 No wall-clock timestamps appear anywhere: a manifest is a pure function
@@ -43,9 +42,9 @@ __all__ = [
 TRACE_SCHEMA = "repro.trace/v1"
 
 #: SimConfig fields that cannot affect simulated results, excluded from
-#: the hash: engine parity is a tested invariant, log/profile are pure
+#: the hash: engine parity is a tested invariant, the event log is pure
 #: observation, label is cosmetic.
-_NON_RESULT_FIELDS = frozenset({"engine", "log_events", "profile", "label"})
+_NON_RESULT_FIELDS = frozenset({"engine", "log_events", "label"})
 
 
 def canonical_dumps(obj: Any) -> str:

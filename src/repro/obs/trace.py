@@ -12,10 +12,9 @@ One trace file is a sequence of self-describing JSON lines:
 
 Everything is serialized through
 :func:`~repro.obs.manifest.canonical_dumps`, and no wall-clock data is
-included (the phase profile rides in reports, never in traces), so a
-fixed (scenario, seed, policy) run writes **byte-identical** files from
-the reference and batched engines — the engine-parity contract,
-extended to disk.
+included, so a fixed (scenario, seed, policy) run writes
+**byte-identical** files from the reference and batched engines — the
+engine-parity contract, extended to disk.
 """
 
 from __future__ import annotations

@@ -4,8 +4,7 @@ A checkpoint is taken at an *epoch boundary* — the only points where
 the simulation's state is self-contained (mid-epoch there are solver
 intermediates on the stack).  The snapshot serializes the full machine
 object graph: scheduler state, every RNG stream's exact bit-state, the
-fault injector's cursors, PMU windows, event log and profiler
-counters.  The lazily-built epoch engine is deliberately *excluded*:
+fault injector's cursors, PMU windows and event log.  The lazily-built epoch engine is deliberately *excluded*:
 every engine reconstructs itself from live machine state (that is
 already how ``add_domain`` invalidates it), so a restored machine
 replays identically on either engine — the resume-parity
@@ -15,7 +14,7 @@ File format
 -----------
 One UTF-8 JSON header line, then the raw pickle payload::
 
-    {"schema": "repro.checkpoint/v3", "version": ..., "config_hash":
+    {"schema": "repro.checkpoint/v4", "version": ..., "config_hash":
      ..., "epoch_index": ..., "payload_sha256": ..., ...}\\n
     <pickle bytes>
 
@@ -63,7 +62,7 @@ __all__ = [
 #: Snapshot schema identifier.  Bump on ANY change to what the payload
 #: contains or how it is produced; a bump orphans every existing
 #: snapshot, which is the point (DESIGN.md "snapshot versioning").
-CHECKPOINT_SCHEMA = "repro.checkpoint/v3"
+CHECKPOINT_SCHEMA = "repro.checkpoint/v4"
 
 #: Pickle protocol pinned explicitly so the payload bytes are a
 #: deterministic function of the machine state and the schema version.

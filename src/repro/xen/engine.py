@@ -254,7 +254,6 @@ class VectorEngine:
         node-matrix row; ``placement`` is the one to mark stale after a
         horizon, or None when the VCPU does not drift.
         """
-        self.machine.profiler.count("gather_build")
         vcpu = self.machine.vcpus[key]
         placement = vcpu.domain.placement
         c = self.conc[key]
@@ -567,10 +566,7 @@ class BatchedEngine(VectorEngine):
         # reference's per-epoch calls would.
         n = (kb - 1) * (len(machine.pcpus) - len(running_pcpus))
         if n > 0:
-            profiler = machine.profiler
-            t0 = profiler.start()
             machine.policy.idle_steals(n)
-            profiler.stop("balance", t0)
 
         if not running_vcpus:
             # Nothing runs: warmth still decays on every LLC.

@@ -27,7 +27,6 @@ from repro.hardware.cache import CacheModel
 from repro.hardware.memory import BYTES_PER_MISS, LatencySpec, MemorySystem
 from repro.hardware.pmu import PMU, VcpuCounters
 from repro.hardware.topology import NUMATopology
-from repro.obs.profiler import PhaseProfiler
 from repro.util.eventlog import EventLog
 from repro.util.rng import RngStreams
 from repro.util.validation import check_positive
@@ -109,12 +108,6 @@ class SimConfig:
     label:
         Human-readable scenario name used in error messages
         (``SimulationTimeout``) and logs; cosmetic otherwise.
-    profile:
-        Record host wall-clock per scheduler phase in
-        :attr:`Machine.profiler` (see :mod:`repro.obs.profiler`).
-        On by default: the hooks cost <3% of an epoch (pinned by
-        ``benchmarks/bench_profiler.py``) and, like ``log_events``,
-        cannot affect simulated results.
     """
 
     epoch_s: float = 1e-3
@@ -129,7 +122,6 @@ class SimConfig:
     faults: Optional[FaultPlan] = None
     max_epochs: Optional[int] = None
     label: str = ""
-    profile: bool = True
 
     def __post_init__(self) -> None:
         check_positive(self.epoch_s, "epoch_s")
@@ -216,8 +208,6 @@ class Machine:
         self.memsys = MemorySystem(topology, self.config.latency)
         self.pmu = PMU(topology.num_nodes, self.config.pmu_collection_cost_s)
         self.log = EventLog(enabled=self.config.log_events)
-        #: host wall-clock per scheduler phase; never touches sim state
-        self.profiler = PhaseProfiler(enabled=self.config.profile)
         #: fault injector, or None when the run is fault-free
         self.faults: Optional[FaultInjector] = (
             FaultInjector(self.config.faults, self.rng)
@@ -612,11 +602,9 @@ class Machine:
                 head_rank = pcpu.queue.head_rank()
                 nxt: Optional[Vcpu] = None
                 if head_rank is None or head_rank >= 2:
-                    t0 = self.profiler.start()
                     nxt = self.policy.steal(
                         pcpu, now, under_only=head_rank is not None
                     )
-                    self.profiler.stop("balance", t0)
                     if nxt is not None:
                         self._account_steal(pcpu, nxt, now)
                 if nxt is None:
@@ -638,19 +626,14 @@ class Machine:
         # the run limit — and advances all of them in one call, a
         # horizon of one epoch included.
         if engine is not None:
-            t0 = self.profiler.start()
             stepped = engine.compute_horizon(
                 now, limit if limit is not None else self.config.max_time_s
             )
-            self.profiler.stop("horizon", t0)
-            t0 = self.profiler.start()
             end = engine.advance_batch(now, epoch, stepped)
         else:
             stepped = 1
-            t0 = self.profiler.start()
             self._advance_running(now, epoch)
             end = now + epoch
-        self.profiler.stop("epoch", t0)
 
         # 5. Phase changes (heap-driven, or a cheap check per workload).
         # For a macro-step the horizon guarantees nothing was due at any
@@ -670,9 +653,7 @@ class Machine:
         # at the next boundary, so it can land on one only batch-final).
         sample_boundary = (self.epoch_index + stepped) % self._epochs_per_sample == 0
         if sample_boundary:
-            t0 = self.profiler.start()
             self.policy.on_sample_period(end)
-            self.profiler.stop("sample_period", t0)
 
         self.time = end
         self.epoch_index += stepped

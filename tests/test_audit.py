@@ -335,6 +335,19 @@ class TestDifferential:
         assert set(result.summaries) == {"reference", "batched"}
         assert result.summaries["reference"] == result.summaries["batched"]
 
+    @pytest.mark.parametrize(
+        "engines", [("reference", "batched"), ("batched", "reference")]
+    )
+    def test_non_dual_host_runs_the_reference_loop_once(self, engines):
+        # A 3-node host builds no batched engine, so either setting runs
+        # the reference loop: one run, with every invariant checked.
+        scenario = tiny_scenario(num_nodes=3)
+        result = run_differential(scenario, engines=engines)
+        single = run_differential(scenario, engines=engines[:1])
+        assert result.ok and result.kind == "ok"
+        assert set(result.summaries) == {engines[0]}
+        assert result.checks_run == single.checks_run > 0
+
     def test_divergence_reported_with_first_difference(self, monkeypatch):
         import repro.audit.fuzz as fuzz
 

@@ -46,14 +46,6 @@ class TestParser:
         )
         assert args.engine == "reference"
 
-    def test_bench_parses(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.suite == ["engine", "grid", "profiler", "audit"]
-        args = build_parser().parse_args(["bench", "--suite", "engine"])
-        assert args.suite == ["engine"]
-        args = build_parser().parse_args(["bench", "--suite", "audit"])
-        assert args.suite == ["audit"]
-
     def test_trace_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["trace", "soplex", "--engine", "turbo"])
@@ -101,7 +93,6 @@ class TestCommands:
         assert code == 0
         printed = capsys.readouterr().out
         assert "trace lines" in printed
-        assert "phase profile" in printed
         # The file round-trips through the validator used by `validate`.
         assert main(["validate", str(out)]) == 0
         assert "ok" in capsys.readouterr().out

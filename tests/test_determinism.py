@@ -6,10 +6,9 @@ run the same seeded scenario through both engines and compare the
 full :class:`~repro.metrics.collectors.RunSummary` dataclasses (finish
 times, instruction/access counters, migration counts, overhead
 accounting) field by field via ``==``.  The only excluded field is
-``phase_profile`` (``compare=False`` on the dataclass): it records
-*host* wall-clock and span counts, which legitimately differ between a
-per-epoch stepper and a macro-stepper without touching any simulated
-quantity.
+``horizon_stats`` (``compare=False`` on the dataclass): it records the
+batched engine's horizon lengths, which a per-epoch stepper does not
+have, without touching any simulated quantity.
 """
 
 import dataclasses

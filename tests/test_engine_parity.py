@@ -8,12 +8,10 @@ with sorted keys), so every serialized quantity participates: finish
 times, PMU counter totals (instructions, LLC refs/misses, local/remote
 accesses), migration and overhead accounting, fault statistics.
 
-The one excluded key is ``phase_profile``: it reports *host* wall-clock
-spans, and the engines legitimately differ there — not just in timings
-(nondeterministic by nature) but in span schedule, since the batched
-engine records a ``horizon`` span per macro-step and amortises the
-per-epoch spans across whole batches.  Everything the simulation
-computes is compared bit-for-bit.
+The one excluded key is ``horizon_stats``: it describes how the batched
+engine executed the run (its horizon-length histogram), and the
+reference engine has none.  Everything the simulation computes is
+compared bit-for-bit.
 """
 
 import json
@@ -59,7 +57,6 @@ def _canonical_summary(engine: str, params: dict) -> str:
     machine = spec_scenario(params["profile"], make_scheduler(params["scheduler"]), cfg)
     machine.run(max_time_s=0.6)
     summary = summarize(machine).to_dict()
-    summary.pop("phase_profile", None)
     summary.pop("horizon_stats", None)
     return json.dumps(summary, sort_keys=True)
 
@@ -88,7 +85,6 @@ def _three_node_summary(engine: str):
     )
     machine.run()
     summary = summarize(machine).to_dict()
-    summary.pop("phase_profile", None)
     return machine, json.dumps(summary, sort_keys=True)
 
 

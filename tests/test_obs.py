@@ -1,8 +1,7 @@
-"""Tests for the observability layer: profiler, manifests, traces, schemas."""
+"""Tests for the observability layer: manifests, traces, schemas."""
 
 import json
 import math
-import pickle
 
 import pytest
 
@@ -11,8 +10,6 @@ from repro.experiments.scenarios import make_scheduler
 from repro.metrics.collectors import summarize
 from repro.metrics.timeseries import trace_run
 from repro.obs import (
-    PhaseProfiler,
-    PhaseStat,
     diff_traces,
     read_trace,
     validate_trace_file,
@@ -54,72 +51,6 @@ def batched_run():
 @pytest.fixture(scope="module")
 def reference_run():
     return _run("reference")
-
-
-class TestPhaseProfiler:
-    def test_disabled_is_inert(self):
-        prof = PhaseProfiler(enabled=False)
-        token = prof.start()
-        assert token == 0
-        prof.stop("analyzer", token)
-        prof.count("gather_build")
-        assert prof.snapshot() == {}
-        assert prof.counters() == {}
-        assert prof.calls("analyzer") == 0
-
-    def test_accumulates_calls_and_wall(self):
-        prof = PhaseProfiler()
-        for _ in range(3):
-            t0 = prof.start()
-            prof.stop("analyzer", t0)
-        assert prof.calls("analyzer") == 3
-        assert prof.wall_s("analyzer") >= 0.0
-        stat = prof.snapshot()["analyzer"]
-        assert stat.calls == 3
-        assert stat.wall_s == pytest.approx(prof.wall_s("analyzer"))
-
-    def test_counters(self):
-        prof = PhaseProfiler()
-        prof.count("gather_build")
-        prof.count("gather_build", 4)
-        assert prof.counter("gather_build") == 5
-        assert prof.counter("missing") == 0
-
-    def test_scheduler_wall_sums_only_scheduler_phases(self):
-        prof = PhaseProfiler()
-        prof._acc.update(
-            {
-                "analyzer": [10, 1],
-                "partition": [20, 1],
-                "balance": [30, 1],
-                "epoch": [1000, 1],
-            }
-        )
-        assert prof.scheduler_wall_s() == pytest.approx(60e-9)
-
-    def test_snapshot_is_picklable(self):
-        prof = PhaseProfiler()
-        t0 = prof.start()
-        prof.stop("balance", t0)
-        snap = prof.snapshot()
-        assert pickle.loads(pickle.dumps(snap)) == snap
-
-    def test_mean_us_with_zero_calls(self):
-        assert PhaseStat(phase="x", calls=0, wall_s=0.0).mean_us == 0.0
-
-    def test_clear(self):
-        prof = PhaseProfiler()
-        prof.stop("epoch", prof.start())
-        prof.count("gather_build")
-        prof.clear()
-        assert prof.snapshot() == {}
-        assert prof.counters() == {}
-
-    def test_format_renders_table(self):
-        prof = PhaseProfiler()
-        prof.stop("analyzer", prof.start())
-        text = prof.format()
-        assert "phase" in text and "analyzer" in text
 
 
 class TestManifest:
@@ -240,7 +171,10 @@ class TestEngineParity:
     def test_summaries_equal_despite_profiles(self, batched_run, reference_run):
         fast_summary = summarize(batched_run[0])
         ref_summary = summarize(reference_run[0])
-        assert fast_summary == ref_summary  # phase_profile excluded from eq
+        assert fast_summary == ref_summary  # horizon_stats excluded from eq
+        assert fast_summary.horizon_stats is not None
+        assert "horizon_stats" in fast_summary.to_dict()
+        assert "horizon_stats" not in fast_summary.to_dict(include_profile=False)
 
 
 class TestSchemaValidator:
@@ -299,39 +233,3 @@ class TestSchemaValidator:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         assert validate_trace_file(path) == ["trace is empty"]
-
-
-class TestProfilerAccounting:
-    """Acceptance: inner phases explain the sample-period envelope."""
-
-    def test_phases_recorded_for_vprobe_run(self, batched_run):
-        prof = batched_run[0].profiler
-        for phase in ("analyzer", "partition", "balance", "epoch", "sample_period"):
-            assert prof.calls(phase) > 0, phase
-        assert prof.counter("gather_build") > 0  # batched engine rebuilds
-
-    def test_reference_engine_has_no_gather_counter(self, reference_run):
-        assert reference_run[0].profiler.counter("gather_build") == 0
-
-    def test_inner_phases_account_for_envelope(self):
-        # Wall-clock assertion: best-of-3 to ride out scheduler jitter.
-        best = 0.0
-        for attempt in range(3):
-            machine, _ = _run("batched")
-            prof = machine.profiler
-            envelope = prof.wall_s("sample_period")
-            inner = prof.wall_s("analyzer") + prof.wall_s("partition")
-            assert inner <= envelope
-            best = max(best, inner / envelope)
-            if best >= 0.95:
-                break
-        assert best >= 0.95
-
-    def test_summary_carries_profile(self, batched_run):
-        summary = summarize(batched_run[0])
-        assert summary.phase_profile is not None
-        assert summary.phase_profile["analyzer"].calls > 0
-        payload = summary.to_dict()
-        assert "phase_profile" in payload
-        assert "phase_profile" not in summary.to_dict(include_profile=False)
-        assert "horizon_stats" not in summary.to_dict(include_profile=False)

@@ -67,8 +67,8 @@ class TestParallelRunner:
         """Engine selection changes wall time only, even under a pool.
 
         The same cells fan out once per engine; ``RunSummary.__eq__``
-        covers every simulated quantity (``phase_profile`` is
-        ``compare=False`` — host wall-clock differs by engine), so this
+        covers every simulated quantity (``horizon_stats`` is
+        ``compare=False`` — only the batched engine records it), so this
         pins the runner's engine threading AND the engines' bitwise
         contract end-to-end through worker processes.
         """

@@ -52,9 +52,8 @@ FAULTS = ("none", "chaos")
 
 
 def canonical_result(summary) -> str:
-    """The comparison form: canonical JSON minus the wall-clock profile."""
+    """The comparison form: canonical JSON minus the horizon statistics."""
     payload = summary_to_payload(summary)
-    payload.pop("phase_profile", None)
     payload.pop("horizon_stats", None)
     return canonical_dumps(payload)
 
@@ -93,7 +92,7 @@ class TestCheckpointFile:
         machine = run_partially(build_machine())
         path = tmp_path / "m.ckpt"
         header = save_checkpoint(machine, path)
-        assert header["schema"] == "repro.checkpoint/v3"
+        assert header["schema"] == "repro.checkpoint/v4"
         assert header["config_hash"] == config_hash(machine.config)
         assert header["epoch_index"] == machine.epoch_index
         assert read_header(path) == header
@@ -777,6 +776,24 @@ class TestReportResume:
             if p.stem != "recovery"
         }
         assert second == first  # resume recomputed nothing, bytes identical
+
+    def test_table3_is_host_independent(self, tmp_path):
+        # Two independent cold runs (no cache, no journal to replay):
+        # the overhead table carries simulated quantities only, so its
+        # rendered and JSON forms must match byte for byte.
+        from repro.experiments.report_all import regenerate_all
+
+        runs = []
+        for name in ("a", "b"):
+            outdir = tmp_path / name
+            regenerate_all(outdir, fast=True, only=("table3",), cache=None)
+            runs.append(
+                {
+                    suffix: (outdir / f"table3_overhead.{suffix}").read_bytes()
+                    for suffix in ("json", "txt")
+                }
+            )
+        assert runs[0] == runs[1]
 
     def test_recovery_report_written(self, tmp_path):
         from repro.experiments.report_all import regenerate_all

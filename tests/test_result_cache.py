@@ -133,13 +133,6 @@ class TestHitEquality:
             include_profile=True
         )
 
-    def test_hit_preserves_phase_profile(self, cache):
-        fresh = run_one(BUILDER, "vprobe", CFG, cache=cache)
-        hit = run_one(BUILDER, "vprobe", CFG, cache=cache)
-        assert fresh.phase_profile is not None
-        assert hit.phase_profile is not None
-        assert set(hit.phase_profile) == set(fresh.phase_profile)
-
     def test_hit_preserves_fault_stats(self, cache):
         cfg = dataclasses.replace(CFG, faults=fault_preset("chaos"))
         fresh = run_one(BUILDER, "vprobe", cfg, cache=cache)
