@@ -8,7 +8,7 @@ correctness contracts:
   (credit conservation, placement uniqueness, work conservation, PMU
   sanity, Algorithm-1 even spread, Algorithm-2 steal locality).
   Attach with ``machine.run(audit=True)`` or
-  ``run_one(..., audit=InvariantChecker(...))``.
+  ``execute_cell(..., audit=InvariantChecker(...))``.
 * :mod:`repro.audit.fuzz` / :mod:`repro.audit.metamorphic` — seeded
   random scenarios run under both engines with invariants on,
   summaries diffed canonically, plus metamorphic relations (relabel,

@@ -84,13 +84,11 @@ def builder_fingerprint(builder: object) -> Optional[str]:
 
 
 def scenario_key(builder_id: str, scheduler_id: str, cfg: "ScenarioConfig") -> str:
-    """SHA-256 cache key from an explicit builder/scheduler identity.
+    """SHA-256 cache key from a builder fingerprint and scheduler name.
 
-    The low-level entry point: callers that construct policies directly
-    (the ablation variants) pass a self-chosen ``scheduler_id`` that
-    uniquely names the construction.  ``result_key`` derives
-    ``builder_id`` automatically for the common builder/scheduler-name
-    path.
+    ``builder_id`` is a :func:`builder_fingerprint`; the runner passes
+    it memoised per grid, and :func:`result_key` derives it for a
+    single cell.
     """
     from repro import __version__
 

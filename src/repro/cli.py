@@ -84,14 +84,15 @@ from typing import List, Optional
 
 from repro.core.classify import Bounds, classify
 from repro.experiments import (
+    SCHEDULER_NAMES,
+    ParallelRunner,
     ScenarioConfig,
     compare,
+    execute_cell,
     npb_scenario,
     solo_scenario,
     spec_scenario,
 )
-from repro.experiments.runner import run_one
-from repro.experiments.scenarios import SCHEDULER_NAMES
 from repro.faults.plan import FAULT_PRESETS, fault_preset
 from repro.metrics.report import format_table, improvement_pct
 from repro.workloads.suites import NPB_PROFILES, profile_names
@@ -359,17 +360,10 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     from repro.cache.store import resolve_cache
 
     cache = resolve_cache(args.cache_dir, args.no_cache)
-    if args.jobs > 1 or cache is not None:
-        from repro.experiments.parallel import ParallelRunner
-
-        runner = ParallelRunner(max(1, args.jobs), cache=cache)
-        results = runner.compare(builder, cfg, args.schedulers)
-        cache_hits, cache_misses = runner.cache_hits, runner.cache_misses
-        retried = list(runner.retried_cells)
-    else:
-        results = compare(builder, cfg, args.schedulers)
-        cache_hits = cache_misses = 0
-        retried = []
+    runner = ParallelRunner(max(1, args.jobs), cache=cache)
+    results = compare(builder, cfg, args.schedulers, runner=runner)
+    cache_hits, cache_misses = runner.cache_hits, runner.cache_misses
+    retried = list(runner.retried_cells)
 
     baseline = args.schedulers[0]
     base_time = results[baseline].domain("vm1").mean_finish_time_s
@@ -577,7 +571,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_solo(args: argparse.Namespace) -> int:
     cfg = ScenarioConfig(work_scale=args.work_scale, seed=0)
     builder = partial(solo_scenario, args.app)
-    summary = run_one(builder, "credit", cfg)
+    summary = execute_cell(builder, "credit", cfg)
     stats = summary.domain("vm1")
     vtype = classify(stats.rpti, Bounds())
     print(

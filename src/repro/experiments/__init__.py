@@ -38,7 +38,7 @@ from repro.experiments.runner import (
     ScenarioBuilder,
     compare,
     compare_mean,
-    run_one,
+    execute_cell,
 )
 from repro.experiments.scenarios import (
     SCHEDULER_NAMES,
@@ -72,7 +72,7 @@ __all__ = [
     "ScenarioConfig",
     "SCHEDULER_NAMES",
     "make_scheduler",
-    "run_one",
+    "execute_cell",
     "compare",
     "compare_mean",
     "MeanStats",

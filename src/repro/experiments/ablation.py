@@ -1,14 +1,11 @@
 """Ablations beyond the paper's own (VCPU-P / LB are in Figs. 4-7).
 
-Three studies for the design choices DESIGN.md calls out:
+Three studies for the design choices DESIGN.md calls out, each a pair
+of vProbe variants on the ``mix`` workload:
 
 * **Dynamic bounds** (§VI future work): static Eq. 3 bounds vs the
   quantile-tracking adaptation of :mod:`repro.core.bounds`, on the mix
   workload whose pressure distribution straddles the static bounds.
-* **Affinity preference** (Algorithm 1, step "prefer
-  groupOfVc(type, MIN-NODE)"): vProbe with normal partitioning vs a
-  variant that ignores affinity when filling MIN-NODE, quantifying how
-  much of vProbe's win comes from locality vs pure LLC balance.
 * **Classification value**: vProbe with the standard classes vs with
   bounds so extreme every VCPU looks LLC-FR (partitioning disabled in
   effect), isolating the value of treating memory-intensive VCPUs
@@ -16,26 +13,24 @@ Three studies for the design choices DESIGN.md calls out:
 * **Page migration** (§VI combined strategy): plain vProbe vs vProbe
   that also migrates the hot pages of forced-remote VCPUs to their
   assigned node, paying the copy cost.
+
+Every variant is a scheduler name that
+:func:`~repro.experiments.scenarios.make_scheduler` builds
+(``vprobe``, ``vprobe-dynamic-bounds``, ``vprobe-all-friendly``,
+``vprobe-page-migration``), so the variants are ordinary grid cells
+run through a :class:`~repro.experiments.parallel.ParallelRunner`.
+The plain-vProbe baseline the studies share is one cell: under a
+shared journaled runner it is simulated once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import Dict, Optional
 
-from repro.core.classify import Bounds
-from repro.core.vprobe import VProbeParams, VProbeScheduler
+from repro.experiments.parallel import ParallelRunner, run_complete
 from repro.experiments.scenarios import ScenarioConfig, mix_scenario
-from repro.metrics.collectors import summarize
 from repro.metrics.report import format_table
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.store import ResultCache
-
-#: Builder identity of :func:`mix_scenario` for ablation cache keys
-#: (the variants construct policies directly, so each passes its own
-#: ``ablation:<study>/<variant>`` scheduler identity instead of a name).
-_MIX_BUILDER_ID = "repro.experiments.scenarios.mix_scenario()"
 
 __all__ = [
     "AblationResult",
@@ -75,79 +70,53 @@ class AblationResult:
         )
 
 
-def _run_variant(
-    policy: VProbeScheduler,
-    cfg: ScenarioConfig,
-    cache: Optional["ResultCache"] = None,
-    identity: Optional[str] = None,
-):
-    key = None
-    if cache is not None and identity is not None:
-        from repro.cache.keys import scenario_key
-
-        key = scenario_key(_MIX_BUILDER_ID, identity, cfg)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    machine = mix_scenario(policy, cfg)
-    machine.run()
-    summary = summarize(machine)
-    if key is not None:
-        cache.put(key, summary, meta={"scheduler": identity, "seed": cfg.seed})
-    return summary
+def _run_study(
+    cfg: Optional[ScenarioConfig],
+    variants: Dict[str, str],
+    runner: Optional[ParallelRunner],
+) -> AblationResult:
+    """Run each variant label's scheduler on the mix workload."""
+    config = cfg or ScenarioConfig(work_scale=0.2)
+    summaries = run_complete(
+        [(mix_scenario, scheduler, config) for scheduler in variants.values()],
+        runner,
+    )
+    runtime: Dict[str, float] = {}
+    remote: Dict[str, float] = {}
+    for label, summary in zip(variants, summaries):
+        stats = summary.domain("vm1")
+        runtime[label] = stats.mean_finish_time_s or float("nan")
+        remote[label] = stats.remote_ratio
+    return AblationResult(runtime_s=runtime, remote_ratio=remote)
 
 
 def run_bounds_ablation(
     cfg: Optional[ScenarioConfig] = None,
-    cache: Optional["ResultCache"] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> AblationResult:
     """Static vs dynamic classification bounds on the mix workload."""
-    config = cfg or ScenarioConfig(work_scale=0.2)
-    variants = {
-        "static-bounds": VProbeScheduler(vparams=VProbeParams()),
-        "dynamic-bounds": VProbeScheduler(
-            vparams=VProbeParams(dynamic_bounds=True)
-        ),
-    }
-    runtime: Dict[str, float] = {}
-    remote: Dict[str, float] = {}
-    for name, policy in variants.items():
-        summary = _run_variant(
-            policy, config, cache=cache, identity=f"ablation:bounds/{name}"
-        )
-        stats = summary.domain("vm1")
-        runtime[name] = stats.mean_finish_time_s or float("nan")
-        remote[name] = stats.remote_ratio
-    return AblationResult(runtime_s=runtime, remote_ratio=remote)
+    return _run_study(
+        cfg,
+        {"static-bounds": "vprobe", "dynamic-bounds": "vprobe-dynamic-bounds"},
+        runner,
+    )
 
 
 def run_page_migration_ablation(
     cfg: Optional[ScenarioConfig] = None,
-    cache: Optional["ResultCache"] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> AblationResult:
     """Plain vProbe vs the §VI combined VCPU+page migration strategy."""
-    config = cfg or ScenarioConfig(work_scale=0.2)
-    variants = {
-        "vcpu-only": VProbeScheduler(vparams=VProbeParams()),
-        "vcpu+page-migration": VProbeScheduler(
-            vparams=VProbeParams(page_migration=True)
-        ),
-    }
-    runtime: Dict[str, float] = {}
-    remote: Dict[str, float] = {}
-    for name, policy in variants.items():
-        summary = _run_variant(
-            policy, config, cache=cache, identity=f"ablation:page-migration/{name}"
-        )
-        stats = summary.domain("vm1")
-        runtime[name] = stats.mean_finish_time_s or float("nan")
-        remote[name] = stats.remote_ratio
-    return AblationResult(runtime_s=runtime, remote_ratio=remote)
+    return _run_study(
+        cfg,
+        {"vcpu-only": "vprobe", "vcpu+page-migration": "vprobe-page-migration"},
+        runner,
+    )
 
 
 def run_classification_ablation(
     cfg: Optional[ScenarioConfig] = None,
-    cache: Optional["ResultCache"] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> AblationResult:
     """Standard classes vs 'everything looks friendly' bounds.
 
@@ -155,20 +124,8 @@ def run_classification_ablation(
     ever memory-intensive: partitioning becomes a no-op and only the
     NUMA-aware balancer remains — quantifying what classification buys.
     """
-    config = cfg or ScenarioConfig(work_scale=0.2)
-    variants = {
-        "standard-classes": VProbeScheduler(vparams=VProbeParams()),
-        "all-friendly": VProbeScheduler(
-            vparams=VProbeParams(bounds=Bounds(low=1e6, high=2e6))
-        ),
-    }
-    runtime: Dict[str, float] = {}
-    remote: Dict[str, float] = {}
-    for name, policy in variants.items():
-        summary = _run_variant(
-            policy, config, cache=cache, identity=f"ablation:classification/{name}"
-        )
-        stats = summary.domain("vm1")
-        runtime[name] = stats.mean_finish_time_s or float("nan")
-        remote[name] = stats.remote_ratio
-    return AblationResult(runtime_s=runtime, remote_ratio=remote)
+    return _run_study(
+        cfg,
+        {"standard-classes": "vprobe", "all-friendly": "vprobe-all-friendly"},
+        runner,
+    )

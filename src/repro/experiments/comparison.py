@@ -11,16 +11,13 @@ modules only define the workload axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
+from repro.experiments.parallel import ParallelRunner, run_complete
 from repro.experiments.runner import ScenarioBuilder
 from repro.experiments.scenarios import SCHEDULER_NAMES, ScenarioConfig
 from repro.metrics.collectors import RunSummary
 from repro.metrics.report import format_table, improvement_pct
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.store import ResultCache
-    from repro.experiments.parallel import ParallelRunner
 
 __all__ = ["WorkloadPoint", "ComparisonCell", "ComparisonResult", "run_grid"]
 
@@ -186,37 +183,24 @@ def run_grid(
     points: Sequence[WorkloadPoint],
     cfg: Optional[ScenarioConfig] = None,
     schedulers: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache: Optional["ResultCache"] = None,
-    runner: Optional["ParallelRunner"] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> ComparisonResult:
     """Run every (workload, scheduler) pair of a comparison figure.
 
-    ``jobs > 1`` fans the independent cells across worker processes
-    (each cell reruns the same seeded scenario, so results are
-    identical to the serial pass).  ``cache`` serves previously
-    computed cells from disk; an explicit ``runner`` (which wins over
-    ``jobs``/``cache``) lets ``report_all`` share one runner — and its
-    hit/miss/retry accounting — across every figure.
-
-    A comparison figure normalises every cell against the Credit
-    baseline, so it cannot render with holes: if the runner quarantined
-    any cell (deadline blown, epoch cap hit), this raises
-    :class:`~repro.experiments.parallel.GridIncompleteError` naming
-    them, and ``report_all`` quarantines the whole job rather than the
-    whole report.
+    ``runner`` (default: serial, uncached) runs the cells; a
+    ``ParallelRunner(N)`` fans them across N worker processes with
+    identical results.  A comparison figure normalises every cell
+    against the Credit baseline, so it cannot render with holes: a
+    quarantined cell raises
+    :class:`~repro.experiments.parallel.GridIncompleteError` (see
+    :func:`~repro.experiments.parallel.run_complete`).
     """
-    from repro.experiments.parallel import GridIncompleteError, ParallelRunner
-
     config = cfg or ScenarioConfig()
     names = tuple(schedulers) if schedulers is not None else SCHEDULER_NAMES
     cells: Dict[Tuple[str, str], ComparisonCell] = {}
-    if runner is None:
-        runner = ParallelRunner(jobs, cache=cache)
-    flat = [(p.builder, sched, config) for p in points for sched in names]
-    summaries = runner.run_cells(flat)
-    if any(s is None for s in summaries):
-        raise GridIncompleteError(runner.quarantined, total=len(flat))
+    summaries = run_complete(
+        [(p.builder, sched, config) for p in points for sched in names], runner
+    )
     rows = iter(summaries)
     for point in points:
         for sched in names:

@@ -17,14 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.experiments.runner import run_one
+from repro.experiments.parallel import ParallelRunner, run_complete
 from repro.experiments.scenarios import ScenarioConfig, motivation_scenario
 from repro.metrics.report import format_table
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.store import ResultCache
 
 __all__ = ["FIG1_APPS", "Fig1Result", "run"]
 
@@ -72,7 +69,7 @@ def run(
     cfg: Optional[ScenarioConfig] = None,
     apps: Sequence[str] = FIG1_APPS,
     scheduler: str = "credit",
-    cache: Optional["ResultCache"] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Fig1Result:
     """Measure remote-access ratios for each application.
 
@@ -85,13 +82,16 @@ def run(
     scheduler:
         Scheduler to run under (Credit in the paper's figure; other
         names are accepted for side-by-side comparisons).
-    cache:
-        Optional result cache consulted before running each cell.
+    runner:
+        Runs the cells (default: serial, uncached).
     """
     config = cfg or ScenarioConfig(work_scale=0.1)
-    ratios: Dict[str, float] = {}
-    for app in apps:
-        builder = partial(motivation_scenario, app)
-        summary = run_one(builder, scheduler, config, cache=cache)
-        ratios[app] = summary.domain("vm1").remote_ratio
+    summaries = run_complete(
+        [(partial(motivation_scenario, app), scheduler, config) for app in apps],
+        runner,
+    )
+    ratios: Dict[str, float] = {
+        app: summary.domain("vm1").remote_ratio
+        for app, summary in zip(apps, summaries)
+    }
     return Fig1Result(remote_ratio=ratios, scheduler=scheduler)

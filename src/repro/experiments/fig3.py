@@ -19,16 +19,13 @@ from __future__ import annotations
 from functools import partial
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.core.classify import Bounds, classify
-from repro.experiments.runner import run_one
+from repro.experiments.parallel import ParallelRunner, run_complete
 from repro.experiments.scenarios import ScenarioConfig, solo_scenario
 from repro.metrics.report import format_table
 from repro.xen.vcpu import VcpuType
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.store import ResultCache
 
 __all__ = ["FIG3_APPS", "PAPER_RPTI", "Fig3Row", "Fig3Result", "run"]
 
@@ -119,15 +116,16 @@ def run(
     cfg: Optional[ScenarioConfig] = None,
     apps: Sequence[str] = FIG3_APPS,
     bounds: Optional[Bounds] = None,
-    cache: Optional["ResultCache"] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Fig3Result:
     """Run the solo calibration for each application."""
     config = cfg or ScenarioConfig(work_scale=0.05)
     b = bounds or Bounds()
+    summaries = run_complete(
+        [(partial(solo_scenario, app), "credit", config) for app in apps], runner
+    )
     rows = []
-    for app in apps:
-        builder = partial(solo_scenario, app)
-        summary = run_one(builder, "credit", config, cache=cache)
+    for app, summary in zip(apps, summaries):
         stats = summary.domain("vm1")
         rows.append(
             Fig3Row(

@@ -19,7 +19,6 @@ from repro.experiments.comparison import ComparisonResult, WorkloadPoint, run_gr
 from repro.experiments.scenarios import ScenarioConfig, mix_scenario, spec_scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.store import ResultCache
     from repro.experiments.parallel import ParallelRunner
 
 __all__ = ["FIG4_WORKLOADS", "points", "run"]
@@ -47,17 +46,13 @@ def run(
     cfg: Optional[ScenarioConfig] = None,
     workloads: Sequence[str] = FIG4_WORKLOADS,
     schedulers: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache: Optional["ResultCache"] = None,
     runner: Optional["ParallelRunner"] = None,
 ) -> ComparisonResult:
-    """Run the Fig. 4 grid (``jobs > 1`` fans cells across processes)."""
+    """Run the Fig. 4 grid (``runner`` fans cells across processes)."""
     return run_grid(
         "Figure 4: SPEC CPU2006",
         points(workloads),
         cfg,
         schedulers,
-        jobs=jobs,
-        cache=cache,
         runner=runner,
     )

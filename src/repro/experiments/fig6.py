@@ -18,7 +18,6 @@ from repro.experiments.comparison import ComparisonResult, WorkloadPoint, run_gr
 from repro.experiments.scenarios import ScenarioConfig, memcached_scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.store import ResultCache
     from repro.experiments.parallel import ParallelRunner
 
 __all__ = ["FIG6_CONCURRENCY", "points", "run"]
@@ -41,17 +40,13 @@ def run(
     cfg: Optional[ScenarioConfig] = None,
     concurrencies: Sequence[int] = FIG6_CONCURRENCY,
     schedulers: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache: Optional["ResultCache"] = None,
     runner: Optional["ParallelRunner"] = None,
 ) -> ComparisonResult:
-    """Run the Fig. 6 sweep (``jobs > 1`` fans cells across processes)."""
+    """Run the Fig. 6 sweep (``runner`` fans cells across processes)."""
     return run_grid(
         "Figure 6: memcached",
         points(concurrencies),
         cfg,
         schedulers,
-        jobs=jobs,
-        cache=cache,
         runner=runner,
     )

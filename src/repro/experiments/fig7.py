@@ -20,7 +20,6 @@ from repro.experiments.comparison import ComparisonResult, WorkloadPoint, run_gr
 from repro.experiments.scenarios import ScenarioConfig, redis_scenario
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.store import ResultCache
     from repro.experiments.parallel import ParallelRunner
 from repro.metrics.report import format_table
 from repro.workloads.services import REDIS_INSTR_PER_OP
@@ -92,18 +91,14 @@ def run(
     cfg: Optional[ScenarioConfig] = None,
     connections: Sequence[int] = FIG7_CONNECTIONS,
     schedulers: Optional[Sequence[str]] = None,
-    jobs: int = 1,
-    cache: Optional["ResultCache"] = None,
     runner: Optional["ParallelRunner"] = None,
 ) -> Fig7Result:
-    """Run the Fig. 7 sweep (``jobs > 1`` fans cells across processes)."""
+    """Run the Fig. 7 sweep (``runner`` fans cells across processes)."""
     grid = run_grid(
         "Figure 7: redis",
         points(connections),
         cfg,
         schedulers,
-        jobs=jobs,
-        cache=cache,
         runner=runner,
     )
     return Fig7Result(grid=grid)

@@ -13,15 +13,13 @@ paper picks 1 s; the sweep validates that choice.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from repro.experiments.runner import run_one
+from repro.experiments.parallel import ParallelRunner, run_complete
 from repro.experiments.scenarios import ScenarioConfig, mix_scenario
 from repro.metrics.report import format_table
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.store import ResultCache
 
 __all__ = ["FIG8_PERIODS", "Fig8Result", "run"]
 
@@ -75,23 +73,21 @@ def run(
     cfg: Optional[ScenarioConfig] = None,
     periods: Sequence[float] = FIG8_PERIODS,
     scheduler: str = "vprobe",
-    cache: Optional["ResultCache"] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Fig8Result:
     """Sweep the sampling period for the mix workload."""
     base = cfg or ScenarioConfig(work_scale=0.25)
-    runtimes = []
-    for period in periods:
-        config = ScenarioConfig(
-            work_scale=base.work_scale,
-            seed=base.seed,
-            sample_period_s=period,
-            max_time_s=base.max_time_s,
-            epoch_s=base.epoch_s,
-            log_events=base.log_events,
-            latency=base.latency,
-        )
-        summary = run_one(mix_scenario, scheduler, config, cache=cache)
-        runtimes.append(summary.domain("vm1").mean_finish_time_s or float("nan"))
+    summaries = run_complete(
+        [
+            (mix_scenario, scheduler, dataclasses.replace(base, sample_period_s=p))
+            for p in periods
+        ],
+        runner,
+    )
+    runtimes = [
+        summary.domain("vm1").mean_finish_time_s or float("nan")
+        for summary in summaries
+    ]
     return Fig8Result(
         periods=tuple(periods), runtime_s=tuple(runtimes), scheduler=scheduler
     )

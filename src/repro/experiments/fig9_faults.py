@@ -30,15 +30,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.experiments.parallel import ParallelRunner
+from repro.experiments.parallel import ParallelRunner, run_complete
 from repro.experiments.scenarios import ScenarioConfig, mix_scenario
 from repro.faults.plan import FaultPlan
 from repro.metrics.report import format_table
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.store import ResultCache
 
 __all__ = [
     "FIG9_RATES",
@@ -125,8 +122,6 @@ def run(
     rates: Sequence[float] = FIG9_RATES,
     schedulers: Sequence[str] = FIG9_SCHEDULERS,
     seeds: int = FIG9_SEEDS,
-    jobs: int = 1,
-    cache: Optional["ResultCache"] = None,
     runner: Optional[ParallelRunner] = None,
 ) -> Fig9Result:
     """Sweep fault rates across schedulers on the ``mix`` workload.
@@ -147,9 +142,7 @@ def run(
                     label=f"fig9 mix faults={rate:g} seed={base.seed + i}",
                 )
                 cells.append((mix_scenario, name, config))
-    if runner is None:
-        runner = ParallelRunner(jobs, cache=cache)
-    summaries = runner.run_cells(cells)
+    summaries = run_complete(cells, runner)
     runtime: Dict[str, list] = {name: [] for name in schedulers}
     events: Dict[str, list] = {name: [] for name in schedulers}
     at = 0
@@ -199,7 +192,7 @@ def main(argv: Optional[Sequence[str]] = None) -> None:
         cfg = ScenarioConfig(work_scale=args.work_scale, seed=args.seed)
         rates = FIG9_RATES
         seeds = args.seeds
-    result = run(cfg, rates=rates, seeds=seeds, jobs=args.jobs)
+    result = run(cfg, rates=rates, seeds=seeds, runner=ParallelRunner(args.jobs))
     print(result.format())
 
 

@@ -9,12 +9,15 @@ the pairing guarantee (every scheduler sees the identical workload
 randomness for a given seed) is carried entirely by the config's seed,
 not by execution order.
 
-:class:`ParallelRunner` mirrors the serial API of
-:mod:`repro.experiments.runner` — :meth:`ParallelRunner.compare` and
-:meth:`ParallelRunner.compare_mean` return exactly what their serial
-counterparts return, cell for cell.  With ``jobs <= 1`` it *is* the
-serial path (no executor, no pickling), so callers can thread a
-``--jobs N`` flag straight through.
+:meth:`ParallelRunner.run_cells` is the only code that resolves a
+cell from the journal or cache, runs it and stores its result: every
+experiment entry point (the figures, Table III, the ablations and
+:func:`~repro.experiments.runner.compare`) takes one optional
+``runner`` and hands it its cells, and ``repro report`` shares one
+runner across all of them.  With ``jobs <= 1`` it runs every cell in
+this process (no executor, no pickling), so callers can thread a
+``--jobs N`` flag straight through.  Report jobs that cannot render
+with holes take their cells through :func:`run_complete`.
 
 **Cache awareness.**  Given a
 :class:`~repro.cache.store.ResultCache`, the runner resolves hits *in
@@ -71,22 +74,13 @@ silently.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import pathlib
@@ -95,13 +89,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.recovery.journal import GridJournal
     from repro.recovery.shutdown import GracefulShutdown
 
-from repro.experiments.runner import (
-    MeanStats,
-    ScenarioBuilder,
-    aggregate_mean_stats,
-    execute_cell,
-)
-from repro.experiments.scenarios import SCHEDULER_NAMES, ScenarioConfig
+from repro.experiments.runner import ScenarioBuilder, execute_cell
+from repro.experiments.scenarios import ScenarioConfig
 from repro.metrics.collectors import RunSummary
 from repro.recovery.deadline import (
     CellDeadlineExceeded,
@@ -117,6 +106,7 @@ __all__ = [
     "ParallelExecutionError",
     "GridIncompleteError",
     "default_jobs",
+    "run_complete",
     "run_packed_batch_guarded",
 ]
 
@@ -232,10 +222,10 @@ class ParallelExecutionError(RuntimeError):
 class GridIncompleteError(RuntimeError):
     """A grid finished with quarantined (hence missing) cells.
 
-    Raised by consumers that need *every* cell to render their result
-    (:func:`repro.experiments.comparison.run_grid`); ``report_all``
-    catches it, records the whole job as quarantined in the journal and
-    carries on with the remaining jobs.
+    Raised by :func:`run_complete` for report jobs that need *every*
+    cell to render their result; ``report_all`` catches it, records the
+    whole job as quarantined in the journal and carries on with the
+    remaining jobs.
     """
 
     def __init__(self, quarantined: Sequence[Quarantine], total: int) -> None:
@@ -265,14 +255,6 @@ class ParallelRunner:
         Cells per submitted task when dispatching misses.  ``None``
         picks :func:`_auto_chunksize`; ``1`` forces the historical
         one-future-per-cell dispatch.
-    engine:
-        Optional engine selector (``"batched"`` or ``"reference"``).  When set, every dispatched cell's config is
-        rewritten to run on that engine — the selector travels inside
-        the pickled :class:`ScenarioConfig`, so workers need no extra
-        plumbing.  ``None`` (default) respects each cell's own config.
-        Because the engines are bitwise-identical, the selector can
-        never change results, only wall time (``tests/test_parallel.py``
-        pins this).
     journal:
         Optional :class:`~repro.recovery.journal.GridJournal`.
         Journaled cells resolve without recomputation (counted in
@@ -299,7 +281,6 @@ class ParallelRunner:
         jobs: int = 1,
         cache: Optional["ResultCache"] = None,
         chunksize: Optional[int] = None,
-        engine: Optional[str] = None,
         journal: Optional["GridJournal"] = None,
         deadline: "DeadlinePolicy | float | None" = None,
         shutdown: Optional["GracefulShutdown"] = None,
@@ -309,15 +290,9 @@ class ParallelRunner:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if chunksize is not None and chunksize < 1:
             raise ValueError(f"chunksize must be >= 1, got {chunksize}")
-        if engine is not None and engine not in ("batched", "reference"):
-            raise ValueError(
-                "engine must be 'batched', 'reference' or None, "
-                f"got {engine!r}"
-            )
         self.jobs = jobs
         self.cache = cache
         self.chunksize = chunksize
-        self.engine = engine
         self.journal = journal
         self.deadline = DeadlinePolicy.coerce(deadline)
         self.shutdown = shutdown
@@ -369,9 +344,9 @@ class ParallelRunner:
         """Memoized :func:`~repro.cache.keys.result_key` for one cell.
 
         The config hash is likewise deduplicated by object identity —
-        ``compare_mean`` shares one config object across a seed's
-        scheduler row, so the row pays one config hash, not one per
-        scheduler.
+        :func:`~repro.experiments.runner.compare_mean` shares one
+        config object across a seed's scheduler row, so the row pays
+        one config hash, not one per scheduler.
         """
         from repro.cache.keys import scenario_key
 
@@ -517,11 +492,6 @@ class ParallelRunner:
         self.quarantined = []
         self._fid_memo = {}
         self._key_memo = {}
-        if self.engine is not None:
-            cells = [
-                (builder, scheduler, dataclasses.replace(cfg, engine=self.engine))
-                for builder, scheduler, cfg in cells
-            ]
         results: List[Optional[RunSummary]] = [None] * len(cells)
         try:
             keys, misses = self._lookup(cells, results)
@@ -733,46 +703,20 @@ class ParallelRunner:
         if failures:
             raise ParallelExecutionError(failures, total=len(cells))
 
-    # ------------------------------------------------------------------
-    # Serial-API mirrors
-    # ------------------------------------------------------------------
-    def compare(
-        self,
-        builder: ScenarioBuilder,
-        cfg: ScenarioConfig,
-        schedulers: Optional[Iterable[str]] = None,
-    ) -> Dict[str, Optional[RunSummary]]:
-        """Parallel :func:`repro.experiments.runner.compare`.
 
-        A quarantined cell maps its scheduler to ``None`` (only
-        possible when deadlines or epoch caps are in play).
-        """
-        names = tuple(schedulers) if schedulers is not None else SCHEDULER_NAMES
-        summaries = self.run_cells([(builder, name, cfg) for name in names])
-        return dict(zip(names, summaries))
+def run_complete(
+    cells: Sequence[Cell], runner: Optional[ParallelRunner] = None
+) -> List[RunSummary]:
+    """Every cell's summary, or :class:`GridIncompleteError`.
 
-    def compare_mean(
-        self,
-        builder: ScenarioBuilder,
-        cfg: ScenarioConfig,
-        schedulers: Optional[Iterable[str]] = None,
-        seeds: Sequence[int] = (0, 1, 2),
-        domain: str = "vm1",
-    ) -> Dict[str, MeanStats]:
-        """Parallel :func:`repro.experiments.runner.compare_mean`.
-
-        The full (seed x scheduler) product fans out at once; each
-        cell's config carries its seed, so the pairing is identical to
-        the serial nested loop.  Quarantined cells (if any) drop out of
-        the per-scheduler averages.
-        """
-        if not seeds:
-            raise ValueError("at least one seed required")
-        names = tuple(schedulers) if schedulers is not None else SCHEDULER_NAMES
-        cells: List[Cell] = []
-        for seed in seeds:
-            seeded = dataclasses.replace(cfg, seed=seed)
-            for name in names:
-                cells.append((builder, name, seeded))
-        summaries = self.run_cells(cells)
-        return aggregate_mean_stats(names, seeds, summaries, domain)
+    For report jobs that cannot render with holes (a comparison figure
+    normalises against Credit, a sweep plots every point): if
+    ``runner`` (default: a fresh serial, uncached one) quarantined any
+    cell, this raises naming them, and ``report_all`` quarantines the
+    whole job rather than the whole report.
+    """
+    runner = runner if runner is not None else ParallelRunner()
+    summaries = runner.run_cells(cells)
+    if any(s is None for s in summaries):
+        raise GridIncompleteError(runner.quarantined, total=len(cells))
+    return summaries

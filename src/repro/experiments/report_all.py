@@ -64,64 +64,43 @@ RECOVERY_SCHEMA = "repro.recovery-report/v1"
 
 
 def _jobs(
-    fast: bool,
-    jobs: int = 1,
-    runner: "Optional[ParallelRunner]" = None,
-    cache: "Optional[ResultCache]" = None,
+    fast: bool, runner: "Optional[ParallelRunner]" = None
 ) -> Tuple[Tuple[str, Callable[[], object]], ...]:
     scale = 0.05 if fast else 0.18
     svc_scale = 0.04 if fast else 0.1
     cfg = lambda ws, seed: ScenarioConfig(work_scale=ws, seed=seed)
     return (
-        ("fig1_remote_ratios", lambda: fig1.run(cfg(scale * 0.8, 0), cache=cache)),
-        ("fig3_llc_missrate_rpti", lambda: fig3.run(cfg(0.05, 0), cache=cache)),
-        (
-            "fig4_spec_cpu2006",
-            lambda: fig4.run(cfg(scale, 1), jobs=jobs, cache=cache, runner=runner),
-        ),
-        (
-            "fig5_npb",
-            lambda: fig5.run(cfg(scale, 2), jobs=jobs, cache=cache, runner=runner),
-        ),
+        ("fig1_remote_ratios", lambda: fig1.run(cfg(scale * 0.8, 0), runner=runner)),
+        ("fig3_llc_missrate_rpti", lambda: fig3.run(cfg(0.05, 0), runner=runner)),
+        ("fig4_spec_cpu2006", lambda: fig4.run(cfg(scale, 1), runner=runner)),
+        ("fig5_npb", lambda: fig5.run(cfg(scale, 2), runner=runner)),
         (
             "fig6_memcached",
             lambda: fig6.run(
-                cfg(svc_scale, 3),
-                concurrencies=(16, 48, 80, 112),
-                jobs=jobs,
-                cache=cache,
-                runner=runner,
+                cfg(svc_scale, 3), concurrencies=(16, 48, 80, 112), runner=runner
             ),
         ),
         (
             "fig7_redis",
             lambda: fig7.run(
-                cfg(scale, 4),
-                connections=(2000, 6000, 10000),
-                jobs=jobs,
-                cache=cache,
-                runner=runner,
+                cfg(scale, 4), connections=(2000, 6000, 10000), runner=runner
             ),
         ),
-        ("fig8_sampling_period", lambda: fig8.run(cfg(scale, 0), cache=cache)),
+        ("fig8_sampling_period", lambda: fig8.run(cfg(scale, 0), runner=runner)),
         (
             "fig9_fault_degradation",
             lambda: fig9_faults.run(
-                cfg(scale, 0),
-                seeds=3 if fast else 5,
-                jobs=jobs,
-                cache=cache,
-                runner=runner,
+                cfg(scale, 0), seeds=3 if fast else 5, runner=runner
             ),
         ),
-        ("table3_overhead", lambda: table3.run(cfg(scale, 0), cache=cache)),
+        ("table3_overhead", lambda: table3.run(cfg(scale, 0), runner=runner)),
         (
             "ablation_dynamic_bounds",
-            lambda: ablation.run_bounds_ablation(cfg(scale, 5), cache=cache),
+            lambda: ablation.run_bounds_ablation(cfg(scale, 5), runner=runner),
         ),
         (
             "ablation_page_migration",
-            lambda: ablation.run_page_migration_ablation(cfg(scale, 5), cache=cache),
+            lambda: ablation.run_page_migration_ablation(cfg(scale, 5), runner=runner),
         ),
     )
 
@@ -132,7 +111,6 @@ def _write_recovery_report(
     job_status: Dict[str, str],
     resumed_jobs: List[str],
     interrupted: bool,
-    extra_journal_hits: int = 0,
 ) -> None:
     """Publish <outdir>/recovery.json (best effort, never fatal)."""
     from repro import __version__
@@ -148,7 +126,7 @@ def _write_recovery_report(
         "counters": {
             "cache_hits": runner.total_cache_hits,
             "cache_misses": runner.total_cache_misses,
-            "journal_hits": runner.total_journal_hits + extra_journal_hits,
+            "journal_hits": runner.total_journal_hits,
             "retried_cells": len(runner.total_retried_cells),
         },
     }
@@ -176,10 +154,10 @@ def regenerate_all(
     The ``.txt`` is the rendered table (unchanged); the ``.json`` is
     the schema-versioned ``to_json()`` envelope for machine consumers.
     ``only`` optionally restricts to jobs whose name starts with one of
-    the given prefixes (used by smoke tests).  ``jobs > 1`` fans each
-    comparison grid's cells across worker processes; every grid shares
-    one :class:`~repro.experiments.parallel.ParallelRunner` so cache
-    hit/miss and crash-retry counts aggregate across the whole report.
+    the given prefixes (used by smoke tests).  Every job runs its cells
+    through one shared :class:`~repro.experiments.parallel.ParallelRunner`
+    (``jobs > 1`` fans them across worker processes), so cache hit/miss,
+    journal and crash-retry counts aggregate across the whole report.
     ``cache`` serves previously computed cells from disk — the cached
     payload round-trips exactly, so the ``.json`` outputs of a warm run
     are byte-identical to a cold one.
@@ -205,13 +183,10 @@ def regenerate_all(
     """
     from repro.experiments.jsonreport import dump_report
     from repro.experiments.parallel import GridIncompleteError, ParallelRunner
-    from repro.recovery.journal import GridJournal, JournalCache
+    from repro.recovery.journal import GridJournal
 
     outdir.mkdir(parents=True, exist_ok=True)
     journal = GridJournal(outdir / "journal.jsonl", resume=resume)
-    # The serial jobs reach their cells through run_one(cache=...);
-    # wrapping the cache in the journal makes them resume-covered too.
-    job_cache = JournalCache(journal, cache)
     runner = ParallelRunner(
         jobs,
         cache=cache,
@@ -233,7 +208,7 @@ def regenerate_all(
     resumed_jobs: List[str] = []
     interrupted = False
     try:
-        for name, job in _jobs(fast, jobs, runner=runner, cache=job_cache):
+        for name, job in _jobs(fast, runner):
             if only is not None and not any(name.startswith(p) for p in only):
                 continue
             if resume:
@@ -272,19 +247,12 @@ def regenerate_all(
         interrupted = True
         raise
     finally:
-        _write_recovery_report(
-            outdir,
-            runner,
-            job_status,
-            resumed_jobs,
-            interrupted,
-            extra_journal_hits=job_cache.journal_hits,
-        )
+        _write_recovery_report(outdir, runner, job_status, resumed_jobs, interrupted)
     stats = {
         "cache_hits": (cache.hits - hits0) if cache is not None else 0,
         "cache_misses": (cache.misses - misses0) if cache is not None else 0,
         "retried_cells": len(runner.total_retried_cells),
-        "journal_hits": runner.total_journal_hits + job_cache.journal_hits,
+        "journal_hits": runner.total_journal_hits,
         "quarantined_cells": len(runner.total_quarantined),
         "resumed_jobs": len(resumed_jobs),
         "quarantined_jobs": sum(

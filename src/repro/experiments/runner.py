@@ -6,12 +6,13 @@ same scenario built from the same seed, so workload randomness (phase
 changes, service bursts) is identical across policies and differences
 are attributable to scheduling alone.
 
-Every entry point takes an optional
-:class:`~repro.cache.store.ResultCache`: because each cell is a
-deterministic function of (builder, scheduler, config), a cached
-summary *is* the run's result, and a hit skips the simulation
-entirely.  With ``cache=None`` (the default) the code path is exactly
-the historical one, bit for bit.
+:func:`execute_cell` runs one (builder, scheduler, config) cell and is
+all a worker process ever executes.  :func:`compare` and
+:func:`compare_mean` lay out paired cells and hand them to a
+:class:`~repro.experiments.parallel.ParallelRunner` — the one place
+that resolves cells from the journal or cache, runs them and stores
+the results.  Without a ``runner`` they get a fresh serial, uncached
+one.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ from repro.xen.credit import SchedulerPolicy
 from repro.xen.simulator import Machine
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.store import ResultCache
+    from repro.experiments.parallel import ParallelRunner
 
 __all__ = [
     "ScenarioBuilder",
     "execute_cell",
-    "run_one",
     "compare",
     "compare_mean",
     "aggregate_mean_stats",
@@ -69,66 +69,31 @@ def execute_cell(
     return summarize(machine)
 
 
-def run_one(
-    builder: ScenarioBuilder,
-    scheduler: str,
-    cfg: ScenarioConfig,
-    cache: Optional["ResultCache"] = None,
-    audit: object = None,
-) -> RunSummary:
-    """One scenario under one scheduler, via the cache when given.
+def _default_runner(runner: Optional["ParallelRunner"]) -> "ParallelRunner":
+    if runner is not None:
+        return runner
+    from repro.experiments.parallel import ParallelRunner
 
-    A builder without a provable identity (see
-    :func:`repro.cache.keys.builder_fingerprint`) bypasses the cache
-    rather than risking a false hit.  ``audit`` (an
-    :class:`~repro.audit.invariants.InvariantChecker` or ``True``)
-    forces the cell to actually run — a cache hit would skip the very
-    epochs the checker is meant to watch — so audited runs bypass the
-    cache entirely.
-    """
-    if audit is not None:
-        return execute_cell(builder, scheduler, cfg, audit=audit)
-    if cache is not None:
-        from repro.cache.keys import result_key
-
-        key = result_key(builder, scheduler, cfg)
-        if key is not None:
-            hit = cache.get(key)
-            if hit is not None:
-                return hit
-            summary = execute_cell(builder, scheduler, cfg)
-            cache.put(
-                key, summary, meta={"scheduler": scheduler, "seed": cfg.seed}
-            )
-            return summary
-    return execute_cell(builder, scheduler, cfg)
+    return ParallelRunner()
 
 
 def compare(
     builder: ScenarioBuilder,
     cfg: ScenarioConfig,
     schedulers: Optional[Iterable[str]] = None,
-    cache: Optional["ResultCache"] = None,
-    audit: object = None,
-) -> Dict[str, RunSummary]:
+    runner: Optional["ParallelRunner"] = None,
+) -> Dict[str, Optional[RunSummary]]:
     """Run the same scenario under several schedulers (paired seeds).
 
     Returns summaries keyed by scheduler name, in the requested order.
-    ``audit=True`` (or an
-    :class:`~repro.audit.invariants.InvariantChecker`) runs every cell
-    with runtime invariants on; a fresh checker is built per cell so
-    counters and history never leak between runs.
+    A cell the runner quarantined maps its scheduler to ``None`` (only
+    possible when deadlines or epoch caps are in play).
     """
     names = tuple(schedulers) if schedulers is not None else SCHEDULER_NAMES
-    results: Dict[str, RunSummary] = {}
-    for name in names:
-        cell_audit = audit
-        if audit is True:
-            from repro.audit.invariants import InvariantChecker
-
-            cell_audit = InvariantChecker()
-        results[name] = run_one(builder, name, cfg, cache, audit=cell_audit)
-    return results
+    summaries = _default_runner(runner).run_cells(
+        [(builder, name, cfg) for name in names]
+    )
+    return dict(zip(names, summaries))
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -155,22 +120,24 @@ def compare_mean(
     schedulers: Optional[Iterable[str]] = None,
     seeds: Sequence[int] = (0, 1, 2),
     domain: str = "vm1",
-    cache: Optional["ResultCache"] = None,
+    runner: Optional["ParallelRunner"] = None,
 ) -> Dict[str, MeanStats]:
     """Seed-averaged comparison: smooths initial-placement luck.
 
-    Every scheduler sees every seed (fully paired).  Use for reporting;
-    single-seed :func:`compare` remains the right tool when the full
-    :class:`RunSummary` is needed.
+    Every scheduler sees every seed (fully paired): the whole (seed x
+    scheduler) product goes to the runner at once, each cell's config
+    carrying its seed.  Quarantined cells drop out of the averages.
+    Use for reporting; single-seed :func:`compare` remains the right
+    tool when the full :class:`RunSummary` is needed.
     """
     if not seeds:
         raise ValueError("at least one seed required")
     names = tuple(schedulers) if schedulers is not None else SCHEDULER_NAMES
-    summaries: List[RunSummary] = []
+    cells = []
     for seed in seeds:
         seeded = dataclasses.replace(cfg, seed=seed)
-        results = compare(builder, seeded, names, cache)
-        summaries.extend(results[name] for name in names)
+        cells.extend((builder, name, seeded) for name in names)
+    summaries = _default_runner(runner).run_cells(cells)
     return aggregate_mean_stats(names, seeds, summaries, domain)
 
 
@@ -183,8 +150,8 @@ def aggregate_mean_stats(
     """Fold flat run summaries into per-scheduler :class:`MeanStats`.
 
     ``summaries`` must be in seed-major, scheduler-minor order — the
-    order both the serial nested loop and the parallel fan-out produce.
-    ``None`` entries (cells the parallel runner quarantined) drop out
+    order :func:`compare_mean` lays its cells out in.
+    ``None`` entries (cells the runner quarantined) drop out
     of that scheduler's averages; :attr:`MeanStats.seeds` reports the
     seeds that actually contributed.  A scheduler with *no* surviving
     cells gets NaN means so downstream tables render visibly rather

@@ -16,14 +16,11 @@ from __future__ import annotations
 from functools import partial
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
-from repro.experiments.runner import run_one
+from repro.experiments.parallel import ParallelRunner, run_complete
 from repro.experiments.scenarios import ScenarioConfig, overhead_scenario
 from repro.metrics.report import format_table
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.cache.store import ResultCache
 
 __all__ = ["TABLE3_VM_COUNTS", "Table3Result", "run", "PAPER_OVERHEAD_PCT"]
 
@@ -85,15 +82,17 @@ def run(
     cfg: Optional[ScenarioConfig] = None,
     vm_counts: Sequence[int] = TABLE3_VM_COUNTS,
     scheduler: str = "vprobe",
-    cache: Optional["ResultCache"] = None,
+    runner: Optional[ParallelRunner] = None,
 ) -> Table3Result:
     """Measure vProbe's overhead-time percentage per VM count."""
     config = cfg or ScenarioConfig(work_scale=0.1)
+    summaries = run_complete(
+        [(partial(overhead_scenario, n), scheduler, config) for n in vm_counts],
+        runner,
+    )
     pcts = []
     breakdowns = []
-    for n in vm_counts:
-        builder = partial(overhead_scenario, n)
-        summary = run_one(builder, scheduler, config, cache=cache)
+    for summary in summaries:
         stats = summary.machine_stats
         pcts.append(stats.overhead_fraction * 100.0)
         breakdowns.append(dict(stats.overhead_s))

@@ -4,8 +4,10 @@ The result cache (:mod:`repro.cache`) already makes *completed cells*
 durable, but it is content-addressed and optional; the journal is the
 run-scoped record that lets ``repro report --resume`` answer "which
 cells of *this grid* already finished, and which were quarantined?"
-without recomputing anything.  One JSONL file per report directory;
-each line is a self-describing record::
+without recomputing anything.  Its only writer and reader is
+:class:`~repro.experiments.parallel.ParallelRunner`, through which every
+report job runs its cells.  One JSONL file per report directory; each
+line is a self-describing record::
 
     {"schema": "repro.journal/v1", "version": ..., "kind": "cell",
      "status": "done", "key": ..., "cell": ..., "summary": {...}}
@@ -43,7 +45,7 @@ from repro.cache.serialize import summary_from_payload, summary_to_payload
 from repro.metrics.collectors import RunSummary
 from repro.obs.manifest import canonical_dumps
 
-__all__ = ["JOURNAL_SCHEMA", "GridJournal", "JournalCache"]
+__all__ = ["JOURNAL_SCHEMA", "GridJournal"]
 
 #: Journal record schema (bump on breaking record-shape change; old
 #: records then self-invalidate by being skipped on load).
@@ -233,56 +235,3 @@ class GridJournal:
     def quarantines(self) -> Dict[str, Dict[str, Any]]:
         """All quarantine records, keyed by cell key (copy)."""
         return {k: dict(v) for k, v in self._quarantines.items()}
-
-
-class JournalCache:
-    """The journal behind the :class:`~repro.cache.store.ResultCache`
-    get/put protocol.
-
-    The grid path journals through :class:`ParallelRunner` directly,
-    but the serial report jobs (fig1/fig3/fig8, table3, the ablations)
-    reach their cells through
-    :func:`repro.experiments.runner.run_one`'s ``cache=`` parameter.
-    Wrapping the journal (and the real cache, when one is configured)
-    in this adapter makes those cells journal-covered too — so a
-    ``--resume`` replays them even when the on-disk outputs are gone
-    and no result cache is configured.
-
-    Resolution order matches the runner's: journal first, then the
-    underlying cache (a cache hit is written through to the journal so
-    resume never depends on the cache staying warm).  Journal hits are
-    counted in :attr:`journal_hits`; the underlying cache keeps its own
-    honest hit/miss counters because it only sees journal misses.
-    """
-
-    def __init__(self, journal: GridJournal, cache: Optional[Any] = None) -> None:
-        self.journal = journal
-        self.cache = cache
-        self.journal_hits = 0
-
-    def get(self, key: str) -> Optional[RunSummary]:
-        """Journaled summary, cache fallback (journaled), or ``None``."""
-        hit = self.journal.get_cell(key)
-        if hit is not None:
-            self.journal_hits += 1
-            return hit
-        if self.cache is not None:
-            hit = self.cache.get(key)
-            if hit is not None:
-                self.journal.record_cell(key, key, hit)
-            return hit
-        return None
-
-    def put(
-        self,
-        key: str,
-        summary: RunSummary,
-        meta: Optional[Dict[str, Any]] = None,
-    ) -> bool:
-        """Journal the cell; store to the underlying cache when present."""
-        meta = meta or {}
-        label = str(meta.get("cell", meta.get("scheduler", key)))
-        self.journal.record_cell(key, label, summary)
-        if self.cache is not None:
-            return self.cache.put(key, summary, meta=meta)
-        return True

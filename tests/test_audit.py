@@ -533,29 +533,24 @@ class TestCliAudit:
 
 
 class TestRunnerIntegration:
-    def test_audited_run_one_bypasses_cache(self):
-        from repro.experiments import ScenarioConfig, spec_scenario
-        from repro.experiments.runner import run_one
-
-        class ExplodingCache:
-            def get(self, key):
-                raise AssertionError("audited run consulted the cache")
-
-            def put(self, key, value, meta=None):
-                raise AssertionError("audited run wrote to the cache")
+    def test_audited_execute_cell_matches_plain_run(self):
+        from repro.experiments import ScenarioConfig, execute_cell, spec_scenario
 
         cfg = ScenarioConfig(work_scale=0.02, seed=5, max_time_s=0.3)
         builder = lambda policy, c: spec_scenario("lu", policy, c)  # noqa: E731
-        summary = run_one(
-            builder, "credit", cfg, cache=ExplodingCache(), audit=True
-        )
-        assert summary.machine_stats.sim_time_s > 0
+        audited = execute_cell(builder, "credit", cfg, audit=True)
+        assert audited.machine_stats.sim_time_s > 0
+        assert audited == execute_cell(builder, "credit", cfg)
 
-    def test_compare_with_audit_uses_fresh_checkers(self):
-        from repro.experiments import ScenarioConfig, spec_scenario
-        from repro.experiments.runner import compare
+    def test_audit_true_uses_a_fresh_checker_per_cell(self):
+        # ``audit=True`` builds a new checker for each run, so one
+        # cell's history never leaks into the next one's checks.
+        from repro.experiments import ScenarioConfig, execute_cell, spec_scenario
 
         cfg = ScenarioConfig(work_scale=0.02, seed=5, max_time_s=0.3)
         builder = lambda policy, c: spec_scenario("lu", policy, c)  # noqa: E731
-        results = compare(builder, cfg, schedulers=("credit", "vprobe"), audit=True)
-        assert set(results) == {"credit", "vprobe"}
+        results = {
+            name: execute_cell(builder, name, cfg, audit=True)
+            for name in ("credit", "vprobe")
+        }
+        assert [s.policy for s in results.values()] == ["credit", "vprobe"]

@@ -20,7 +20,7 @@ import pytest
 
 from repro.experiments import fig9_faults
 from repro.experiments.parallel import ParallelRunner
-from repro.experiments.runner import run_one
+from repro.experiments.runner import execute_cell
 from repro.experiments.scenarios import (
     SCHEDULER_NAMES,
     ScenarioConfig,
@@ -102,16 +102,16 @@ class TestFaultPlan:
 class TestFaultDeterminism:
     def test_same_seed_same_plan_replays_bitwise(self):
         cfg = _cfg(faults=fault_preset("chaos"))
-        first = run_one(mix_scenario, "vprobe", cfg)
-        second = run_one(mix_scenario, "vprobe", cfg)
+        first = execute_cell(mix_scenario, "vprobe", cfg)
+        second = execute_cell(mix_scenario, "vprobe", cfg)
         assert first == second
 
     @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
     def test_zero_rate_plan_identical_to_no_faults(self, scheduler):
         """A null plan consumes no randomness: bitwise no-fault run."""
         builder = lambda p, c: spec_scenario("soplex", p, c)
-        plain = run_one(builder, scheduler, _cfg(faults=None))
-        nulled = run_one(builder, scheduler, _cfg(faults=FaultPlan()))
+        plain = execute_cell(builder, scheduler, _cfg(faults=None))
+        nulled = execute_cell(builder, scheduler, _cfg(faults=FaultPlan()))
         assert nulled.fault_stats is not None
         assert nulled.fault_stats.total_events == 0
         assert dataclasses.replace(
@@ -126,7 +126,7 @@ class TestFaultDeterminism:
             cfg = _cfg(
                 work_scale=0.1, faults=fault_preset("chaos"), engine=engine
             )
-            runs[engine] = run_one(mix_scenario, scheduler, cfg)
+            runs[engine] = execute_cell(mix_scenario, scheduler, cfg)
         assert runs["reference"] == runs["batched"]
 
     def test_serial_matches_parallel_with_faults(self):
@@ -141,7 +141,7 @@ class TestFaultDeterminism:
 
 class TestFaultEffects:
     def test_dropout_fires_and_is_counted(self):
-        summary = run_one(
+        summary = execute_cell(
             mix_scenario, "vprobe", _cfg(faults=fault_preset("drop50"))
         )
         stats = summary.fault_stats
@@ -150,17 +150,17 @@ class TestFaultEffects:
         assert stats.total_events >= stats.samples_dropped
 
     def test_credit_never_opens_windows_so_nothing_drops(self):
-        summary = run_one(
+        summary = execute_cell(
             mix_scenario, "credit", _cfg(faults=fault_preset("drop50"))
         )
         assert summary.fault_stats.samples_dropped == 0
 
     def test_noise_rate_scales_corruption(self):
         """Bernoulli corruption: lower rate, fewer noisy windows."""
-        full = run_one(
+        full = execute_cell(
             mix_scenario, "vprobe", _cfg(faults=FaultPlan(noise_std=1.0))
         )
-        sparse = run_one(
+        sparse = execute_cell(
             mix_scenario,
             "vprobe",
             _cfg(faults=FaultPlan(noise_std=1.0, noise_rate=0.2)),
@@ -169,14 +169,14 @@ class TestFaultEffects:
         assert 0 < sparse.fault_stats.samples_noisy < full.fault_stats.samples_noisy
 
     def test_saturation_clamps_llc_counters(self):
-        summary = run_one(
+        summary = execute_cell(
             mix_scenario, "vprobe", _cfg(faults=FaultPlan(llc_ref_cap=1e5))
         )
         assert summary.fault_stats.windows_saturated > 0
 
     def test_stalls_slow_the_run(self):
-        plain = run_one(mix_scenario, "credit", _cfg())
-        stalled = run_one(
+        plain = execute_cell(mix_scenario, "credit", _cfg())
+        stalled = execute_cell(
             mix_scenario,
             "credit",
             _cfg(faults=FaultPlan(stall_rate=0.02, stall_epochs=50)),
@@ -193,8 +193,8 @@ class TestFaultEffects:
                 DomainCrash("vm2", at_time_s=1.0, downtime_s=0.5),
             )
         )
-        plain = run_one(mix_scenario, "credit", _cfg())
-        crashed = run_one(mix_scenario, "credit", _cfg(faults=crash))
+        plain = execute_cell(mix_scenario, "credit", _cfg())
+        crashed = execute_cell(mix_scenario, "credit", _cfg(faults=crash))
         assert crashed.fault_stats.domain_crashes == 1
         # The run still completes; the crashed domain repeats lost work.
         assert (
@@ -218,7 +218,7 @@ class TestGracefulDegradation:
                     sample_period_s=0.25,
                     faults=plan,
                 )
-                total += run_one(mix_scenario, scheduler, cfg).domain(
+                total += execute_cell(mix_scenario, scheduler, cfg).domain(
                     "vm1"
                 ).mean_finish_time_s
             return total / len(seeds)

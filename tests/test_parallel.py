@@ -37,45 +37,46 @@ class TestParallelRunner:
 
     def test_serial_fallback_is_serial_compare(self):
         serial = compare(BUILDER, CFG, ("credit", "vprobe"))
-        runner = ParallelRunner(1).compare(BUILDER, CFG, ("credit", "vprobe"))
+        runner = compare(BUILDER, CFG, ("credit", "vprobe"), runner=ParallelRunner(1))
         assert serial == runner
 
     def test_parallel_compare_matches_serial(self):
         serial = compare(BUILDER, CFG, ("credit", "vprobe", "lb"))
-        parallel = ParallelRunner(3).compare(
-            BUILDER, CFG, ("credit", "vprobe", "lb")
+        parallel = compare(
+            BUILDER, CFG, ("credit", "vprobe", "lb"), runner=ParallelRunner(3)
         )
         assert tuple(parallel) == ("credit", "vprobe", "lb")
         assert parallel == serial
 
     def test_parallel_compare_mean_matches_serial(self):
         serial = compare_mean(BUILDER, CFG, ("credit", "vprobe"), seeds=(0, 1))
-        parallel = ParallelRunner(4).compare_mean(
-            BUILDER, CFG, ("credit", "vprobe"), seeds=(0, 1)
+        parallel = compare_mean(
+            BUILDER, CFG, ("credit", "vprobe"), seeds=(0, 1), runner=ParallelRunner(4)
         )
         assert parallel == serial
 
     def test_compare_mean_requires_seeds(self):
         with pytest.raises(ValueError):
-            ParallelRunner(2).compare_mean(BUILDER, CFG, seeds=())
-
-    def test_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(1, engine="turbo")
+            compare_mean(BUILDER, CFG, seeds=(), runner=ParallelRunner(2))
 
     def test_parallel_identical_across_engines(self):
         """Engine selection changes wall time only, even under a pool.
 
-        The same cells fan out once per engine; ``RunSummary.__eq__``
-        covers every simulated quantity (``horizon_stats`` is
-        ``compare=False`` — only the batched engine records it), so this
-        pins the runner's engine threading AND the engines' bitwise
-        contract end-to-end through worker processes.
+        The same cells fan out once per engine, the engine carried by
+        each cell's config; ``RunSummary.__eq__`` covers every
+        simulated quantity (``horizon_stats`` is ``compare=False`` —
+        only the batched engine records it), so this pins the engines'
+        bitwise contract end-to-end through worker processes.  Unknown
+        engine names are rejected by ``SimConfig`` itself
+        (``test_simulator.py::TestConfig::test_vector_engine_is_not_selectable``).
         """
         schedulers = ("credit", "vprobe")
         results = {
-            engine: ParallelRunner(2, engine=engine).compare(
-                BUILDER, CFG, schedulers
+            engine: compare(
+                BUILDER,
+                dataclasses.replace(CFG, engine=engine),
+                schedulers,
+                runner=ParallelRunner(2),
             )
             for engine in ("reference", "batched")
         }
@@ -86,7 +87,10 @@ class TestParallelRunner:
 
         serial = fig5.run(CFG, workloads=("lu", "sp"), schedulers=("credit", "vprobe"))
         parallel = fig5.run(
-            CFG, workloads=("lu", "sp"), schedulers=("credit", "vprobe"), jobs=4
+            CFG,
+            workloads=("lu", "sp"),
+            schedulers=("credit", "vprobe"),
+            runner=ParallelRunner(4),
         )
         assert serial == parallel
 

@@ -343,58 +343,6 @@ class TestJournal:
         assert journal.job_status("fig3") == "done"
 
 
-class TestJournalCache:
-    """The cache-protocol adapter that journal-covers run_one jobs."""
-
-    def test_put_then_get_hits_journal(self, tmp_path):
-        from repro.recovery.journal import JournalCache
-
-        journal = GridJournal(tmp_path / "j.jsonl")
-        adapter = JournalCache(journal)
-        summary = execute_cell(BUILDER, "credit", CFG)
-        assert adapter.get("k1") is None
-        assert adapter.put("k1", summary, meta={"scheduler": "credit"})
-        assert adapter.get("k1") == summary
-        assert adapter.journal_hits == 1
-        # The cell is durably journaled, not just in memory.
-        assert GridJournal(tmp_path / "j.jsonl", resume=True).get_cell("k1") == summary
-
-    def test_cache_fallback_written_through_to_journal(self, tmp_path):
-        from repro.cache.store import ResultCache
-        from repro.recovery.journal import JournalCache
-
-        cache = ResultCache(tmp_path / "cache")
-        summary = execute_cell(BUILDER, "credit", CFG)
-        key = "a" * 64
-        cache.put(key, summary)
-        journal = GridJournal(tmp_path / "j.jsonl")
-        adapter = JournalCache(journal, cache)
-        assert adapter.get(key) == summary  # served by the cache...
-        assert adapter.journal_hits == 0
-        assert journal.get_cell(key) == summary  # ...and journaled
-        assert adapter.get(key) == summary  # now a journal hit
-        assert adapter.journal_hits == 1
-
-    def test_run_one_jobs_resume_without_cache(self, tmp_path, monkeypatch):
-        # The integration the adapter exists for: a serial report job's
-        # cells replay from the journal alone on resume.
-        from repro.experiments.runner import run_one
-        from repro.recovery.journal import JournalCache
-
-        path = tmp_path / "j.jsonl"
-        first = run_one(
-            BUILDER, "credit", CFG, cache=JournalCache(GridJournal(path))
-        )
-        monkeypatch.setattr(
-            "repro.experiments.runner.execute_cell",
-            lambda *a, **k: pytest.fail("journaled cell was recomputed"),
-        )
-        adapter = JournalCache(GridJournal(path, resume=True))
-        replay = run_one(BUILDER, "credit", CFG, cache=adapter)
-        assert adapter.journal_hits == 1
-        assert canonical_result(replay) == canonical_result(first)
-
-
 # ----------------------------------------------------------------------
 # Deadlines and quarantine
 # ----------------------------------------------------------------------
@@ -560,9 +508,33 @@ class TestQuarantine:
         assert "quarantined" in str(err.value)
 
     def test_compare_maps_quarantined_to_none(self):
+        from repro.experiments.runner import compare
+
         capped = ScenarioConfig(work_scale=0.02, seed=1, max_epochs=50)
-        result = ParallelRunner(1).compare(BUILDER, capped, ("credit", "vprobe"))
+        result = compare(BUILDER, capped, ("credit", "vprobe"))
         assert result == {"credit": None, "vprobe": None}
+
+    def test_fig9_with_quarantined_cell_is_grid_incomplete(self):
+        from repro.experiments import fig9_faults
+
+        with pytest.raises(GridIncompleteError):
+            fig9_faults.run(
+                ScenarioConfig(work_scale=0.02, max_epochs=5),
+                rates=(0.0,),
+                schedulers=("credit",),
+                seeds=1,
+            )
+
+    def test_fig8_keeps_the_callers_config(self):
+        # The epoch cap must survive the per-period config: a rebuilt
+        # config without it would run a full simulated second instead.
+        from repro.experiments import fig8
+
+        with pytest.raises(GridIncompleteError):
+            fig8.run(
+                ScenarioConfig(work_scale=0.02, engine="reference", max_epochs=5),
+                periods=(1.0,),
+            )
 
     def test_quarantine_to_dict(self):
         q = Quarantine(cell="c#0", key="k", reason="deadline", strikes=3, detail="d")
@@ -776,6 +748,61 @@ class TestReportResume:
             if p.stem != "recovery"
         }
         assert second == first  # resume recomputed nothing, bytes identical
+
+    def test_report_jobs_resume_from_journal_without_cache(
+        self, tmp_path, monkeypatch
+    ):
+        # Outputs gone, no result cache: every cell of the re-rendered
+        # jobs must replay from the journal alone.
+        from repro.experiments.report_all import regenerate_all
+
+        outdir = tmp_path / "r"
+        regenerate_all(outdir, fast=True, only=("fig3", "table3"))
+        outputs = [
+            p for p in outdir.iterdir() if p.suffix in (".txt", ".json")
+            and p.stem != "recovery"
+        ]
+        first = {p.name: p.read_bytes() for p in outputs}
+        assert len(first) == 4
+        for path in outputs:
+            path.unlink()
+
+        def recomputed(*args, **kwargs):
+            pytest.fail("journaled cell was recomputed")
+
+        monkeypatch.setattr("repro.experiments.parallel.execute_cell", recomputed)
+        monkeypatch.setattr(
+            "repro.recovery.checkpoint.execute_cell_resumable", recomputed
+        )
+        stats = regenerate_all(
+            outdir, fast=True, only=("fig3", "table3"), resume=True
+        )
+        assert stats["journal_hits"] == 10  # six fig3 + four table3 cells
+        assert {name: (outdir / name).read_bytes() for name in first} == first
+        # Every journaled cell is named by builder, scheduler and seed.
+        cells = [
+            json.loads(line)["cell"]
+            for line in (outdir / "journal.jsonl").read_text().splitlines()
+            if json.loads(line)["kind"] == "cell"
+        ]
+        assert len(cells) == 10
+        assert all("_scenario(" in c and "/seed=0#" in c for c in cells)
+
+    def test_deadline_quarantines_a_table3_job(self, tmp_path):
+        from repro.experiments.report_all import regenerate_all
+
+        outdir = tmp_path / "r"
+        stats = regenerate_all(
+            outdir,
+            fast=True,
+            only=("table3",),
+            jobs=1,
+            deadline=DeadlinePolicy(deadline_s=1e-3, max_strikes=1),
+        )
+        assert stats["quarantined_jobs"] == 1
+        report = json.loads((outdir / "recovery.json").read_text())
+        assert report["jobs"] == {"table3_overhead": "quarantined"}
+        assert not (outdir / "table3_overhead.json").exists()
 
     def test_table3_is_host_independent(self, tmp_path):
         # Two independent cold runs (no cache, no journal to replay):

@@ -27,7 +27,7 @@ from repro.cache import (
     scenario_key,
 )
 from repro.experiments.parallel import ParallelRunner
-from repro.experiments.runner import execute_cell, run_one
+from repro.experiments.runner import execute_cell
 from repro.experiments.scenarios import (
     ScenarioConfig,
     mix_scenario,
@@ -43,6 +43,11 @@ BUILDER = partial(solo_scenario, "lu")
 @pytest.fixture()
 def cache(tmp_path):
     return ResultCache(tmp_path / "cache")
+
+
+def run_cell(scheduler, cfg=CFG, cache=None, builder=BUILDER):
+    """One cell through a serial runner backed by ``cache``."""
+    return ParallelRunner(cache=cache).run_cells([(builder, scheduler, cfg)])[0]
 
 
 class TestBuilderFingerprint:
@@ -78,12 +83,13 @@ class TestBuilderFingerprint:
         assert builder_fingerprint(partial(spec_scenario, object())) is None
 
     def test_unidentified_builder_bypasses_cache(self, cache):
-        builder = lambda policy, cfg: None  # noqa: E731
+        builder = lambda policy, cfg: solo_scenario("lu", policy, cfg)  # noqa: E731
         assert result_key(builder, "credit", CFG) is None
-        # run_one must fall back to the raw path without touching disk
-        summary = run_one(BUILDER, "credit", CFG)
-        assert summary == run_one(BUILDER, "credit", CFG, cache=None)
+        # the runner must fall back to the raw path without touching disk
+        summary = run_cell("credit", cache=cache, builder=builder)
+        assert summary == execute_cell(BUILDER, "credit", CFG)
         assert cache.hits == cache.misses == cache.stores == 0
+        assert not any(cache.root.iterdir())
 
 
 class TestKeySensitivity:
@@ -117,15 +123,15 @@ class TestKeySensitivity:
         assert base != self.key()
 
     def test_scenario_key_explicit_identity(self):
-        a = scenario_key("b()", "ablation:x/one", CFG)
-        b = scenario_key("b()", "ablation:x/two", CFG)
+        a = scenario_key("b()", "credit", CFG)
+        b = scenario_key("b()", "vprobe", CFG)
         assert a != b and len(a) == 64
 
 
 class TestHitEquality:
     def test_hit_equals_fresh_run(self, cache):
-        fresh = run_one(BUILDER, "vprobe", CFG, cache=cache)
-        hit = run_one(BUILDER, "vprobe", CFG, cache=cache)
+        fresh = run_cell("vprobe", CFG, cache)
+        hit = run_cell("vprobe", CFG, cache)
         assert cache.hits == 1 and cache.stores == 1
         assert hit == fresh
         # field-for-field, not just dataclass __eq__
@@ -135,20 +141,18 @@ class TestHitEquality:
 
     def test_hit_preserves_fault_stats(self, cache):
         cfg = dataclasses.replace(CFG, faults=fault_preset("chaos"))
-        fresh = run_one(BUILDER, "vprobe", cfg, cache=cache)
-        hit = run_one(BUILDER, "vprobe", cfg, cache=cache)
+        fresh = run_cell("vprobe", cfg, cache)
+        hit = run_cell("vprobe", cfg, cache)
         assert fresh.fault_stats is not None
         assert hit.fault_stats == fresh.fault_stats
 
     def test_uncached_path_unchanged(self, cache):
-        assert run_one(BUILDER, "credit", CFG) == execute_cell(
-            BUILDER, "credit", CFG
-        )
+        assert run_cell("credit") == execute_cell(BUILDER, "credit", CFG)
 
 
 class TestCorruption:
     def fill(self, cache):
-        summary = run_one(BUILDER, "credit", CFG, cache=cache)
+        summary = run_cell("credit", CFG, cache)
         return result_key(BUILDER, "credit", CFG), summary
 
     def test_truncated_entry_is_miss_and_rewritten(self, cache):
@@ -156,7 +160,7 @@ class TestCorruption:
         path = cache.path_for(key)
         path.write_bytes(path.read_bytes()[: len(path.read_bytes()) // 2])
         assert cache.get(key) is None
-        rerun = run_one(BUILDER, "credit", CFG, cache=cache)
+        rerun = run_cell("credit", CFG, cache)
         assert rerun == summary
         assert cache.get(key) == summary  # rewritten
 
@@ -247,13 +251,13 @@ class TestParallelRunnerCache:
 
 class TestMaintenance:
     def test_stats_prune_clear(self, cache, monkeypatch):
-        run_one(BUILDER, "credit", CFG, cache=cache)
-        run_one(BUILDER, "vprobe", CFG, cache=cache)
+        run_cell("credit", CFG, cache)
+        run_cell("vprobe", CFG, cache)
         # one corrupt entry + one stale (other version) entry
         key = result_key(BUILDER, "credit", CFG)
         (cache.root / key[:2] / ("f" * 64 + ".json")).write_text("{")
         monkeypatch.setattr(repro, "__version__", "0.0.0-test")
-        run_one(BUILDER, "lb", CFG, cache=cache)
+        run_cell("lb", CFG, cache)
         monkeypatch.undo()
         stats = cache.scan()
         assert (stats.entries, stats.stale, stats.corrupt) == (2, 1, 1)
@@ -349,7 +353,7 @@ class TestCliIntegration:
 
 class TestEntryFormat:
     def test_entry_carries_meta_and_version(self, cache):
-        run_one(BUILDER, "vprobe", CFG, cache=cache)
+        run_cell("vprobe", CFG, cache)
         key = result_key(BUILDER, "vprobe", CFG)
         entry = json.loads(cache.path_for(key).read_text())
         assert entry["schema"] == CACHE_SCHEMA
@@ -359,7 +363,7 @@ class TestEntryFormat:
         assert entry["meta"]["seed"] == 0
 
     def test_entries_sharded_by_key_prefix(self, cache):
-        run_one(BUILDER, "vprobe", CFG, cache=cache)
+        run_cell("vprobe", CFG, cache)
         key = result_key(BUILDER, "vprobe", CFG)
         assert cache.path_for(key).parent.name == key[:2]
 
@@ -376,8 +380,8 @@ class TestMaintenanceRaces:
     """
 
     def fill(self, cache):
-        run_one(BUILDER, "credit", CFG, cache=cache)
-        run_one(BUILDER, "vprobe", CFG, cache=cache)
+        run_cell("credit", CFG, cache)
+        run_cell("vprobe", CFG, cache)
 
     def test_prune_tolerates_entries_vanishing_mid_walk(self, cache, monkeypatch):
         self.fill(cache)
@@ -440,5 +444,5 @@ class TestMaintenanceRaces:
         misses = cache.misses
         assert misses >= 1
         # And the next run overwrites it back to health.
-        run_one(BUILDER, "credit", CFG, cache=cache)
+        run_cell("credit", CFG, cache)
         assert cache.get(key) is not None

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import compare, run_one
+from repro.experiments.runner import compare, execute_cell
 from repro.experiments.scenarios import SCHEDULER_NAMES, ScenarioConfig, solo_scenario
 
 CFG = ScenarioConfig(work_scale=0.02, seed=0)
@@ -13,14 +13,16 @@ def builder(policy, cfg):
 
 
 class TestRunOne:
+    """One cell through :func:`execute_cell`."""
+
     def test_returns_summary_with_policy_name(self):
-        summary = run_one(builder, "credit", CFG)
+        summary = execute_cell(builder, "credit", CFG)
         assert summary.policy == "credit"
         assert summary.domain("vm1").instructions > 0
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError):
-            run_one(builder, "o1-scheduler", CFG)
+            execute_cell(builder, "o1-scheduler", CFG)
 
 
 class TestCompare:

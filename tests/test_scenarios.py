@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.classify import Bounds
+from repro.core.vprobe import VProbeParams, VProbeScheduler
 from repro.experiments.scenarios import (
     SCHEDULER_NAMES,
     ScenarioConfig,
@@ -31,6 +33,28 @@ class TestMakeScheduler:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             make_scheduler("cfs")
+
+    @pytest.mark.parametrize(
+        "name, vparams",
+        [
+            ("vprobe", {}),
+            ("vprobe-dynamic-bounds", {"dynamic_bounds": True}),
+            ("vprobe-page-migration", {"page_migration": True}),
+            ("vprobe-all-friendly", {"bounds": Bounds(low=1e6, high=2e6)}),
+        ],
+    )
+    def test_ablation_variants_match_direct_construction(self, name, vparams):
+        # The ablations used to build these policies inline; by name
+        # they must be the very same policy.
+        built = make_scheduler(name)
+        direct = VProbeScheduler(vparams=VProbeParams(**vparams))
+        assert built.vparams == direct.vparams
+        assert built.params == direct.params
+        assert built.name == direct.name == "vprobe"
+
+    def test_variants_stay_out_of_the_paper_five(self):
+        variants = {"vprobe-h", "vprobe-dynamic-bounds", "vprobe-page-migration"}
+        assert not variants & set(SCHEDULER_NAMES)
 
 
 class TestSpecScenario:
