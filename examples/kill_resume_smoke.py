@@ -4,15 +4,17 @@
 Exercises the whole crash-safe execution contract end to end:
 
 1. run ``python -m repro report <dir> --fast`` in a subprocess;
-2. SIGTERM it once the grid journal shows completed cells — the run
-   must exit with code 75 (``EX_TEMPFAIL``, "interrupted but
-   resumable");
+2. SIGTERM it once the report's result store (``<dir>/cells/``) holds
+   a finished cell — the run must exit with code 75 (``EX_TEMPFAIL``,
+   "interrupted but resumable");
 3. relaunch with ``--resume`` — the run must exit 0, serving every
-   journaled cell without recomputation;
-4. run the identical report uninterrupted into a second directory and
+   stored cell as a hit and computing only the rest;
+4. delete the rendered files and resume again: every job re-renders
+   from the store alone, byte for byte;
+5. run the identical report uninterrupted into a second directory and
    assert every final ``.txt``/``.json`` report is **byte-identical**
-   to the resumed run's, and that every grid cell was either resumed
-   from the journal or computed fresh (no cell lost, none doubled).
+   to the resumed run's, and that the resumed store holds exactly the
+   clean run's cells (no cell lost, none doubled).
 
 Run with::
 
@@ -20,7 +22,7 @@ Run with::
 
 CI runs this on every push (the "Kill-and-resume smoke" job).  On a
 fast machine the first pass may finish before the signal lands; the
-script then still verifies the resume pass replays from the journal.
+script then still verifies the resume pass is served from the store.
 """
 
 import json
@@ -45,28 +47,13 @@ def report_cmd(outdir: pathlib.Path) -> list:
     return cmd
 
 
-def journal_done_keys(outdir: pathlib.Path) -> list:
-    """Keys of completed cell records, in journal order (with repeats —
-    a key appearing twice means a journaled cell was recomputed)."""
-    path = outdir / "journal.jsonl"
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError:
-        return []
-    keys = []
-    for line in text.splitlines():
-        try:
-            record = json.loads(line)
-        except ValueError:
-            continue
-        if record.get("kind") == "cell" and record.get("status") == "done":
-            keys.append(record.get("key"))
-    return keys
-
-
-def journal_cells(outdir: pathlib.Path) -> int:
-    """Completed cell records currently journaled (defensive count)."""
-    return len(journal_done_keys(outdir))
+def stored_cells(outdir: pathlib.Path) -> int:
+    """Finished cells in the report's store (temp files excluded)."""
+    return sum(
+        1
+        for path in (outdir / "cells").glob("??/*.json")
+        if not path.name.startswith(".")
+    )
 
 
 def report_files(outdir: pathlib.Path) -> dict:
@@ -91,7 +78,7 @@ def main() -> int:
     proc = subprocess.Popen(report_cmd(interrupted_dir))
     deadline = time.monotonic() + 120.0
     while time.monotonic() < deadline and proc.poll() is None:
-        if journal_cells(interrupted_dir) >= 1:
+        if stored_cells(interrupted_dir) >= 1:
             break
         time.sleep(0.05)
     finished_early = proc.poll() is not None
@@ -105,16 +92,19 @@ def main() -> int:
         assert code == EXIT_RESUMABLE, (
             f"SIGTERM'd report exited {code}, expected {EXIT_RESUMABLE}"
         )
-    cells_before = journal_cells(interrupted_dir)
-    print(f"interrupted with {cells_before} cells journaled (exit {code})")
+    cells_before = stored_cells(interrupted_dir)
+    print(f"interrupted with {cells_before} cells stored (exit {code})")
 
     # -- 2. resume ------------------------------------------------------
     resume = subprocess.run(report_cmd(interrupted_dir) + ["--resume"])
     assert resume.returncode == 0, f"--resume exited {resume.returncode}"
+    counters = json.loads((interrupted_dir / "recovery.json").read_text())[
+        "counters"
+    ]
 
-    # -- 3. journal replay is byte-stable ------------------------------
-    # Delete the rendered artifacts (keeping the journal) and resume
-    # again: every job re-renders purely from journaled summaries and
+    # -- 3. re-rendering from the store is byte-stable -----------------
+    # Delete the rendered artifacts (keeping the store) and resume
+    # again: every job re-renders purely from stored summaries and
     # must reproduce the exact bytes.
     resumed_files = report_files(interrupted_dir)
     for name in resumed_files:
@@ -123,7 +113,7 @@ def main() -> int:
     assert rerender.returncode == 0, f"re-render exited {rerender.returncode}"
     rerendered_files = report_files(interrupted_dir)
     assert rerendered_files == resumed_files, (
-        "re-rendering from the journal changed bytes: "
+        "re-rendering from the store changed bytes: "
         f"{[n for n in resumed_files if rerendered_files.get(n) != resumed_files[n]]}"
     )
 
@@ -139,24 +129,24 @@ def main() -> int:
     mismatched = [n for n in clean_files if resumed_files[n] != clean_files[n]]
     assert not mismatched, f"resumed reports differ from clean run: {mismatched}"
 
-    # -- 4. no cell lost, none doubled, none recomputed ----------------
-    total = journal_cells(clean_dir)
-    resumed_keys = journal_done_keys(interrupted_dir)
-    assert len(resumed_keys) == total, (
-        f"journal holds {len(resumed_keys)} cells after resume, grid has {total}"
+    # -- 5. no cell lost, none doubled, none recomputed ----------------
+    # The resume pass read back every cell stored before it and ran
+    # only the rest; the grid is exactly the clean run's cells.
+    total = stored_cells(clean_dir)
+    assert counters["cache_hits"] == cells_before, (
+        f"resume served {counters['cache_hits']} cells from the store, "
+        f"{cells_before} were stored before it"
     )
-    doubled = {k for k in resumed_keys if resumed_keys.count(k) > 1}
-    assert not doubled, (
-        f"{len(doubled)} journaled cells were recomputed on resume: "
-        f"{sorted(doubled)[:4]}"
+    assert counters["cache_hits"] + counters["cache_misses"] == total, (
+        f"resume resolved {counters['cache_hits']} + "
+        f"{counters['cache_misses']} cells, grid has {total}"
     )
-    recovery = json.loads((interrupted_dir / "recovery.json").read_text())
-    replayed = recovery["counters"]["journal_hits"]
+    after = stored_cells(interrupted_dir)
+    assert after == total, f"store holds {after} cells after resume, grid has {total}"
     print(
-        f"resume ok: {cells_before} cells survived the kill "
-        f"({replayed} replayed through the runner, the rest via skipped "
-        f"jobs), {total} cells total, none recomputed; "
-        f"{len(clean_files)} report files byte-identical"
+        f"resume ok: {cells_before} cells survived the kill and were served "
+        f"from the store, {counters['cache_misses']} computed on resume, "
+        f"{total} cells total; {len(clean_files)} report files byte-identical"
     )
     return 0
 

@@ -1,4 +1,4 @@
-"""The on-disk, content-addressed result cache.
+"""The on-disk, content-addressed result store.
 
 Layout: ``<root>/<key[:2]>/<key>.json`` — one canonical-JSON entry per
 key, sharded by the first hash byte so no directory grows unbounded.
@@ -7,13 +7,21 @@ small human-readable ``meta`` block next to the serialized summary, so
 ``repro cache stats`` and ``prune`` can reason about a cache directory
 without re-deriving any keys.
 
-Concurrency and corruption, the two ways a shared cache dies, are both
-handled at the write/read boundary:
+It is the one store a report keeps its cells in: ``--cache-dir`` when
+given, otherwise ``<outdir>/cells/``.  A cell that was quarantined
+instead of finished leaves a *tombstone* next to where its entry would
+be, ``<root>/<key[:2]>/<key>.quarantine``, holding the quarantine's
+reason, strikes and detail but no summary.  A tombstone is never read
+as a hit, and it does not match the ``??/*.json`` entry glob.
 
-* **writes are atomic** — the entry is written to a uniquely-named temp
-  file in the destination directory and ``os.replace``d into place, so
-  a reader never observes a torn entry and two processes racing on the
-  same key both succeed (last writer wins with identical bytes, since
+Concurrency, corruption and crashes are all handled at the write/read
+boundary:
+
+* **writes are atomic and durable** — the entry is written to a
+  uniquely-named temp file in the destination directory, fsynced, and
+  ``os.replace``d into place, so a reader never observes a torn entry,
+  a stored cell survives a crash, and two processes racing on the same
+  key both succeed (last writer wins with identical bytes, since
   entries are deterministic functions of the key);
 * **reads are defensive** — a missing, truncated, garbage or
   wrong-schema entry is a *miss*, counted and then overwritten by the
@@ -126,7 +134,13 @@ class ResultCache:
             text = canonical_dumps(entry)
         except (TypeError, ValueError):
             return False  # non-finite float or unserializable: uncacheable
-        path = self.path_for(key)
+        if not self._write(self.path_for(key), text):
+            return False
+        self.stores += 1
+        return True
+
+    def _write(self, path: pathlib.Path, text: str) -> bool:
+        """Temp file, fsync, ``os.replace``; False on any OS error."""
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp = tempfile.mkstemp(
@@ -135,8 +149,10 @@ class ResultCache:
             try:
                 with os.fdopen(fd, "w", encoding="utf-8") as fh:
                     fh.write(text + "\n")
+                    fh.flush()
+                    os.fsync(fh.fileno())
                 os.replace(tmp, path)
-            except OSError:
+            except BaseException:
                 try:
                     os.unlink(tmp)
                 except OSError:
@@ -144,8 +160,44 @@ class ResultCache:
                 raise
         except OSError:
             return False
-        self.stores += 1
         return True
+
+    # ------------------------------------------------------------------
+    # Quarantine tombstones
+    # ------------------------------------------------------------------
+    def _tombstone_path(self, key: str) -> pathlib.Path:
+        return self.root / key[:2] / f"{key}.quarantine"
+
+    def put_quarantine(self, key: str, reason: str, strikes: int, detail: str) -> bool:
+        """Record that ``key``'s cell was quarantined; False on failure."""
+        from repro import __version__
+
+        entry = {
+            "schema": CACHE_SCHEMA,
+            "version": __version__,
+            "key": key,
+            "quarantine": {"reason": reason, "strikes": strikes, "detail": detail},
+        }
+        return self._write(self._tombstone_path(key), canonical_dumps(entry))
+
+    def get_quarantine(self, key: str) -> Optional[Dict[str, Any]]:
+        """``{"reason", "strikes", "detail"}`` of ``key``'s tombstone, or None.
+
+        Unreadable tombstones are invisible (the cell simply runs).
+        Not counted as a hit or a miss.
+        """
+        try:
+            entry = json.loads(self._tombstone_path(key).read_bytes())
+            if entry.get("schema") != CACHE_SCHEMA:
+                return None
+            info = entry["quarantine"]
+            return {
+                "reason": str(info["reason"]),
+                "strikes": int(info["strikes"]),
+                "detail": str(info["detail"]),
+            }
+        except _ENTRY_ERRORS:
+            return None
 
     # ------------------------------------------------------------------
     # Maintenance (``repro cache stats|prune|clear``)
@@ -206,9 +258,10 @@ class ResultCache:
         return stale, corrupt
 
     def clear(self) -> int:
-        """Delete every entry; returns how many were removed."""
+        """Delete every entry and tombstone; returns how many were removed."""
         removed = 0
-        for path in self._entry_files():
+        tombstones = sorted(self.root.glob("??/*.quarantine"))
+        for path in [*self._entry_files(), *tombstones]:
             try:
                 path.unlink()
                 removed += 1
@@ -223,8 +276,9 @@ def resolve_cache(
     """The CLI's cache-selection policy, in one place.
 
     ``--no-cache`` beats everything; an explicit ``--cache-dir`` beats
-    the ``REPRO_CACHE_DIR`` environment variable; with neither set the
-    cache is off — the default pipeline is bitwise the uncached one.
+    the ``REPRO_CACHE_DIR`` environment variable.  With neither set this
+    returns ``None``: ``compare`` then runs uncached, and ``report``
+    keeps its cells in ``<outdir>/cells/`` only.
     """
     if no_cache:
         return None

@@ -60,19 +60,21 @@ Commands
 
 Recovery
 --------
-``report`` journals per-cell outcomes to ``<outdir>/journal.jsonl``
-and exits with code 75 on SIGINT/SIGTERM after flushing it (and
-checkpointing any in-flight serial cell); rerunning with ``--resume``
-recomputes nothing that already finished.  ``--deadline S`` quarantines
+``report`` stores every finished cell, fsynced, in its one result
+store — the cache directory when one is given, else ``<outdir>/cells/``
+— and exits with code 75 on SIGINT/SIGTERM (after checkpointing any
+in-flight serial cell); rerunning with ``--resume`` serves every
+finished cell from that store.  ``--deadline S`` quarantines
 pathological cells instead of failing the report.
 
 Caching
 -------
 ``compare`` and ``report`` accept ``--cache-dir DIR`` (or the
 ``REPRO_CACHE_DIR`` environment variable) to serve previously computed
-cells from a content-addressed on-disk cache; ``--no-cache`` disables
-it even when the variable is set.  With neither given, nothing is
-cached and results are bitwise those of the original pipeline.
+cells from a content-addressed on-disk cache; ``--no-cache`` ignores
+both.  Without a cache directory ``compare`` caches nothing, and
+``report`` keeps its cells in ``<outdir>/cells/`` only; results are
+bitwise the same either way.
 """
 
 from __future__ import annotations
@@ -268,8 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         action="store_true",
         help=(
-            "replay <outdir>/journal.jsonl from an interrupted run; "
-            "recompute nothing that already finished"
+            "rerun against the result store of an interrupted run: every "
+            "finished cell is a hit and quarantined cells are not retried"
         ),
     )
     rep_p.add_argument(
@@ -339,7 +341,10 @@ def _add_cache_flags(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="ignore any cache directory, even $REPRO_CACHE_DIR",
+        help=(
+            "ignore any cache directory, even $REPRO_CACHE_DIR "
+            "(report then keeps its cells in <outdir>/cells/ only)"
+        ),
     )
 
 
@@ -617,10 +622,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
             )
     except ShutdownRequested as exc:
         print(
-            f"\ninterrupted ({exc}); journal flushed — "
+            f"\ninterrupted ({exc}); every finished cell is stored — "
             f"relaunch with --resume to continue (exit {EXIT_RESUMABLE})"
         )
         return EXIT_RESUMABLE
+    print(f"all tables written to {args.outdir}/")
     return 0
 
 

@@ -19,8 +19,8 @@ Every variant is a scheduler name that
 (``vprobe``, ``vprobe-dynamic-bounds``, ``vprobe-all-friendly``,
 ``vprobe-page-migration``), so the variants are ordinary grid cells
 run through a :class:`~repro.experiments.parallel.ParallelRunner`.
-The plain-vProbe baseline the studies share is one cell: under a
-shared journaled runner it is simulated once.
+The plain-vProbe baseline the studies share is one cell: a shared
+runner with a result store simulates it once.
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ randomness for a given seed) is carried entirely by the config's seed,
 not by execution order.
 
 :meth:`ParallelRunner.run_cells` is the only code that resolves a
-cell from the journal or cache, runs it and stores its result: every
+cell from the result store, runs it and stores its result: every
 experiment entry point (the figures, Table III, the ablations and
 :func:`~repro.experiments.runner.compare`) takes one optional
 ``runner`` and hands it its cells, and ``repro report`` shares one
@@ -19,32 +19,38 @@ this process (no executor, no pickling), so callers can thread a
 ``--jobs N`` flag straight through.  Report jobs that cannot render
 with holes take their cells through :func:`run_complete`.
 
-**Cache awareness.**  Given a
-:class:`~repro.cache.store.ResultCache`, the runner resolves hits *in
+**The result store.**  Given a
+:class:`~repro.cache.store.ResultCache`, the runner resolves cells *in
 the parent process* before any executor exists: a fully warm grid
-performs zero pickling and spawns zero workers.  Only misses are
-dispatched, and each miss's result is stored back (by the parent, so
-workers stay cache-blind and the worker protocol stays the plain
-picklable cell).  Per-call hit/miss counts land in
-:attr:`ParallelRunner.cache_hits` / :attr:`ParallelRunner.cache_misses`
-and accumulate in the ``total_*`` counterparts for end-of-report
-summary lines.
+performs zero pickling and spawns zero workers.  Each cell resolves
+from, in order:
 
-**Journal awareness.**  Given a
-:class:`~repro.recovery.journal.GridJournal`, every completed cell is
-appended to the write-ahead journal the moment its result lands, and
-journaled cells resolve in the parent exactly like cache hits — this
-is what lets a SIGTERM'd ``repro report`` relaunch with ``--resume``
-and recompute nothing that already finished.  Cells the journal marks
-*quarantined* are not retried either: their slots stay ``None``.
+1. the runner's own memory of cells it already resolved (a report
+   asks for a few cells in more than one job);
+2. a store entry;
+3. with ``resume=True`` only, a quarantine tombstone — the cell is not
+   retried and its slot stays ``None``;
+4. otherwise it is a miss and runs.
+
+Each miss's result is stored back the moment it lands (by the parent,
+so workers stay store-blind and the worker protocol stays the plain
+picklable cell), and the store fsyncs every entry, so a SIGTERM'd
+``repro report`` relaunched with ``--resume`` recomputes nothing that
+already finished.  Per-call counts land in
+:attr:`ParallelRunner.cache_hits` (memory or store) and
+:attr:`ParallelRunner.cache_misses` and accumulate in the ``total_*``
+counterparts; the store's own ``hits``/``misses`` count only its disk
+reads.
 
 **Deadlines and quarantine.**  With a
 :class:`~repro.recovery.deadline.DeadlinePolicy`, each attempt runs
-under a wall-clock alarm in the process executing it; an overrun
-cancels the cell, the parent retries with exponential backoff, and
-after ``max_strikes`` attempts the cell is *quarantined* — recorded in
-:attr:`ParallelRunner.quarantined` (and the journal) with its slot
-left ``None`` instead of failing the grid.
+under a cooperative wall-clock ``stop_check`` in the process executing
+it (:func:`~repro.recovery.deadline.cell_stop_check`); an overrun
+cancels the cell at the next horizon boundary, the parent retries with
+exponential backoff, and after ``max_strikes`` attempts the cell is
+*quarantined* — recorded in :attr:`ParallelRunner.quarantined` (and as
+a tombstone in the store) with its slot left ``None`` instead of
+failing the grid.
 :class:`~repro.xen.simulator.SimulationTimeout` (the simulated epoch
 cap) rides the same path but quarantines immediately: it is a
 deterministic outcome, so a retry — serial or otherwise — would only
@@ -74,6 +80,8 @@ silently.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import math
 import os
 import time
@@ -86,7 +94,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     import pathlib
 
     from repro.cache.store import ResultCache
-    from repro.recovery.journal import GridJournal
     from repro.recovery.shutdown import GracefulShutdown
 
 from repro.experiments.runner import ScenarioBuilder, execute_cell
@@ -96,7 +103,7 @@ from repro.recovery.deadline import (
     CellDeadlineExceeded,
     DeadlinePolicy,
     Quarantine,
-    alarm_guard,
+    cell_stop_check,
     run_cell_batch_guarded,
 )
 from repro.xen.simulator import SimulationTimeout
@@ -224,8 +231,8 @@ class GridIncompleteError(RuntimeError):
 
     Raised by :func:`run_complete` for report jobs that need *every*
     cell to render their result; ``report_all`` catches it, records the
-    whole job as quarantined in the journal and carries on with the
-    remaining jobs.
+    whole job as quarantined in ``recovery.json`` and carries on with
+    the remaining jobs.
     """
 
     def __init__(self, quarantined: Sequence[Quarantine], total: int) -> None:
@@ -249,17 +256,18 @@ class ParallelRunner:
         this process, bit-for-bit the serial runner.
     cache:
         Optional :class:`~repro.cache.store.ResultCache`; hits resolve
-        in the parent, misses run (and are stored back) as usual.
-        ``None`` disables caching entirely.
+        in the parent, misses run (and are stored back) as usual, and
+        quarantines leave a tombstone.  ``None`` disables the store
+        entirely.
     chunksize:
         Cells per submitted task when dispatching misses.  ``None``
         picks :func:`_auto_chunksize`; ``1`` forces the historical
         one-future-per-cell dispatch.
-    journal:
-        Optional :class:`~repro.recovery.journal.GridJournal`.
-        Journaled cells resolve without recomputation (counted in
-        :attr:`journal_hits`), completed cells are appended as they
-        land, and quarantines persist across a resume.
+    resume:
+        ``True`` honours the store's quarantine tombstones, so a cell
+        quarantined by an interrupted run is not retried.  A fresh run
+        ignores them: a deadline overrun is environmental, and a run
+        sharing a cache directory must not inherit it.
     deadline:
         Optional :class:`~repro.recovery.deadline.DeadlinePolicy` (or
         bare seconds).  Overrunning attempts are cancelled, retried
@@ -281,7 +289,7 @@ class ParallelRunner:
         jobs: int = 1,
         cache: Optional["ResultCache"] = None,
         chunksize: Optional[int] = None,
-        journal: Optional["GridJournal"] = None,
+        resume: bool = False,
         deadline: "DeadlinePolicy | float | None" = None,
         shutdown: Optional["GracefulShutdown"] = None,
         checkpoint_dir: "pathlib.Path | str | None" = None,
@@ -293,21 +301,23 @@ class ParallelRunner:
         self.jobs = jobs
         self.cache = cache
         self.chunksize = chunksize
-        self.journal = journal
+        self.resume = resume
         self.deadline = DeadlinePolicy.coerce(deadline)
         self.shutdown = shutdown
         self.checkpoint_dir = checkpoint_dir
         #: cell names recovered by serial retry in the latest
         #: :meth:`run_cells` call (empty on a clean parallel run)
         self.retried_cells: List[str] = []
-        #: cache hits/misses of the latest :meth:`run_cells` call
+        #: cells resolved without running (from memory or the store)
+        #: and cells that ran, in the latest :meth:`run_cells` call
         self.cache_hits = 0
         self.cache_misses = 0
-        #: journaled cells served without recomputation (latest call)
-        self.journal_hits = 0
-        #: cells quarantined (or already quarantined in the journal)
+        #: cells quarantined (now, or by a tombstone on resume)
         #: during the latest :meth:`run_cells` call
         self.quarantined: List[Quarantine] = []
+        #: every cell this runner resolved, by store key: its summary,
+        #: or its quarantine (kept only when there is a store)
+        self._resolved: Dict[str, "RunSummary | Quarantine"] = {}
         #: per-run_cells memos: builder fingerprints keyed by object
         #: identity (one hash per distinct builder per grid — not one
         #: per cell) and full cache keys keyed by (fingerprint,
@@ -318,11 +328,10 @@ class ParallelRunner:
         self.total_retried_cells: List[str] = []
         self.total_cache_hits = 0
         self.total_cache_misses = 0
-        self.total_journal_hits = 0
         self.total_quarantined: List[Quarantine] = []
 
     # ------------------------------------------------------------------
-    # Cache + journal plumbing
+    # Store plumbing
     # ------------------------------------------------------------------
     def _builder_fid(self, builder: ScenarioBuilder) -> Optional[str]:
         """Memoized :func:`~repro.cache.keys.builder_fingerprint`.
@@ -364,57 +373,53 @@ class ParallelRunner:
     def _lookup(
         self, cells: Sequence[Cell], results: List[Optional[RunSummary]]
     ) -> Tuple[List[Optional[str]], List[int]]:
-        """Resolve journal/cache hits in-place; returns (keys, misses).
+        """Resolve cells in-place from memory or the store; (keys, misses).
 
-        Resolution order per cell: journal ``done`` record, journal
-        quarantine (slot stays ``None`` — no recomputation), cache
-        entry, then miss.  Cache hits on a journaled run are also
-        written through to the journal so a later ``--resume`` does not
-        depend on the cache still being warm.
+        Resolution order per cell: this runner's memory, store entry,
+        tombstone (``resume=True`` only; slot stays ``None``), miss.
         """
         keys: List[Optional[str]] = [None] * len(cells)
-        if self.cache is None and self.journal is None:
+        if self.cache is None:
             return keys, list(range(len(cells)))
 
         misses: List[int] = []
         for index, cell in enumerate(cells):
-            key = self._cell_key(cell)
-            keys[index] = key
-            if key is not None and self.journal is not None:
-                hit = self.journal.get_cell(key)
-                if hit is not None:
-                    results[index] = hit
-                    self.journal_hits += 1
-                    continue
-                info = self.journal.get_quarantine(key)
-                if info is not None:
+            key = keys[index] = self._cell_key(cell)
+            if key is not None:
+                hit = self._resolved.get(key)
+                if hit is None:
+                    hit = self.cache.get(key)
+                    if hit is None and self.resume:
+                        info = self.cache.get_quarantine(key)
+                        if info is not None:
+                            hit = Quarantine(cell="", key=key, **info)
+                if isinstance(hit, Quarantine):
+                    self._resolved[key] = hit
                     self.quarantined.append(
-                        Quarantine(
-                            cell=str(info.get("cell", indexed_cell_name(cell, index))),
-                            key=key,
-                            reason=str(info.get("reason", "unknown")),
-                            strikes=int(info.get("strikes", 0)),
-                            detail=str(info.get("detail", "")),
-                        )
+                        dataclasses.replace(hit, cell=indexed_cell_name(cell, index))
                     )
                     continue
-            if self.cache is not None:
-                hit = self.cache.get(key) if key is not None else None
                 if hit is not None:
-                    results[index] = hit
+                    results[index] = self._resolved[key] = hit
                     self.cache_hits += 1
-                    if self.journal is not None and key is not None:
-                        self.journal.record_cell(
-                            key, indexed_cell_name(cell, index), hit
-                        )
                     continue
-                self.cache_misses += 1
+            self.cache_misses += 1
             misses.append(index)
         return keys, misses
 
-    def _store(self, key: Optional[str], cell: Cell, summary: RunSummary) -> None:
+    def _finish(
+        self,
+        index: int,
+        cell: Cell,
+        key: Optional[str],
+        summary: RunSummary,
+        results: List[Optional[RunSummary]],
+    ) -> None:
+        """Land one computed summary: result slot, memory, store."""
+        results[index] = summary
         if self.cache is None or key is None:
             return
+        self._resolved[key] = summary
         _, scheduler, cfg = cell
         self.cache.put(
             key,
@@ -425,20 +430,6 @@ class ParallelRunner:
                 "seed": cfg.seed,
             },
         )
-
-    def _finish(
-        self,
-        index: int,
-        cell: Cell,
-        key: Optional[str],
-        summary: RunSummary,
-        results: List[Optional[RunSummary]],
-    ) -> None:
-        """Land one computed summary: result slot, cache, journal."""
-        results[index] = summary
-        self._store(key, cell, summary)
-        if self.journal is not None and key is not None:
-            self.journal.record_cell(key, indexed_cell_name(cell, index), summary)
 
     def _quarantine(
         self,
@@ -458,8 +449,9 @@ class ParallelRunner:
             detail=detail,
         )
         self.quarantined.append(record)
-        if self.journal is not None and key is not None:
-            self.journal.record_quarantine(key, record.cell, record.to_dict())
+        if self.cache is not None and key is not None:
+            self._resolved[key] = record
+            self.cache.put_quarantine(key, reason, strikes, detail)
 
     # ------------------------------------------------------------------
     # Execution
@@ -481,14 +473,13 @@ class ParallelRunner:
         the simulated epoch cap (:class:`SimulationTimeout`) or
         repeatedly blew its wall-clock deadline is *quarantined* — its
         slot in the returned list is ``None`` and the details land in
-        :attr:`quarantined` (and the journal, when one is attached).
+        :attr:`quarantined` (and a tombstone, when there is a store).
         Grids without deadlines, caps or faults keep the historical
         all-summaries guarantee.
         """
         self.retried_cells = []
         self.cache_hits = 0
         self.cache_misses = 0
-        self.journal_hits = 0
         self.quarantined = []
         self._fid_memo = {}
         self._key_memo = {}
@@ -506,7 +497,6 @@ class ParallelRunner:
         finally:
             self.total_cache_hits += self.cache_hits
             self.total_cache_misses += self.cache_misses
-            self.total_journal_hits += self.journal_hits
             self.total_retried_cells.extend(self.retried_cells)
             self.total_quarantined.extend(self.quarantined)
         return results
@@ -519,35 +509,31 @@ class ParallelRunner:
         """One in-parent attempt at a cell, deadline- and shutdown-aware."""
         builder, scheduler, cfg = cell
         deadline_s = self.deadline.deadline_s if self.deadline is not None else None
-        if self.checkpoint_dir is not None:
-            from repro.recovery.checkpoint import execute_cell_resumable
-            from repro.recovery.shutdown import ShutdownRequested
+        if self.checkpoint_dir is None:
+            return execute_cell(
+                builder, scheduler, cfg, stop_check=cell_stop_check(deadline_s)
+            )
+        from repro.recovery.checkpoint import execute_cell_resumable
+        from repro.recovery.shutdown import ShutdownRequested
 
-            if self.shutdown is not None:
-                # Deferred: a signal sets the flag, the run loop stops
-                # at the next epoch boundary, and the cell checkpoints
-                # itself before we surface the shutdown.
-                with self.shutdown.deferred():
-                    with alarm_guard(deadline_s):
-                        summary = execute_cell_resumable(
-                            builder,
-                            scheduler,
-                            cfg,
-                            self.checkpoint_dir,
-                            key,
-                            stop_check=self.shutdown.is_requested,
-                        )
-                if summary is None:  # interrupted; snapshot is on disk
-                    raise ShutdownRequested(self.shutdown.signum or 15)
-                return summary
-            with alarm_guard(deadline_s):
-                summary = execute_cell_resumable(
-                    builder, scheduler, cfg, self.checkpoint_dir, key
-                )
-            assert summary is not None  # no stop_check: cannot interrupt
-            return summary
-        with alarm_guard(deadline_s):
-            return execute_cell(builder, scheduler, cfg)
+        # With a shutdown, the cell runs deferred: a signal sets the
+        # flag, the run loop stops at the next horizon boundary, and the
+        # cell checkpoints itself before we surface the shutdown.
+        shutdown = self.shutdown
+        with shutdown.deferred() if shutdown is not None else contextlib.nullcontext():
+            summary = execute_cell_resumable(
+                builder,
+                scheduler,
+                cfg,
+                self.checkpoint_dir,
+                key,
+                stop_check=cell_stop_check(
+                    deadline_s, shutdown.is_requested if shutdown is not None else None
+                ),
+            )
+        if summary is None:  # interrupted; snapshot is on disk
+            raise ShutdownRequested(shutdown.signum or 15)
+        return summary
 
     def _attempt_cell(
         self,

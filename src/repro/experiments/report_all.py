@@ -1,30 +1,29 @@
 """Regenerate every table and figure in one command.
 
-``python -m repro.experiments.report_all [outdir] [--fast] [--jobs N]
-[--cache-dir DIR | --no-cache] [--chunksize N] [--resume]
-[--deadline S] [--only PREFIX ...]`` runs the whole evaluation
-(Figs. 1, 3-8 and Table III plus the ablations) and writes each
-rendered table to ``outdir`` (default ``./results``).  ``--fast`` uses
-very small scales for a minutes-long smoke pass; the default scales
-match the benchmark harness.  ``--jobs N`` fans each comparison grid's
-cells across N worker processes (results are identical — every cell
-reruns the same seeded scenario); the default is one worker per core.
-With a cache directory (``--cache-dir`` or ``REPRO_CACHE_DIR``)
-previously computed cells are served from disk and a warm rerun does
-no simulation at all.
+``python -m repro.experiments.report_all [args]`` is ``python -m repro
+report [args]`` (see :mod:`repro.cli` for the flags).  It runs the
+whole evaluation (Figs. 1, 3-9 and Table III plus the ablations) and
+writes each rendered table to ``outdir`` (default ``./results``).
+``--fast`` uses very small scales for a minutes-long smoke pass; the
+default scales match the benchmark harness.  ``--jobs N`` fans each
+comparison grid's cells across N worker processes (results are
+identical — every cell reruns the same seeded scenario); the default
+is one worker per core.
 
-**Crash safety.**  Every run keeps a write-ahead journal at
-``<outdir>/journal.jsonl``: each completed cell (and each finished
-job) is recorded atomically the moment it lands.  SIGINT/SIGTERM exit
-with code 75 (:data:`~repro.recovery.shutdown.EXIT_RESUMABLE`) after
-flushing the journal and checkpointing any in-flight serial cell to
-``<outdir>/checkpoints/``; relaunching with ``--resume`` replays
-journaled cells without recomputation and skips jobs whose outputs are
-already on disk, so the final report is byte-identical to an
+**One result store.**  Every cell a report finishes is stored, fsynced,
+the moment it lands: in the cache directory (``--cache-dir`` or
+``REPRO_CACHE_DIR``) when one is given, otherwise in
+``<outdir>/cells/``, which a fresh run empties first.  A cache
+directory is shared across runs, so a warm rerun does no simulation
+at all.  SIGINT/SIGTERM exit with code 75
+(:data:`~repro.recovery.shutdown.EXIT_RESUMABLE`) after checkpointing
+any in-flight serial cell to ``<outdir>/checkpoints/``; relaunching
+with ``--resume`` reruns the report against the same store, so every
+finished cell is a hit and the final report is byte-identical to an
 uninterrupted run.  ``--deadline S`` arms a per-cell wall-clock
 deadline: overrunning cells are retried with backoff and eventually
-*quarantined* (recorded in the journal and ``recovery.json``) instead
-of failing the report.
+*quarantined* (a tombstone in the store, listed in ``recovery.json``)
+instead of failing the report; a resumed run does not retry them.
 
 This is the scripted equivalent of
 ``pytest benchmarks/ --benchmark-only`` without the timing machinery —
@@ -34,8 +33,9 @@ useful on machines where pytest-benchmark is unavailable.
 from __future__ import annotations
 
 import pathlib
+import shutil
 import time
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.experiments import (
     ScenarioConfig,
@@ -60,7 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["regenerate_all", "main"]
 
 #: Schema of the <outdir>/recovery.json run summary.
-RECOVERY_SCHEMA = "repro.recovery-report/v1"
+RECOVERY_SCHEMA = "repro.recovery-report/v2"
 
 
 def _jobs(
@@ -108,8 +108,8 @@ def _jobs(
 def _write_recovery_report(
     outdir: pathlib.Path,
     runner: "ParallelRunner",
+    counters: Dict[str, int],
     job_status: Dict[str, str],
-    resumed_jobs: List[str],
     interrupted: bool,
 ) -> None:
     """Publish <outdir>/recovery.json (best effort, never fatal)."""
@@ -121,14 +121,8 @@ def _write_recovery_report(
         "version": __version__,
         "interrupted": interrupted,
         "jobs": job_status,
-        "resumed_jobs": sorted(resumed_jobs),
         "quarantined_cells": [q.to_dict() for q in runner.total_quarantined],
-        "counters": {
-            "cache_hits": runner.total_cache_hits,
-            "cache_misses": runner.total_cache_misses,
-            "journal_hits": runner.total_journal_hits,
-            "retried_cells": len(runner.total_retried_cells),
-        },
+        "counters": counters,
     }
     try:
         (outdir / "recovery.json").write_text(
@@ -156,18 +150,16 @@ def regenerate_all(
     ``only`` optionally restricts to jobs whose name starts with one of
     the given prefixes (used by smoke tests).  Every job runs its cells
     through one shared :class:`~repro.experiments.parallel.ParallelRunner`
-    (``jobs > 1`` fans them across worker processes), so cache hit/miss,
-    journal and crash-retry counts aggregate across the whole report.
-    ``cache`` serves previously computed cells from disk — the cached
-    payload round-trips exactly, so the ``.json`` outputs of a warm run
-    are byte-identical to a cold one.
+    (``jobs > 1`` fans them across worker processes), so hit/miss,
+    retry and quarantine counts aggregate across the whole report.
 
-    Recovery behaviour: the run journals every completed cell and job
-    to ``<outdir>/journal.jsonl``; ``resume=True`` replays that journal
-    (journaled cells resolve without simulation; jobs that already
-    finished — journaled *and* with their output files on disk — are
-    skipped outright, and previously quarantined jobs stay
-    quarantined).  A ``deadline`` policy quarantines pathological cells
+    The run has exactly one result store: ``cache`` when given,
+    otherwise ``<outdir>/cells/``, which a fresh run (``resume=False``)
+    empties first.  A stored payload round-trips exactly, so the
+    ``.json`` outputs of a warm or resumed run are byte-identical to a
+    cold one.  ``resume=True`` reruns every job against that store:
+    finished cells are hits, and cells an earlier run quarantined stay
+    quarantined.  A ``deadline`` policy quarantines pathological cells
     rather than failing the run: the affected *job* is recorded as
     quarantined (its outputs are withheld — a comparison figure cannot
     render with holes) and every other job still completes.  When a
@@ -177,60 +169,48 @@ def regenerate_all(
     :class:`~repro.recovery.shutdown.ShutdownRequested` propagate so
     the CLI can exit with code 75.
 
-    Returns the run's accounting: ``cache_hits``, ``cache_misses``,
-    ``retried_cells``, ``journal_hits``, ``quarantined_cells``,
-    ``resumed_jobs`` and ``quarantined_jobs``.
+    Returns the run's accounting: ``cache_hits`` (store entries that
+    existed before this run), ``cache_misses``, ``retried_cells``,
+    ``quarantined_cells`` and ``quarantined_jobs``.  A cell that several
+    jobs share is resolved once and counted once.
     """
+    from repro.cache.store import ResultCache
     from repro.experiments.jsonreport import dump_report
     from repro.experiments.parallel import GridIncompleteError, ParallelRunner
-    from repro.recovery.journal import GridJournal
 
     outdir.mkdir(parents=True, exist_ok=True)
-    journal = GridJournal(outdir / "journal.jsonl", resume=resume)
+    if cache is None:
+        if not resume:
+            shutil.rmtree(outdir / "cells", ignore_errors=True)
+        cache = ResultCache(outdir / "cells")
     runner = ParallelRunner(
         jobs,
         cache=cache,
         chunksize=chunksize,
-        journal=journal,
+        resume=resume,
         deadline=deadline,
         shutdown=shutdown,
         checkpoint_dir=outdir / "checkpoints",
     )
-    if resume and (journal.loaded_cells or journal.loaded_jobs):
-        print(
-            f"resuming: journal has {journal.loaded_cells} cells, "
-            f"{journal.loaded_jobs} jobs "
-            f"({journal.loaded_quarantines} quarantined cells)"
-        )
-    hits0 = cache.hits if cache is not None else 0
-    misses0 = cache.misses if cache is not None else 0
+    hits0, misses0 = cache.hits, cache.misses
     job_status: Dict[str, str] = {}
-    resumed_jobs: List[str] = []
+
+    def accounting() -> Dict[str, Any]:
+        return {
+            "cache_hits": cache.hits - hits0,
+            "cache_misses": cache.misses - misses0,
+            "retried_cells": len(runner.total_retried_cells),
+        }
+
     interrupted = False
     try:
         for name, job in _jobs(fast, runner):
             if only is not None and not any(name.startswith(p) for p in only):
                 continue
-            if resume:
-                status = journal.job_status(name)
-                if (
-                    status == "done"
-                    and (outdir / f"{name}.txt").exists()
-                    and (outdir / f"{name}.json").exists()
-                ):
-                    resumed_jobs.append(name)
-                    job_status[name] = "done"
-                    print(f"[  resumed] {name}")
-                    continue
-                if status == "quarantined":
-                    job_status[name] = "quarantined"
-                    print(f"[quarantine] {name} (from journal; not retried)")
-                    continue
             start = time.perf_counter()
             try:
                 result = job()
             except GridIncompleteError as exc:
-                journal.record_job(name, status="quarantined")
                 job_status[name] = "quarantined"
                 print(f"[quarantine] {name}: {exc}")
                 continue
@@ -238,7 +218,6 @@ def regenerate_all(
             text = result.format()
             (outdir / f"{name}.txt").write_text(text + "\n")
             (outdir / f"{name}.json").write_text(dump_report(result.to_json()) + "\n")
-            journal.record_job(name, status="done")
             job_status[name] = "done"
             print(f"[{elapsed:7.1f}s] {name}")
             print(text)
@@ -247,29 +226,19 @@ def regenerate_all(
         interrupted = True
         raise
     finally:
-        _write_recovery_report(outdir, runner, job_status, resumed_jobs, interrupted)
+        _write_recovery_report(outdir, runner, accounting(), job_status, interrupted)
     stats = {
-        "cache_hits": (cache.hits - hits0) if cache is not None else 0,
-        "cache_misses": (cache.misses - misses0) if cache is not None else 0,
-        "retried_cells": len(runner.total_retried_cells),
-        "journal_hits": runner.total_journal_hits,
+        **accounting(),
         "quarantined_cells": len(runner.total_quarantined),
-        "resumed_jobs": len(resumed_jobs),
         "quarantined_jobs": sum(
             1 for s in job_status.values() if s == "quarantined"
         ),
     }
-    if cache is not None or stats["retried_cells"]:
-        print(
-            f"cache: {stats['cache_hits']} hits, "
-            f"{stats['cache_misses']} misses; "
-            f"retried cells: {stats['retried_cells']}"
-        )
-    if stats["journal_hits"] or stats["resumed_jobs"]:
-        print(
-            f"journal: {stats['journal_hits']} cells replayed, "
-            f"{stats['resumed_jobs']} jobs skipped"
-        )
+    print(
+        f"cache ({cache.root}): {stats['cache_hits']} hits, "
+        f"{stats['cache_misses']} misses; "
+        f"retried cells: {stats['retried_cells']}"
+    )
     if stats["quarantined_cells"]:
         print(
             f"quarantined: {stats['quarantined_cells']} cells "
@@ -279,105 +248,12 @@ def regenerate_all(
 
 
 def main(argv: "list[str] | None" = None) -> int:
-    """CLI entry point."""
-    import argparse
+    """``python -m repro report``, under its historical module name."""
+    import sys
 
-    from repro.cache.store import resolve_cache
-    from repro.experiments.parallel import default_jobs
-    from repro.recovery.deadline import DeadlinePolicy
-    from repro.recovery.shutdown import (
-        EXIT_RESUMABLE,
-        GracefulShutdown,
-        ShutdownRequested,
-    )
+    from repro.cli import main as cli_main
 
-    parser = argparse.ArgumentParser(
-        description="Regenerate every table and figure."
-    )
-    parser.add_argument(
-        "outdir", nargs="?", default="results", type=pathlib.Path
-    )
-    parser.add_argument("--fast", action="store_true")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes per grid (default: one per core)",
-    )
-    parser.add_argument(
-        "--chunksize",
-        type=int,
-        default=None,
-        help="cells per worker submission (default: auto)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        type=pathlib.Path,
-        default=None,
-        help="result-cache directory (default: $REPRO_CACHE_DIR if set)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore any cache directory, even $REPRO_CACHE_DIR",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="replay <outdir>/journal.jsonl; recompute nothing that finished",
-    )
-    parser.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-cell wall-clock deadline in seconds "
-        "(overruns retry with backoff, then quarantine)",
-    )
-    parser.add_argument(
-        "--deadline-strikes",
-        type=int,
-        default=3,
-        metavar="N",
-        help="attempts before an overrunning cell is quarantined (default 3)",
-    )
-    parser.add_argument(
-        "--only",
-        action="append",
-        default=None,
-        metavar="PREFIX",
-        help="run only jobs whose name starts with PREFIX (repeatable)",
-    )
-    args = parser.parse_args(argv)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    cache = resolve_cache(args.cache_dir, args.no_cache)
-    deadline = (
-        DeadlinePolicy(deadline_s=args.deadline, max_strikes=args.deadline_strikes)
-        if args.deadline is not None
-        else None
-    )
-    shutdown = GracefulShutdown()
-    try:
-        with shutdown:
-            regenerate_all(
-                args.outdir,
-                fast=args.fast,
-                only=tuple(args.only) if args.only else None,
-                jobs=max(1, jobs),
-                cache=cache,
-                chunksize=args.chunksize,
-                resume=args.resume,
-                deadline=deadline,
-                shutdown=shutdown,
-            )
-    except ShutdownRequested as exc:
-        print(
-            f"\ninterrupted ({exc}); journal flushed — "
-            f"relaunch with --resume to continue (exit {EXIT_RESUMABLE})"
-        )
-        return EXIT_RESUMABLE
-    print(f"all tables written to {args.outdir}/")
-    return 0
+    return cli_main(["report", *(sys.argv[1:] if argv is None else argv)])
 
 
 if __name__ == "__main__":

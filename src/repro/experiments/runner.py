@@ -10,8 +10,8 @@ are attributable to scheduling alone.
 all a worker process ever executes.  :func:`compare` and
 :func:`compare_mean` lay out paired cells and hand them to a
 :class:`~repro.experiments.parallel.ParallelRunner` — the one place
-that resolves cells from the journal or cache, runs them and stores
-the results.  Without a ``runner`` they get a fresh serial, uncached
+that resolves cells from the result store, runs them and stores the
+results.  Without a ``runner`` they get a fresh serial, uncached
 one.
 """
 
@@ -51,6 +51,7 @@ def execute_cell(
     scheduler: str,
     cfg: ScenarioConfig,
     audit: object = None,
+    stop_check: Optional[Callable[[], bool]] = None,
 ) -> RunSummary:
     """Build and run one scenario under one scheduler, cache-blind.
 
@@ -62,10 +63,17 @@ def execute_cell(
     (:class:`~repro.audit.invariants.InvariantChecker`, or ``True``
     for the default one) for the whole run; checks are read-only, so
     the summary is bitwise what it is without them.
+
+    ``stop_check`` is handed to :meth:`Machine.run`; it may abort the
+    run by raising (a :func:`~repro.recovery.deadline.cell_stop_check`
+    deadline does), but a run it stops cannot be summarised here —
+    :func:`~repro.recovery.checkpoint.execute_cell_resumable` is the
+    variant that keeps an interrupted run.
     """
     policy = make_scheduler(scheduler)
     machine = builder(policy, cfg)
-    machine.run(audit=audit)
+    if machine.run(audit=audit, stop_check=stop_check).interrupted:
+        raise RuntimeError("execute_cell cannot summarise an interrupted run")
     return summarize(machine)
 
 

@@ -1,6 +1,6 @@
 """Crash-safe, resumable experiment execution.
 
-Four pillars, each its own module, all built on the same invariant the
+Three pillars, each its own module, all built on the same invariant the
 engines already guarantee — a run is a deterministic function of
 (builder, scheduler, config), and its state at any *epoch boundary* is
 a complete description of the rest of the run:
@@ -8,16 +8,18 @@ a complete description of the rest of the run:
 * :mod:`repro.recovery.checkpoint` — versioned, ``config_hash``-stamped
   snapshots of a live :class:`~repro.xen.simulator.Machine`, with
   bitwise resume parity across both engines;
-* :mod:`repro.recovery.journal` — a write-ahead JSONL journal of
-  per-cell grid outcomes, so ``repro report --resume`` re-dispatches
-  only cells that never finished;
-* :mod:`repro.recovery.deadline` — per-cell wall-clock deadlines with
-  exponential-backoff retries and quarantine after repeated strikes,
-  folding :class:`~repro.xen.simulator.SimulationTimeout` into the
-  same path;
-* :mod:`repro.recovery.shutdown` — SIGINT/SIGTERM handlers that flush
-  the journal, checkpoint in-flight serial runs and exit with the
-  documented resumable code (:data:`~repro.recovery.shutdown.EXIT_RESUMABLE`).
+* :mod:`repro.recovery.deadline` — per-cell wall-clock deadlines,
+  checked cooperatively at horizon boundaries, with exponential-backoff
+  retries and quarantine after repeated strikes, folding
+  :class:`~repro.xen.simulator.SimulationTimeout` into the same path;
+* :mod:`repro.recovery.shutdown` — SIGINT/SIGTERM handlers that
+  checkpoint in-flight serial runs and exit with the documented
+  resumable code (:data:`~repro.recovery.shutdown.EXIT_RESUMABLE`).
+
+Finished and quarantined cells are kept by the result store
+(:mod:`repro.cache.store`), which fsyncs every entry; ``repro report
+--resume`` reruns against that store, so only cells that never
+finished are dispatched again.
 """
 
 from repro.recovery.checkpoint import (
@@ -34,7 +36,6 @@ from repro.recovery.deadline import (
     DeadlinePolicy,
     Quarantine,
 )
-from repro.recovery.journal import JOURNAL_SCHEMA, GridJournal
 from repro.recovery.shutdown import (
     EXIT_RESUMABLE,
     GracefulShutdown,
@@ -52,8 +53,6 @@ __all__ = [
     "CellDeadlineExceeded",
     "DeadlinePolicy",
     "Quarantine",
-    "JOURNAL_SCHEMA",
-    "GridJournal",
     "EXIT_RESUMABLE",
     "GracefulShutdown",
     "ShutdownRequested",

@@ -14,12 +14,17 @@ timeout-class failures exist:
   ``max_strikes`` total attempts the cell is quarantined.
 
 Enforcement is cooperative and lives *in the process running the
-cell*: a ``SIGALRM`` interval timer around the cell raises
-:class:`CellDeadlineExceeded` at the deadline.  Worker processes run
-tasks on their main thread, so the guard works identically in a
-:class:`~concurrent.futures.ProcessPoolExecutor` worker and in the
-parent's serial path; on platforms without ``setitimer`` the guard
-degrades to no enforcement rather than breaking the run.
+cell*: :func:`cell_stop_check` builds the ``stop_check`` that
+:meth:`~repro.xen.simulator.Machine.run` consults at every horizon
+boundary, and it raises :class:`CellDeadlineExceeded` at the first
+boundary past the deadline.  No signal handler or interval timer is
+involved, so an overrun can never land inside a gc callback or a
+``__del__`` and be lost, and the check works the same on any thread, in
+a :class:`~concurrent.futures.ProcessPoolExecutor` worker and in the
+parent's serial path.  The check reads no simulator state, so it cannot
+change a result.  Scenario build and ``summarize`` run outside the run
+loop and are unguarded: their time counts against the deadline, but
+they are bounded and are never cut short.
 
 The guarded worker entry (:func:`run_cell_batch_guarded`) reports
 per-cell *outcomes* instead of raising, so the parent can tell a
@@ -29,17 +34,15 @@ even when both happen inside one chunk.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import signal
-import threading
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from time import monotonic
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "CellDeadlineExceeded",
     "DeadlinePolicy",
     "Quarantine",
-    "alarm_guard",
+    "cell_stop_check",
     "run_cell_batch_guarded",
     "TIMEOUT_EXCEPTIONS",
 ]
@@ -108,13 +111,13 @@ class Quarantine:
     """One cell removed from the grid instead of failing it."""
 
     cell: str  #: human-readable cell name (with its grid index)
-    key: Optional[str]  #: cache/journal key, None for identity-less cells
+    key: Optional[str]  #: store key, None for identity-less cells
     reason: str  #: ``"sim_timeout"`` or ``"deadline"``
     strikes: int  #: attempts consumed before quarantine
     detail: str  #: the final exception, rendered
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON form (journal + recovery report)."""
+        """JSON form (``recovery.json``)."""
         return {
             "cell": self.cell,
             "key": self.key,
@@ -124,34 +127,31 @@ class Quarantine:
         }
 
 
-@contextlib.contextmanager
-def alarm_guard(deadline_s: Optional[float]):
-    """Raise :class:`CellDeadlineExceeded` after ``deadline_s`` of wall time.
+def cell_stop_check(
+    deadline_s: Optional[float],
+    requested: Optional[Callable[[], bool]] = None,
+) -> Optional[Callable[[], bool]]:
+    """The ``stop_check`` for one attempt at a cell, started now.
 
-    No-op when ``deadline_s`` is None, off the main thread, or on a
-    platform without ``signal.setitimer`` — enforcement degrades to
-    "none" rather than crashing the run.  Restores the previous
-    handler and any prior timer on exit.
+    Returns ``requested`` (a shutdown flag such as
+    :meth:`~repro.recovery.shutdown.GracefulShutdown.is_requested`, or
+    ``None``) unchanged when ``deadline_s`` is None, so a run without a
+    deadline never reads a clock.  Otherwise the callable returns
+    ``requested()`` until ``deadline_s`` of monotonic time has passed
+    since this call, then raises :class:`CellDeadlineExceeded`.
     """
-    usable = (
-        deadline_s is not None
-        and hasattr(signal, "setitimer")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not usable:
-        yield
-        return
+    if deadline_s is None:
+        return requested
+    expiry = monotonic() + deadline_s
 
-    def _on_alarm(signum, frame):  # pragma: no cover - timing dependent
-        raise CellDeadlineExceeded(deadline_s)
+    def stop_check() -> bool:
+        if requested is not None and requested():
+            return True
+        if monotonic() >= expiry:
+            raise CellDeadlineExceeded(deadline_s)
+        return False
 
-    previous = signal.signal(signal.SIGALRM, _on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, deadline_s)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+    return stop_check
 
 
 #: One worker-side outcome: ("ok", summary) | ("timeout"|"error",
@@ -177,8 +177,10 @@ def run_cell_batch_guarded(
     outcomes: List[CellOutcome] = []
     for builder, scheduler, cfg in cells:
         try:
-            with alarm_guard(deadline_s):
-                outcomes.append(("ok", execute_cell(builder, scheduler, cfg)))
+            stop_check = cell_stop_check(deadline_s)
+            outcomes.append(
+                ("ok", execute_cell(builder, scheduler, cfg, stop_check=stop_check))
+            )
         except (SimulationTimeout, CellDeadlineExceeded) as exc:
             outcomes.append(("timeout", (type(exc).__name__, str(exc))))
         except Exception as exc:

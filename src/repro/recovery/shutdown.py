@@ -6,9 +6,9 @@ The contract a relaunch wrapper can rely on::
     if [ $code -eq 75 ]; then repro report out/ --fast ... --resume; fi
 
 ``75`` is :data:`EXIT_RESUMABLE` (BSD ``EX_TEMPFAIL``): the run was
-interrupted after flushing its journal (and checkpointing any
-in-flight serial cell), so relaunching with ``--resume`` loses no
-completed work.  Any other non-zero exit is a real failure.
+interrupted with every finished cell already in its result store (and
+any in-flight serial cell checkpointed), so relaunching with
+``--resume`` loses no completed work.  Any other non-zero exit is a real failure.
 
 Mechanics: :class:`GracefulShutdown` installs handlers that raise
 :class:`ShutdownRequested` *in the main thread* — which interrupts
@@ -17,7 +17,7 @@ must not be interrupted at an arbitrary bytecode (a serial simulation
 that wants to stop at a clean epoch boundary and checkpoint) wraps
 itself in :meth:`GracefulShutdown.deferred`: inside, a signal only
 sets the ``requested`` flag, and the run loop's ``stop_check`` picks
-it up at the next epoch boundary.
+it up at the next horizon boundary.
 
 :class:`ShutdownRequested` derives from ``BaseException`` on purpose:
 the runner's crash-retry machinery catches ``Exception`` to recover

@@ -129,6 +129,17 @@ class TestCommands:
         assert main(["validate", str(bad)]) == 1
         assert "INVALID" in capsys.readouterr().out
 
+    def test_report_module_entry_is_the_report_command(self, tmp_path, capsys):
+        from repro.experiments import report_all
+
+        argv = [str(tmp_path / "r"), "--fast", "--only", "no-such-job", "--no-cache"]
+        assert report_all.main(argv) == 0
+        assert f"all tables written to {tmp_path / 'r'}/" in capsys.readouterr().out
+        assert (tmp_path / "r" / "cells").is_dir()
+        with pytest.raises(SystemExit):
+            report_all.main(["--help"])
+        assert "usage: repro report" in capsys.readouterr().out
+
     def test_report_fast_writes_files(self, tmp_path, capsys):
         # Restrict to the two cheapest jobs; the full set runs in the
         # benchmark harness.

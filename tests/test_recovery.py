@@ -1,13 +1,17 @@
-"""Tests for repro.recovery: checkpoints, journal, deadlines, shutdown.
+"""Tests for repro.recovery: checkpoints, the result store a report
+resumes from, deadlines, shutdown.
 
 The contract under test is the one DESIGN.md states: a run is a
 deterministic function of (builder, scheduler, config), and its state
 at any epoch boundary is a complete description of the rest of the
-run.  Everything here follows from that — resume parity, journal
-replay, quarantine instead of grid failure, and the resumable exit.
+run.  Everything here follows from that — resume parity, a resumed
+report served from its store, quarantine instead of grid failure, and
+the resumable exit.
 """
 
+import gc
 import json
+import os
 import pathlib
 import pickle
 import signal
@@ -22,14 +26,14 @@ from repro.experiments.parallel import GridIncompleteError, ParallelRunner
 from repro.experiments.runner import execute_cell
 from repro.experiments.scenarios import ScenarioConfig, solo_scenario
 from repro.faults.plan import fault_preset
-from repro.cache.keys import result_key
+from repro.cache.keys import CACHE_SCHEMA, result_key
 from repro.cache.serialize import summary_to_payload
+from repro.cache.store import ResultCache
 from repro.obs.manifest import canonical_dumps, config_hash
 from repro.recovery import (
     CheckpointError,
     DeadlinePolicy,
     GracefulShutdown,
-    GridJournal,
     Quarantine,
     ShutdownRequested,
     EXIT_RESUMABLE,
@@ -40,7 +44,8 @@ from repro.recovery import (
     save_checkpoint,
 )
 from repro.recovery.checkpoint import read_header
-from repro.recovery.deadline import CellDeadlineExceeded, alarm_guard
+from repro.recovery import deadline as deadline_module
+from repro.recovery.deadline import CellDeadlineExceeded, cell_stop_check
 from repro.xen.simulator import SimulationTimeout
 
 CFG = ScenarioConfig(work_scale=0.02, seed=1)
@@ -249,98 +254,127 @@ class TestPmuPickle:
 
 
 # ----------------------------------------------------------------------
-# Journal
+# The result store a report keeps its cells in
 # ----------------------------------------------------------------------
 class TestJournal:
+    """A report's record of finished and quarantined cells is its store.
+
+    Every finished cell is one fsynced entry and every quarantine one
+    tombstone in a :class:`~repro.cache.store.ResultCache`
+    (``<outdir>/cells/`` unless a cache directory is given); these are
+    the durability and defensiveness checks a resume relies on.
+    """
+
     def summary(self, scheduler="credit"):
         return execute_cell(BUILDER, scheduler, CFG)
 
     def test_record_and_reload(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = GridJournal(path)
         summary = self.summary()
-        journal.record_cell("k1", "cell#0", summary)
-        journal.record_job("fig3")
-        reloaded = GridJournal(path, resume=True)
-        assert reloaded.loaded_cells == 1
-        assert reloaded.loaded_jobs == 1
-        assert reloaded.get_cell("k1") == summary
-        assert reloaded.job_status("fig3") == "done"
+        ResultCache(tmp_path / "cells").put("k1", summary)
+        reloaded = ResultCache(tmp_path / "cells")
+        assert reloaded.get("k1") == summary
+        assert (reloaded.hits, reloaded.misses) == (1, 0)
 
     def test_fresh_run_discards_stale_journal(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        GridJournal(path).record_cell("k1", "cell#0", self.summary())
-        fresh = GridJournal(path, resume=False)
-        assert fresh.cell_count == 0
-        assert not path.exists()
+        from repro.experiments.report_all import regenerate_all
+
+        outdir = tmp_path / "r"
+
+        def stale_store():
+            store = ResultCache(outdir / "cells")
+            store.put("k1", self.summary())
+            store.put_quarantine("k2", "deadline", 3, "x")
+
+        stale_store()
+        regenerate_all(outdir, fast=True, only=("no-such-job",), resume=True)
+        kept = ResultCache(outdir / "cells")
+        assert kept.get("k1") is not None and kept.get_quarantine("k2") is not None
+        regenerate_all(outdir, fast=True, only=("no-such-job",))
+        fresh = ResultCache(outdir / "cells")
+        assert fresh.get("k1") is None and fresh.get_quarantine("k2") is None
 
     def test_malformed_lines_invisible(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = GridJournal(path)
-        journal.record_cell("k1", "cell#0", self.summary())
-        with path.open("a", encoding="utf-8") as fh:
-            fh.write("{torn line\n")
-            fh.write('{"schema": "other/v1", "kind": "cell"}\n')
-            fh.write(
-                '{"schema": "repro.journal/v1", "version": "0.0.0", '
-                '"kind": "cell", "status": "done", "key": "k9", "summary": {}}\n'
-            )
-        reloaded = GridJournal(path, resume=True)
-        assert reloaded.loaded_cells == 1
-        assert reloaded.get_cell("k9") is None
+        store = ResultCache(tmp_path)
+        store.put("k1", self.summary())
+        for key, text in (("k9", "{torn entry"), ("k8", '{"schema": "other/v1"}')):
+            store.path_for(key).parent.mkdir(parents=True, exist_ok=True)
+            store.path_for(key).write_text(text)
+        (tmp_path / "k7").mkdir()
+        (tmp_path / "k7" / "k7.quarantine").write_text("{torn tombstone")
+        (tmp_path / "k6").mkdir()
+        (tmp_path / "k6" / "k6.quarantine").write_text(
+            '{"schema": "other/v1", "quarantine": {}}'
+        )
+        reloaded = ResultCache(tmp_path)
+        assert reloaded.get("k1") is not None
+        assert reloaded.get("k9") is None and reloaded.get("k8") is None
+        assert reloaded.get_quarantine("k7") is None
+        assert reloaded.get_quarantine("k6") is None
 
     def test_resume_truncates_torn_tail_before_appending(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = GridJournal(path)
-        journal.record_cell("k1", "cell#0", self.summary())
-        journal.record_cell("k2", "cell#1", self.summary("vprobe"))
-        data = path.read_bytes()
-        path.write_bytes(data[:-40])  # a crash mid-way through record k2
-        resumed = GridJournal(path, resume=True)
-        assert resumed.loaded_cells == 1
-        fresh = self.summary("vprobe")
-        resumed.record_cell("k3", "cell#2", fresh)
-        reloaded = GridJournal(path, resume=True)
-        assert reloaded.get_cell("k3") == fresh
-        assert reloaded.get_cell("k1") is not None
-        assert reloaded.get_cell("k2") is None
+        # A torn entry (a crash mid-write on a filesystem that lost the
+        # rename's ordering) is a miss, and the next put replaces it.
+        store = ResultCache(tmp_path)
+        first, second = self.summary(), self.summary("vprobe")
+        store.put("k1", first)
+        store.put("k2", second)
+        path = store.path_for("k2")
+        path.write_bytes(path.read_bytes()[:-40])
+        resumed = ResultCache(tmp_path)
+        assert resumed.get("k1") == first
+        assert resumed.get("k2") is None
+        resumed.put("k2", second)
+        reloaded = ResultCache(tmp_path)
+        assert reloaded.get("k2") == second and reloaded.get("k1") == first
 
     def test_quarantine_roundtrip_and_clear(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = GridJournal(path)
-        info = {"cell": "c#0", "reason": "deadline", "strikes": 3, "detail": "x"}
-        journal.record_quarantine("k1", "c#0", info)
-        reloaded = GridJournal(path, resume=True)
-        assert reloaded.loaded_quarantines == 1
-        assert reloaded.get_quarantine("k1") == info
-        # A later success supersedes the quarantine.
-        reloaded.record_cell("k1", "c#0", self.summary())
-        assert reloaded.get_quarantine("k1") is None
-        assert GridJournal(path, resume=True).get_quarantine("k1") is None
-
-    def test_job_status_validation(self, tmp_path):
-        journal = GridJournal(tmp_path / "j.jsonl")
-        with pytest.raises(ValueError):
-            journal.record_job("fig3", "exploded")
-        journal.record_job("fig3", "quarantined")
-        assert journal.job_status("fig3") == "quarantined"
+        store = ResultCache(tmp_path)
+        store.put_quarantine("k1", "deadline", 3, "x")
+        reloaded = ResultCache(tmp_path)
+        assert reloaded.get_quarantine("k1") == {
+            "reason": "deadline",
+            "strikes": 3,
+            "detail": "x",
+        }
+        assert reloaded.get("k1") is None  # a tombstone is never a hit
+        assert reloaded.hits == 0
+        # A later success supersedes the quarantine: the entry resolves
+        # before the tombstone is consulted, even on resume.
+        key = result_key(BUILDER, "credit", CFG)
+        store.put_quarantine(key, "deadline", 3, "x")
+        store.put(key, self.summary())
+        resumed = ParallelRunner(1, cache=ResultCache(tmp_path), resume=True)
+        (summary,) = resumed.run_cells([(BUILDER, "credit", CFG)])
+        assert summary is not None and resumed.quarantined == []
+        # stats and prune read past tombstones; clear removes them.
+        assert store.scan().entries == 1
+        assert store.prune() == (0, 0)
+        assert store.get_quarantine("k1") is not None
+        assert store.clear() == 3
+        assert store.get_quarantine("k1") is None
+        assert store.get_quarantine(key) is None
 
     def test_file_is_canonical_jsonl(self, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        journal = GridJournal(path)
-        journal.record_cell("k1", "cell#0", self.summary())
-        journal.record_job("fig3")
-        for line in path.read_text().splitlines():
-            record = json.loads(line)
-            assert record["schema"] == "repro.journal/v1"
-            assert canonical_dumps(record) == line
+        store = ResultCache(tmp_path)
+        store.put("k1", self.summary())
+        store.put_quarantine("k2", "sim_timeout", 1, "capped")
+        files = [store.path_for("k1"), *tmp_path.glob("??/*.quarantine")]
+        assert len(files) == 2
+        for path in files:
+            text = path.read_text()
+            assert text.endswith("\n") and text.count("\n") == 1
+            record = json.loads(text)
+            assert record["schema"] == CACHE_SCHEMA
+            assert canonical_dumps(record) + "\n" == text
+        # Tombstones stay outside the entry glob other tools read.
+        assert [p.name for p in tmp_path.glob("??/*.json")] == ["k1.json"]
 
     def test_write_failure_never_raises(self, tmp_path):
-        journal = GridJournal(tmp_path / "j.jsonl")
-        journal.path = tmp_path / "missing" / "deeper" / "j.jsonl"
-        journal.path.parent.parent.write_text("")  # a file where a dir must go
-        journal.record_job("fig3")  # must not raise
-        assert journal.job_status("fig3") == "done"
+        store = ResultCache(tmp_path / "c")
+        (tmp_path / "c" / "k1").write_text("")  # a file where a shard must go
+        assert store.put("k1a", self.summary()) is False
+        assert store.put_quarantine("k1b", "deadline", 1, "d") is False
+        assert store.stores == 0
 
 
 # ----------------------------------------------------------------------
@@ -369,44 +403,119 @@ class TestDeadlinePolicy:
 
 
 class TestAlarmGuard:
+    """A deadline is a cooperative ``stop_check``: no signal, no timer."""
+
     def test_fires_on_overrun(self):
+        check = cell_stop_check(0.05)
+        assert check() is False
+        time.sleep(0.06)
         with pytest.raises(CellDeadlineExceeded) as err:
-            with alarm_guard(0.05):
-                time.sleep(5.0)
+            check()
         assert err.value.deadline_s == 0.05
 
-    def test_noop_without_deadline(self):
-        with alarm_guard(None):
-            pass
+    def test_noop_without_deadline(self, monkeypatch):
+        monkeypatch.setattr(
+            deadline_module,
+            "monotonic",
+            lambda: pytest.fail("a clock was read without a deadline"),
+        )
+        assert cell_stop_check(None) is None
+        flag = lambda: False  # noqa: E731
+        assert cell_stop_check(None, flag) is flag
+        ParallelRunner(1).run_cells([(BUILDER, "credit", CFG)])
 
     def test_noop_off_main_thread(self):
+        # Nothing thread-bound is installed, so off the main thread a
+        # deadline neither errors nor goes unenforced.
         outcome = {}
 
         def body():
             try:
-                with alarm_guard(0.01):
-                    time.sleep(0.05)
-                outcome["ok"] = True
+                runner = ParallelRunner(1, deadline=30.0)
+                outcome["summary"] = runner.run_cells([(BUILDER, "credit", CFG)])[0]
+                check = cell_stop_check(0.01)
+                time.sleep(0.02)
+                check()
+            except CellDeadlineExceeded as exc:
+                outcome["fired"] = exc.deadline_s
             except BaseException as exc:  # pragma: no cover - the failure mode
                 outcome["error"] = exc
 
         thread = threading.Thread(target=body)
         thread.start()
         thread.join()
-        assert outcome == {"ok": True}
+        assert outcome.get("fired") == 0.01 and "error" not in outcome
+        assert canonical_result(outcome["summary"]) == canonical_result(
+            execute_cell(BUILDER, "credit", CFG)
+        )
 
     def test_restores_previous_handler(self):
+        # There is nothing to restore: a cell under a deadline runs with
+        # the process's own SIGALRM disposition and no interval timer.
         previous = signal.getsignal(signal.SIGALRM)
-        with alarm_guard(30.0):
-            assert signal.getsignal(signal.SIGALRM) is not previous
+        _SIGNAL_PROBE.clear()
+        runner = ParallelRunner(1, deadline=30.0, checkpoint_dir=None)
+        (summary,) = runner.run_cells([(_probing_builder, "credit", CFG)])
+        assert summary is not None
+        assert _SIGNAL_PROBE == {
+            "handler": previous,
+            "itimer": (0.0, 0.0),
+        }
         assert signal.getsignal(signal.SIGALRM) is previous
 
 
+_SIGNAL_PROBE = {}
+
+
+def _probing_builder(policy, cfg):
+    """Records the SIGALRM state seen inside a cell, then builds it."""
+    _SIGNAL_PROBE["handler"] = signal.getsignal(signal.SIGALRM)
+    _SIGNAL_PROBE["itimer"] = signal.getitimer(signal.ITIMER_REAL)
+    return solo_scenario("lu", policy, cfg)
+
+
+class TestCooperativeDeadline:
+    def test_deadline_fires_within_one_horizon_of_expiry(self, monkeypatch):
+        # The clock reads "expired" from the moment the run reaches
+        # epoch 40; the check must raise at the very next horizon
+        # boundary, and every horizon is at most one Credit tick long.
+        from repro.experiments.scenarios import make_scheduler, spec_scenario
+
+        machine = spec_scenario(
+            "soplex", make_scheduler("vprobe"), ScenarioConfig(work_scale=0.02)
+        )
+        tick_epochs = round(machine.policy.params.tick_s / machine.config.epoch_s)
+        expire_at = 40
+        monkeypatch.setattr(
+            deadline_module,
+            "monotonic",
+            lambda: 1e9 if machine.epoch_index >= expire_at else 0.0,
+        )
+        check = cell_stop_check(1.0)
+        boundaries = []
+
+        def stop_check():
+            boundaries.append(machine.epoch_index)
+            return check()
+
+        with pytest.raises(CellDeadlineExceeded):
+            machine.run(stop_check=stop_check)
+        assert max(b - a for a, b in zip(boundaries, boundaries[1:])) > 1
+        assert boundaries[-2] < expire_at <= boundaries[-1]
+        assert boundaries[-1] - expire_at < tick_epochs
+
+    def test_shutdown_flag_wins_over_an_expired_deadline(self):
+        check = cell_stop_check(1e-9, lambda: True)
+        time.sleep(0.001)
+        assert check() is True  # stop and checkpoint, not a strike
+
+
 def _slow_builder(policy, cfg):
-    """Module-level (hence picklable) builder that blows any sub-second
-    wall-clock deadline before the machine is even built."""
-    time.sleep(5.0)
-    return solo_scenario("lu", policy, cfg)  # pragma: no cover - never reached
+    """Module-level (hence picklable) builder that spends longer than
+    any sub-second deadline building, so the run's first horizon
+    boundary is already past it."""
+    time.sleep(0.2)
+    return solo_scenario("lu", policy, cfg)
 
 
 _FLAKY_CALLS = {"count": 0}
@@ -417,38 +526,44 @@ def _flaky_slow_builder(policy, cfg):
     backoff-retry path exists for."""
     _FLAKY_CALLS["count"] += 1
     if _FLAKY_CALLS["count"] == 1:
-        time.sleep(5.0)  # pragma: no cover - interrupted by the alarm
+        time.sleep(0.3)
     return solo_scenario("lu", policy, cfg)
 
 
 class TestQuarantine:
     def test_sim_timeout_quarantines_serially(self, tmp_path):
         capped = ScenarioConfig(work_scale=0.02, seed=1, max_epochs=50)
-        journal = GridJournal(tmp_path / "j.jsonl")
-        runner = ParallelRunner(1, journal=journal)
+        store = ResultCache(tmp_path / "cells")
+        runner = ParallelRunner(1, cache=store)
         results = runner.run_cells([(BUILDER, "credit", capped)])
         assert results == [None]
         (q,) = runner.quarantined
         assert q.reason == "sim_timeout"
         assert q.strikes == 1
         assert q.key == result_key(BUILDER, "credit", capped)
-        assert journal.get_quarantine(q.key) is not None
+        assert store.get_quarantine(q.key) == {
+            "reason": "sim_timeout",
+            "strikes": 1,
+            "detail": q.detail,
+        }
 
     def test_journaled_quarantine_not_retried(self, tmp_path, monkeypatch):
         capped = ScenarioConfig(work_scale=0.02, seed=1, max_epochs=50)
-        path = tmp_path / "j.jsonl"
-        first = ParallelRunner(1, journal=GridJournal(path))
+        first = ParallelRunner(1, cache=ResultCache(tmp_path))
         first.run_cells([(BUILDER, "credit", capped)])
-        # Resume: the journaled quarantine resolves without any attempt.
+        # Resume: the tombstone resolves without any attempt, and so
+        # does a repeat of the cell within the first run.
         monkeypatch.setattr(
             "repro.experiments.parallel.execute_cell",
             lambda *a, **k: pytest.fail("quarantined cell was re-executed"),
         )
-        resumed = ParallelRunner(1, journal=GridJournal(path, resume=True))
+        assert first.run_cells([(BUILDER, "credit", capped)]) == [None]
+        resumed = ParallelRunner(1, cache=ResultCache(tmp_path), resume=True)
         results = resumed.run_cells([(BUILDER, "credit", capped)])
         assert results == [None]
         (q,) = resumed.quarantined
         assert q.reason == "sim_timeout"
+        assert (resumed.cache_hits, resumed.cache_misses) == (0, 0)
 
     def test_deadline_quarantines_after_max_strikes(self):
         policy = DeadlinePolicy(deadline_s=0.05, max_strikes=2, backoff_base_s=0.0)
@@ -631,31 +746,32 @@ class _ScriptedShutdown:
 
 class TestRunnerShutdown:
     def test_serial_cell_checkpoints_then_resumes(self, tmp_path):
-        journal_path = tmp_path / "journal.jsonl"
+        store_dir = tmp_path / "cells"
         ckpt_dir = tmp_path / "checkpoints"
         key = result_key(BUILDER, "credit", CFG)
         interrupted = ParallelRunner(
             1,
-            journal=GridJournal(journal_path),
+            cache=ResultCache(store_dir),
             shutdown=_ScriptedShutdown(polls=3),
             checkpoint_dir=ckpt_dir,
         )
         with pytest.raises(ShutdownRequested):
             interrupted.run_cells([(BUILDER, "credit", CFG)])
         assert checkpoint_path_for(ckpt_dir, key).exists()
+        assert ResultCache(store_dir).get(key) is None
         # Relaunch: the checkpoint finishes the run; parity holds.
         resumed = ParallelRunner(
-            1, journal=GridJournal(journal_path, resume=True), checkpoint_dir=ckpt_dir
+            1, cache=ResultCache(store_dir), resume=True, checkpoint_dir=ckpt_dir
         )
         (summary,) = resumed.run_cells([(BUILDER, "credit", CFG)])
         assert canonical_result(summary) == canonical_result(
             execute_cell(BUILDER, "credit", CFG)
         )
         assert not checkpoint_path_for(ckpt_dir, key).exists()
-        # And a third run resolves purely from the journal.
-        third = ParallelRunner(1, journal=GridJournal(journal_path, resume=True))
+        # And a third run resolves purely from the store.
+        third = ParallelRunner(1, cache=ResultCache(store_dir), resume=True)
         third.run_cells([(BUILDER, "credit", CFG)])
-        assert third.journal_hits == 1
+        assert (third.cache_hits, third.cache.hits) == (1, 1)
 
     def test_shutdown_before_any_cell_raises_immediately(self, tmp_path):
         shutdown = _ScriptedShutdown(polls=1)
@@ -665,46 +781,92 @@ class TestRunnerShutdown:
             runner.run_cells([(BUILDER, "credit", CFG)])
 
 
+def _never_execute(*args, **kwargs):
+    pytest.fail("a stored cell was recomputed")
+
+
+def _forbid_execution(monkeypatch):
+    monkeypatch.setattr("repro.experiments.parallel.execute_cell", _never_execute)
+    monkeypatch.setattr(
+        "repro.recovery.checkpoint.execute_cell_resumable", _never_execute
+    )
+
+
 # ----------------------------------------------------------------------
-# Journal-aware runner resume (the --resume fast path)
+# Store-backed runner resume (the --resume fast path)
 # ----------------------------------------------------------------------
 class TestRunnerJournalResume:
     def test_resume_serves_all_cells_from_journal(self, tmp_path, monkeypatch):
-        path = tmp_path / "journal.jsonl"
         cells = [(BUILDER, name, CFG) for name in ("credit", "vprobe")]
-        first = ParallelRunner(1, journal=GridJournal(path))
+        first = ParallelRunner(1, cache=ResultCache(tmp_path))
         baseline = first.run_cells(cells)
-        monkeypatch.setattr(
-            "repro.experiments.parallel.execute_cell",
-            lambda *a, **k: pytest.fail("journaled cell was recomputed"),
-        )
-        resumed = ParallelRunner(1, journal=GridJournal(path, resume=True))
+        _forbid_execution(monkeypatch)
+        resumed = ParallelRunner(1, cache=ResultCache(tmp_path), resume=True)
         replay = resumed.run_cells(cells)
-        assert resumed.journal_hits == 2
+        assert (resumed.cache_hits, resumed.cache_misses) == (2, 0)
         assert [canonical_result(s) for s in replay] == [
             canonical_result(s) for s in baseline
         ]
 
-    def test_cache_hits_written_through_to_journal(self, tmp_path):
-        from repro.cache.store import ResultCache
 
-        cache = ResultCache(tmp_path / "cache")
-        cells = [(BUILDER, "credit", CFG)]
-        ParallelRunner(1, cache=cache).run_cells(cells)  # warm the cache
-        path = tmp_path / "journal.jsonl"
-        warm = ParallelRunner(1, cache=cache, journal=GridJournal(path))
-        warm.run_cells(cells)
-        assert warm.cache_hits == 1
-        # The journal alone (cold cache) now replays the cell.
-        resumed = ParallelRunner(1, journal=GridJournal(path, resume=True))
-        resumed.run_cells(cells)
-        assert resumed.journal_hits == 1
+class TestResultStore:
+    CELLS = [(BUILDER, name, CFG) for name in ("credit", "vprobe")]
+
+    def test_in_run_repeats_are_not_store_hits(self, tmp_path):
+        # A cell asked for again by the same runner (a report's jobs
+        # share a few) comes from the runner's memory: the store counts
+        # only reads of entries that existed before the run.
+        store = ResultCache(tmp_path)
+        runner = ParallelRunner(1, cache=store)
+        first = runner.run_cells(self.CELLS)
+        again = runner.run_cells(self.CELLS)
+        assert again == first
+        assert (store.hits, store.misses, store.stores) == (0, 2, 2)
+        assert (runner.total_cache_hits, runner.total_cache_misses) == (2, 2)
+
+    def test_tombstone_honoured_only_on_resume(self, tmp_path, monkeypatch):
+        key = result_key(BUILDER, "credit", CFG)
+        ResultCache(tmp_path).put_quarantine(key, "deadline", 3, "overran")
+        with monkeypatch.context() as patched:
+            _forbid_execution(patched)
+            resumed = ParallelRunner(1, cache=ResultCache(tmp_path), resume=True)
+            assert resumed.run_cells(self.CELLS[:1]) == [None]
+        (q,) = resumed.quarantined
+        assert (q.reason, q.strikes, q.detail, q.key) == ("deadline", 3, "overran", key)
+        assert q.cell.endswith("#0")
+        # A fresh run sharing the store does not inherit the overrun.
+        fresh_store = ResultCache(tmp_path)
+        fresh = ParallelRunner(1, cache=fresh_store)
+        (summary,) = fresh.run_cells(self.CELLS[:1])
+        assert summary is not None and fresh.quarantined == []
+        assert (fresh_store.hits, fresh_store.misses) == (0, 1)
+
+    def test_put_fsyncs_the_entry_before_replacing(self, tmp_path, monkeypatch):
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            return real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, pathlib.Path(dst)))
+            return real_replace(src, dst)
+
+        summary = execute_cell(BUILDER, "credit", CFG)
+        store = ResultCache(tmp_path)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        assert store.put("k1", summary)
+        ((_, synced), (_, replaced, dst)) = events
+        assert synced == replaced and dst == store.path_for("k1")
 
 
 # ----------------------------------------------------------------------
 # CLI surfaces
 # ----------------------------------------------------------------------
 class TestCheckpointCli:
+
     def test_inspect_valid_and_invalid(self, tmp_path, capsys):
         from repro.cli import main
 
@@ -728,7 +890,9 @@ class TestCheckpointCli:
 
 
 class TestReportResume:
-    def test_report_resume_skips_done_jobs_byte_identically(self, tmp_path, capsys):
+    def test_report_resume_rerenders_done_jobs_byte_identically(
+        self, tmp_path, capsys, monkeypatch
+    ):
         from repro.experiments.report_all import regenerate_all
 
         outdir = tmp_path / "r"
@@ -739,9 +903,10 @@ class TestReportResume:
             if p.stem != "recovery"
         }
         assert first  # the job actually rendered
+        _forbid_execution(monkeypatch)
         regenerate_all(outdir, fast=True, only=("table3",), resume=True)
         out = capsys.readouterr().out
-        assert "resumed" in out
+        assert "4 hits, 0 misses" in out
         second = {
             p.name: p.read_bytes()
             for p in outdir.glob("*.json")
@@ -752,12 +917,13 @@ class TestReportResume:
     def test_report_jobs_resume_from_journal_without_cache(
         self, tmp_path, monkeypatch
     ):
-        # Outputs gone, no result cache: every cell of the re-rendered
-        # jobs must replay from the journal alone.
+        # Outputs gone, no cache directory: every cell of the re-rendered
+        # jobs must come from <outdir>/cells/ alone.
         from repro.experiments.report_all import regenerate_all
 
         outdir = tmp_path / "r"
-        regenerate_all(outdir, fast=True, only=("fig3", "table3"))
+        cold = regenerate_all(outdir, fast=True, only=("fig3", "table3"))
+        assert (cold["cache_hits"], cold["cache_misses"]) == (0, 10)
         outputs = [
             p for p in outdir.iterdir() if p.suffix in (".txt", ".json")
             and p.stem != "recovery"
@@ -767,45 +933,52 @@ class TestReportResume:
         for path in outputs:
             path.unlink()
 
-        def recomputed(*args, **kwargs):
-            pytest.fail("journaled cell was recomputed")
-
-        monkeypatch.setattr("repro.experiments.parallel.execute_cell", recomputed)
-        monkeypatch.setattr(
-            "repro.recovery.checkpoint.execute_cell_resumable", recomputed
-        )
+        _forbid_execution(monkeypatch)
         stats = regenerate_all(
             outdir, fast=True, only=("fig3", "table3"), resume=True
         )
-        assert stats["journal_hits"] == 10  # six fig3 + four table3 cells
+        # six fig3 + four table3 cells, all hits
+        assert (stats["cache_hits"], stats["cache_misses"]) == (10, 0)
         assert {name: (outdir / name).read_bytes() for name in first} == first
-        # Every journaled cell is named by builder, scheduler and seed.
+        # Every stored cell is named by builder, scheduler and seed.
         cells = [
-            json.loads(line)["cell"]
-            for line in (outdir / "journal.jsonl").read_text().splitlines()
-            if json.loads(line)["kind"] == "cell"
+            json.loads(p.read_text())["meta"]["cell"]
+            for p in (outdir / "cells").glob("??/*.json")
         ]
         assert len(cells) == 10
-        assert all("_scenario(" in c and "/seed=0#" in c for c in cells)
+        assert all("_scenario(" in c and c.endswith("/seed=0") for c in cells)
 
-    def test_deadline_quarantines_a_table3_job(self, tmp_path):
+    def test_deadline_quarantines_a_table3_job(self, tmp_path, monkeypatch):
+        # A gc callback in play (hypothesis installs one) must not be
+        # able to swallow an overrun: nothing runs outside the run loop.
         from repro.experiments.report_all import regenerate_all
 
-        outdir = tmp_path / "r"
-        stats = regenerate_all(
-            outdir,
-            fast=True,
-            only=("table3",),
-            jobs=1,
-            deadline=DeadlinePolicy(deadline_s=1e-3, max_strikes=1),
-        )
+        callback = lambda phase, info: None  # noqa: E731
+        gc.callbacks.append(callback)
+        try:
+            outdir = tmp_path / "r"
+            stats = regenerate_all(
+                outdir,
+                fast=True,
+                only=("table3",),
+                jobs=1,
+                deadline=DeadlinePolicy(deadline_s=1e-3, max_strikes=1),
+            )
+        finally:
+            gc.callbacks.remove(callback)
         assert stats["quarantined_jobs"] == 1
+        assert stats["quarantined_cells"] == 4
         report = json.loads((outdir / "recovery.json").read_text())
         assert report["jobs"] == {"table3_overhead": "quarantined"}
+        assert {q["reason"] for q in report["quarantined_cells"]} == {"deadline"}
         assert not (outdir / "table3_overhead.json").exists()
+        # A resume honours the tombstones: nothing is retried.
+        _forbid_execution(monkeypatch)
+        again = regenerate_all(outdir, fast=True, only=("table3",), resume=True)
+        assert (again["quarantined_jobs"], again["quarantined_cells"]) == (1, 4)
 
     def test_table3_is_host_independent(self, tmp_path):
-        # Two independent cold runs (no cache, no journal to replay):
+        # Two independent cold runs (no cache, separate outdir stores):
         # the overhead table carries simulated quantities only, so its
         # rendered and JSON forms must match byte for byte.
         from repro.experiments.report_all import regenerate_all
@@ -828,7 +1001,12 @@ class TestReportResume:
         outdir = tmp_path / "r"
         regenerate_all(outdir, fast=True, only=("table3",))
         report = json.loads((outdir / "recovery.json").read_text())
-        assert report["schema"] == "repro.recovery-report/v1"
+        assert report["schema"] == "repro.recovery-report/v2"
         assert report["interrupted"] is False
+        assert report["counters"] == {
+            "cache_hits": 0,
+            "cache_misses": 4,
+            "retried_cells": 0,
+        }
         assert report["jobs"].get("table3_overhead") == "done"
         assert report["quarantined_cells"] == []
