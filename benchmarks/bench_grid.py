@@ -1,4 +1,4 @@
-"""Benchmarks for the result cache and the chunked grid dispatch.
+"""Benchmark for the result cache.
 
 ``test_warm_report_speedup`` is the acceptance gate for the
 content-addressed cache: it regenerates the full ``--fast`` report
@@ -7,28 +7,19 @@ least 10x faster with **zero** cache misses, and asserts every ``.json``
 report is byte-identical between the cold and warm runs (the cache
 round-trips summaries exactly; a hit can never change a figure).
 
-``test_chunked_dispatch`` measures what chunked submission buys on a
-32-seed sweep of short cells — one executor round-trip per chunk
-instead of per cell.  The measurement is recorded (chunking must not
-*lose*), not gated: absolute IPC costs vary too much across CI hosts
-for a hard ratio.
-
-Both write their numbers to ``benchmarks/BENCH_grid.json``, the
-committed before/after record.
+It writes its numbers to ``benchmarks/BENCH_grid.json``, the committed
+before/after record.
 """
 
 import contextlib
-import dataclasses
 import io
 import json
 import pathlib
 import time
-from functools import partial
 
 from repro.cache import ResultCache
-from repro.experiments.parallel import ParallelRunner, default_jobs
+from repro.experiments.parallel import default_jobs
 from repro.experiments.report_all import regenerate_all
-from repro.experiments.scenarios import ScenarioConfig, solo_scenario
 
 BENCH_JSON = pathlib.Path(__file__).parent / "BENCH_grid.json"
 
@@ -90,54 +81,3 @@ def test_warm_report_speedup(tmp_path):
         f"warm report speedup {speedup:.1f}x "
         f"({cold_s:.1f}s -> {warm_s:.3f}s) fell below 10x"
     )
-
-
-def test_chunked_dispatch():
-    """Chunked vs per-cell dispatch on a 32-seed x 2-scheduler sweep.
-
-    Cells are deliberately tiny (a few ms of simulation) so the
-    per-future submission/result round-trip is a visible fraction of
-    the wall time — the regime chunking exists for.
-    """
-    cfg = ScenarioConfig(work_scale=0.005, seed=0)
-    builder = partial(solo_scenario, "lu")
-    cells = [
-        (builder, sched, dataclasses.replace(cfg, seed=seed))
-        for seed in range(32)
-        for sched in ("credit", "vprobe")
-    ]
-    # At least two workers even on a one-core host: the quantity under
-    # test is executor round-trips per cell, not parallel compute.
-    jobs = max(2, min(4, default_jobs()))
-
-    def sweep(chunksize):
-        runner = ParallelRunner(jobs, chunksize=chunksize)
-        start = time.perf_counter()
-        results = runner.run_cells(cells)
-        return time.perf_counter() - start, results
-
-    # Warm the pool/fork machinery once so neither side pays it, then
-    # keep each side's best of three rounds (spawn-time noise dominates
-    # single measurements at this scale).
-    sweep(None)
-    per_cell_s, per_cell = sweep(1)
-    chunked_s, chunked = sweep(None)
-    for _ in range(2):
-        per_cell_s = min(per_cell_s, sweep(1)[0])
-        chunked_s = min(chunked_s, sweep(None)[0])
-
-    _write_bench(
-        "chunked_dispatch",
-        {
-            "scenario": (
-                f"solo lu, 32 seeds x 2 schedulers = {len(cells)} cells, "
-                f"jobs={jobs}"
-            ),
-            "per_cell_wall_s": round(per_cell_s, 3),
-            "chunked_wall_s": round(chunked_s, 3),
-            "speedup": round(per_cell_s / chunked_s, 2),
-        },
-    )
-
-    # Correctness is the hard gate; the timing is a recorded measurement.
-    assert chunked == per_cell

@@ -72,6 +72,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import weakref
 from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
 
@@ -255,11 +256,11 @@ class InvariantChecker:
     def after_schedule(self, machine: "Machine") -> None:
         """Called by ``Machine._step_epoch`` right after the scheduling
         pass — the only point where work conservation must hold."""
-        self._bind(machine)
         self._active = self._boundaries % self.every == 0
         self._boundaries += 1
         if not self._active:
             return
+        self._bind(machine)
         if "placement" in self.enabled:
             self._check_placement(machine)
         if "work_conservation" in self.enabled:
@@ -371,48 +372,54 @@ class InvariantChecker:
 
     def _check_placement(self, machine: "Machine") -> None:
         self.checks_run += 1
+        running = VcpuState.RUNNING
+        runnable = VcpuState.RUNNABLE
         queued: Dict[int, int] = {}
         for pcpu in machine.pcpus:
+            pid = pcpu.pcpu_id
             cur = pcpu.current
             if cur is not None:
-                if cur.state is not VcpuState.RUNNING:
+                if cur.state is not running:
                     self._fail(
                         machine,
                         "placement",
-                        f"pcpu {pcpu.pcpu_id} current {cur.name} is "
+                        f"pcpu {pid} current {cur.name} is "
                         f"{cur.state.name}, not RUNNING",
                     )
-                if cur.pcpu != pcpu.pcpu_id:
+                if cur.pcpu != pid:
                     self._fail(
                         machine,
                         "placement",
-                        f"{cur.name} is current on pcpu {pcpu.pcpu_id} but "
+                        f"{cur.name} is current on pcpu {pid} but "
                         f"records pcpu {cur.pcpu}",
                     )
             for v in pcpu.queue:
-                if v.key in queued:
+                key = v.key
+                if key in queued:
                     self._fail(
                         machine,
                         "placement",
-                        f"{v.name} queued on both pcpu {queued[v.key]} "
-                        f"and pcpu {pcpu.pcpu_id}",
+                        f"{v.name} queued on both pcpu {queued[key]} "
+                        f"and pcpu {pid}",
                     )
-                queued[v.key] = pcpu.pcpu_id
+                queued[key] = pid
+        pcpus = machine.pcpus
         for v in machine.vcpus:
-            if v.state is VcpuState.RUNNING:
+            state = v.state
+            if state is running:
                 if v.key in queued:
                     self._fail(
                         machine,
                         "placement",
                         f"RUNNING {v.name} also queued on pcpu {queued[v.key]}",
                     )
-                if v.pcpu is None or machine.pcpus[v.pcpu].current is not v:
+                if v.pcpu is None or pcpus[v.pcpu].current is not v:
                     self._fail(
                         machine,
                         "placement",
                         f"RUNNING {v.name} is not current on its pcpu {v.pcpu}",
                     )
-            elif v.state is VcpuState.RUNNABLE:
+            elif state is runnable:
                 where = queued.get(v.key)
                 if where is None:
                     self._fail(
@@ -425,14 +432,13 @@ class InvariantChecker:
                         f"RUNNABLE {v.name} queued on pcpu {where} but "
                         f"records pcpu {v.pcpu}",
                     )
-            else:  # BLOCKED / DONE
-                if v.key in queued:
-                    self._fail(
-                        machine,
-                        "placement",
-                        f"{v.state.name} {v.name} still queued on pcpu "
-                        f"{queued[v.key]}",
-                    )
+            elif v.key in queued:  # BLOCKED / DONE
+                self._fail(
+                    machine,
+                    "placement",
+                    f"{state.name} {v.name} still queued on pcpu "
+                    f"{queued[v.key]}",
+                )
 
     def _check_work_conservation(self, machine: "Machine") -> None:
         self.checks_run += 1
@@ -459,7 +465,7 @@ class InvariantChecker:
                     f"{v.name} credits {c!r} outside "
                     f"[{params.credit_floor}, {params.credit_cap}]",
                 )
-        total = math.fsum(v.credits for v in machine.vcpus)
+        total = math.fsum([v.credits for v in machine.vcpus])
         prev, prev_tick = self._credit_total, self._credit_tick
         self._credit_total = total
         self._credit_tick = machine.tick_index
@@ -496,23 +502,18 @@ class InvariantChecker:
     def _check_pmu_window(self, machine: "Machine") -> None:
         self.checks_run += 1
         pmu = machine.pmu
-        num_nodes = machine.topology.num_nodes
+        peek = pmu.peek
+        peek_base = pmu.peek_window_base
         for v in machine.vcpus:
-            bank = pmu.peek(v.key)
-            base = pmu.peek_window_base(v.key)
-            # Scalar comparisons throughout: node_accesses is a
-            # num_nodes-element array and a numpy ``<``+``any()`` on it
-            # costs more than every other check here combined.
+            bank = peek(v.key)
+            base = peek_base(v.key)
             if (
                 bank.instructions < base.instructions
                 or bank.llc_refs < base.llc_refs
                 or bank.llc_misses < base.llc_misses
                 or bank.local_accesses < base.local_accesses
                 or bank.remote_accesses < base.remote_accesses
-                or any(
-                    bank.node_accesses[i] < base.node_accesses[i]
-                    for i in range(num_nodes)
-                )
+                or any(map(operator.lt, bank.node_accesses, base.node_accesses))
             ):
                 self._fail(
                     machine,
@@ -523,9 +524,10 @@ class InvariantChecker:
 
     def _check_pmu_monotone(self, machine: "Machine") -> None:
         self.checks_run += 1
-        pmu = machine.pmu
+        peek = machine.pmu.peek
+        history = self._pmu_prev
         for v in machine.vcpus:
-            bank = pmu.peek(v.key)
+            bank = peek(v.key)
             now = (
                 bank.instructions,
                 bank.llc_refs,
@@ -533,9 +535,15 @@ class InvariantChecker:
                 bank.local_accesses,
                 bank.remote_accesses,
             )
-            prev = self._pmu_prev.get(v.key)
-            self._pmu_prev[v.key] = now
-            if prev is None:
+            prev = history.get(v.key)
+            history[v.key] = now
+            if prev is None or not (
+                now[0] < prev[0]
+                or now[1] < prev[1]
+                or now[2] < prev[2]
+                or now[3] < prev[3]
+                or now[4] < prev[4]
+            ):
                 continue
             for field, a, b in zip(
                 ("instructions", "llc_refs", "llc_misses", "local", "remote"),

@@ -62,6 +62,11 @@ class AuditReport:
     skipped_seeds: Tuple[int, ...] = field(default=())
 
     @property
+    def engine_comparisons(self) -> int:
+        """Scenario runs diffed across engines (non-dual hosts have none)."""
+        return sum(r.comparisons for r in self.results)
+
+    @property
     def ok(self) -> bool:
         """True when every scenario and relation held."""
         return all(r.ok for r in self.results) and all(
@@ -78,6 +83,7 @@ class AuditReport:
                 "seeds": list(self.seeds),
                 "engines": list(self.engines),
                 "checks_run": self.checks_run,
+                "engine_comparisons": self.engine_comparisons,
                 "elapsed_s": self.elapsed_s,
                 "budget_exhausted": self.budget_exhausted,
                 "skipped_seeds": list(self.skipped_seeds),

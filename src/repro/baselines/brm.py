@@ -166,10 +166,14 @@ class BRMScheduler(CreditScheduler):
         num_nodes = machine.topology.num_nodes
         if rng.random() >= self.bparams.bias:
             return int(rng.integers(num_nodes))
-        accesses = machine.pmu.totals(vcpu.key).node_accesses
-        if accesses.sum() <= 0:
+        accesses = machine.pmu.peek(vcpu.key).node_accesses
+        total = 0.0
+        for count in accesses:
+            total += count
+        if total <= 0:
             return int(rng.integers(num_nodes))
-        return int(np.argmax(accesses))
+        # First maximum: ties go to the lowest node id.
+        return max(range(num_nodes), key=accesses.__getitem__)
 
     # ------------------------------------------------------------------
     def on_context_switch(self, pcpu: Pcpu, prev: Optional[Vcpu], nxt: Optional[Vcpu]) -> None:

@@ -261,12 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     rep_p.add_argument(
-        "--chunksize",
-        type=int,
-        default=None,
-        help="cells per worker submission (default: auto)",
-    )
-    rep_p.add_argument(
         "--resume",
         action="store_true",
         help=(
@@ -528,6 +522,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     rel_failed = sum(1 for _, m in report.metamorphic if not m.ok)
     print(
         f"\naudit: {checked}/{args.seeds} scenarios, "
+        f"{report.engine_comparisons} engine comparisons, "
         f"{len(report.failures)} differential failures, "
         f"{len(report.metamorphic)} metamorphic checks "
         f"({rel_failed} failed), {report.checks_run} invariant checks, "
@@ -615,7 +610,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 only=tuple(args.only) if args.only else None,
                 jobs=max(1, jobs),
                 cache=cache,
-                chunksize=args.chunksize,
                 resume=args.resume,
                 deadline=deadline,
                 shutdown=shutdown,

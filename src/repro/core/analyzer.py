@@ -48,8 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional
 
-import numpy as np
-
 from repro.core.classify import Bounds, TypeHysteresis, classify, llc_access_pressure
 from repro.xen.vcpu import Vcpu, VcpuState, VcpuType
 
@@ -253,9 +251,14 @@ class PmuAnalyzer:
         return samples
 
     @staticmethod
-    def _node_affinity(vcpu: Vcpu, node_accesses: np.ndarray) -> Optional[int]:
-        """Eq. 1: the node with the most accessed pages this period."""
-        total = float(node_accesses.sum())
+    def _node_affinity(vcpu: Vcpu, node_accesses: List[float]) -> Optional[int]:
+        """Eq. 1: the node with the most accessed pages this period.
+
+        Ties go to the lowest node id (the first maximum).
+        """
+        total = 0.0
+        for accesses in node_accesses:
+            total += accesses
         if total <= 0:
             return vcpu.node_affinity
-        return int(np.argmax(node_accesses))
+        return max(range(len(node_accesses)), key=node_accesses.__getitem__)

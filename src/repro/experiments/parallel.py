@@ -56,16 +56,11 @@ cap) rides the same path but quarantines immediately: it is a
 deterministic outcome, so a retry — serial or otherwise — would only
 reproduce it at full cost.
 
-**Chunked dispatch.**  Misses are submitted in chunks
-(``chunksize``; an adaptive default of ~2 chunks per worker) so a
-large seed sweep pays one task-submission/result round-trip per chunk
-instead of per cell — the executor's per-task IPC is the dominant cost
-once cells are short.  ``chunksize=1`` reproduces the historical
-one-future-per-cell dispatch exactly.  Workers report *per-cell
-outcomes* (ok / timeout / error), so one bad cell no longer poisons
-its chunk-mates.
+**Dispatch.**  Each missing cell is one future on the pool, and its
+worker reports a per-cell *outcome* (ok / timeout / error), so one bad
+cell never poisons another.
 
-Worker crashes don't lose the grid: any chunk whose future fails —
+Worker crashes don't lose the grid: any cell whose future fails —
 including the :class:`BrokenProcessPool` cascade when one worker dies
 and takes every pending future with it — has its cells retried once,
 serially, in the parent process.  Because cells are deterministic
@@ -82,7 +77,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -104,7 +98,7 @@ from repro.recovery.deadline import (
     DeadlinePolicy,
     Quarantine,
     cell_stop_check,
-    run_cell_batch_guarded,
+    run_cell_guarded,
 )
 from repro.xen.simulator import SimulationTimeout
 
@@ -114,7 +108,6 @@ __all__ = [
     "GridIncompleteError",
     "default_jobs",
     "run_complete",
-    "run_packed_batch_guarded",
 ]
 
 #: One grid cell: (builder, scheduler name, config).
@@ -168,38 +161,6 @@ def cell_name(cell: Cell) -> str:
 def indexed_cell_name(cell: Cell, index: int) -> str:
     """Collision-proof cell id: the readable name plus the grid index."""
     return f"{cell_name(cell)}#{index}"
-
-
-def run_packed_batch_guarded(
-    builders: Sequence[ScenarioBuilder],
-    packed: Sequence[Tuple[int, str, ScenarioConfig]],
-    deadline_s: Optional[float] = None,
-) -> List[Tuple[str, object]]:
-    """Worker entry for builder-deduplicated chunks.
-
-    ``packed`` cells reference their builder by index into
-    ``builders``, so a chunk whose cells share one scenario builder
-    ships (and unpickles) that builder exactly once per chunk instead
-    of once per cell — the pickle-memo guarantee extended across
-    distinct-but-equal ``partial`` objects, which the figure modules
-    create one per grid point.
-    """
-    cells = [(builders[j], scheduler, cfg) for j, scheduler, cfg in packed]
-    return run_cell_batch_guarded(cells, deadline_s)
-
-
-def _auto_chunksize(cells: int, workers: int) -> int:
-    """~2 chunks per worker, at most 64 cells per chunk.
-
-    The executor round-trip (submit + result pickling) costs ~1 ms per
-    task while even the smallest grid cells simulate for ~5 ms, so
-    fewer, larger chunks win: two per worker halves the round-trips of
-    the old ~4-per-worker rule and still leaves one rebalance
-    opportunity when cell costs are uneven.  The 64-cell cap keeps a
-    single slow mega-chunk from serializing a huge sweep.
-    ``benchmarks/BENCH_grid.json`` records the measured effect.
-    """
-    return max(1, min(64, math.ceil(cells / (workers * 2))))
 
 
 class ParallelExecutionError(RuntimeError):
@@ -259,10 +220,6 @@ class ParallelRunner:
         in the parent, misses run (and are stored back) as usual, and
         quarantines leave a tombstone.  ``None`` disables the store
         entirely.
-    chunksize:
-        Cells per submitted task when dispatching misses.  ``None``
-        picks :func:`_auto_chunksize`; ``1`` forces the historical
-        one-future-per-cell dispatch.
     resume:
         ``True`` honours the store's quarantine tombstones, so a cell
         quarantined by an interrupted run is not retried.  A fresh run
@@ -274,7 +231,7 @@ class ParallelRunner:
         with exponential backoff and eventually quarantined.
     shutdown:
         Optional :class:`~repro.recovery.shutdown.GracefulShutdown`.
-        The runner checks it between cells/chunks so a SIGTERM exits
+        The runner checks it between cells so a SIGTERM exits
         at a clean point, and serial cells run in its *deferred* mode
         so they can checkpoint at an epoch boundary first.
     checkpoint_dir:
@@ -288,7 +245,6 @@ class ParallelRunner:
         self,
         jobs: int = 1,
         cache: Optional["ResultCache"] = None,
-        chunksize: Optional[int] = None,
         resume: bool = False,
         deadline: "DeadlinePolicy | float | None" = None,
         shutdown: Optional["GracefulShutdown"] = None,
@@ -296,11 +252,8 @@ class ParallelRunner:
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if chunksize is not None and chunksize < 1:
-            raise ValueError(f"chunksize must be >= 1, got {chunksize}")
         self.jobs = jobs
         self.cache = cache
-        self.chunksize = chunksize
         self.resume = resume
         self.deadline = DeadlinePolicy.coerce(deadline)
         self.shutdown = shutdown
@@ -567,31 +520,6 @@ class ParallelRunner:
                 time.sleep(policy.backoff_s(strikes))
                 self._check_shutdown()
 
-    def _pack_chunk(
-        self, cells: Sequence[Cell], chunk: Sequence[int]
-    ) -> Tuple[List[ScenarioBuilder], List[Tuple[int, str, ScenarioConfig]]]:
-        """Dedupe builders for one chunk's submission payload.
-
-        Builders are deduplicated by fingerprint when provable (two
-        equal ``partial`` objects collapse onto the first instance —
-        the fingerprint guarantees the same code path and bound
-        arguments) and by object identity otherwise, so the chunk
-        pickles each distinct builder once.
-        """
-        builders: List[ScenarioBuilder] = []
-        slots: Dict[object, int] = {}
-        packed: List[Tuple[int, str, ScenarioConfig]] = []
-        for index in chunk:
-            builder, scheduler, cfg = cells[index]
-            fid = self._builder_fid(builder)
-            dedupe_key: object = fid if fid is not None else id(builder)
-            slot = slots.get(dedupe_key)
-            if slot is None:
-                slot = slots[dedupe_key] = len(builders)
-                builders.append(builder)
-            packed.append((slot, scheduler, cfg))
-        return builders, packed
-
     def _run_parallel(
         self,
         cells: Sequence[Cell],
@@ -599,47 +527,41 @@ class ParallelRunner:
         misses: List[int],
         results: List[Optional[RunSummary]],
     ) -> None:
-        """Dispatch builder-deduplicated chunks over a pool; fill ``results``.
+        """Dispatch one future per missing cell over a pool; fill ``results``.
 
-        Each chunk goes out through :func:`run_packed_batch_guarded`,
-        which reports one outcome per cell, so quarantine, deadline
+        Each future runs :func:`~repro.recovery.deadline.run_cell_guarded`,
+        which reports the cell's outcome, so quarantine, deadline
         retries and crash retries are all decided per cell here.
         """
         workers = min(self.jobs, len(misses))
-        size = self.chunksize or _auto_chunksize(len(misses), workers)
-        chunks: List[List[int]] = [
-            misses[i : i + size] for i in range(0, len(misses), size)
-        ]
         deadline_s = self.deadline.deadline_s if self.deadline is not None else None
         failed: List[int] = []
         timeouts: Dict[int, Tuple[str, str]] = {}
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             futures: Dict[int, object] = {}
-            for chunk_id, chunk in enumerate(chunks):
-                builders, packed = self._pack_chunk(cells, chunk)
+            for index in misses:
+                builder, scheduler, cfg = cells[index]
                 try:
-                    futures[chunk_id] = pool.submit(
-                        run_packed_batch_guarded, builders, packed, deadline_s
+                    futures[index] = pool.submit(
+                        run_cell_guarded, builder, scheduler, cfg, deadline_s
                     )
                 except BrokenProcessPool:
                     # The pool died while we were still submitting;
                     # everything not yet submitted goes to the retry.
-                    failed.extend(chunk)
-            for chunk_id, future in futures.items():
-                indices = chunks[chunk_id]
+                    failed.append(index)
+            for index, future in futures.items():
                 try:
-                    outcomes = future.result()
+                    status, payload = future.result()
                 except Exception:
-                    failed.extend(indices)
+                    failed.append(index)
+                    continue
+                if status == "ok":
+                    self._finish(index, cells[index], keys[index], payload, results)
+                elif status == "timeout":
+                    timeouts[index] = payload
                 else:
-                    for index, (status, payload) in zip(indices, outcomes):
-                        if status == "ok":
-                            self._finish(index, cells[index], keys[index], payload, results)
-                        elif status == "timeout":
-                            timeouts[index] = payload
-                        else:
-                            failed.append(index)
+                    failed.append(index)
             pool.shutdown(wait=True)
         except BaseException:
             # Prompt teardown (ShutdownRequested, KeyboardInterrupt):

@@ -138,7 +138,6 @@ def regenerate_all(
     only: "tuple[str, ...] | None" = None,
     jobs: int = 1,
     cache: "Optional[ResultCache]" = None,
-    chunksize: Optional[int] = None,
     resume: bool = False,
     deadline: "DeadlinePolicy | float | None" = None,
     shutdown: "Optional[GracefulShutdown]" = None,
@@ -186,7 +185,6 @@ def regenerate_all(
     runner = ParallelRunner(
         jobs,
         cache=cache,
-        chunksize=chunksize,
         resume=resume,
         deadline=deadline,
         shutdown=shutdown,

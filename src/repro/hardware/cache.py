@@ -124,7 +124,7 @@ def waterfill_shares(
     active = [i for i in range(n) if weights[i] > 0 and caps[i] > 0]
     remaining = capacity
     while active and remaining > 1e-12:
-        total_w = sum(weights[i] for i in active)
+        total_w = sum([weights[i] for i in active])
         if total_w <= 0:
             break
         capped: List[int] = []
@@ -277,16 +277,17 @@ class LLCState:
         decay = self._decay_factor
         warmth = self._warmth
         running = set(keys) if key_set is None else key_set
+        eps = self._EPSILON
+        chain = range(steps)
         stale: List[int] = []
         for key, w in warmth.items():
-            if key in running:
-                continue
-            for _ in range(steps):
-                w *= decay
-            if w < self._EPSILON:
-                stale.append(key)
-            else:
-                warmth[key] = w
+            if key not in running:
+                for _ in chain:
+                    w *= decay
+                if w < eps:
+                    stale.append(key)
+                else:
+                    warmth[key] = w
         for key in stale:
             del warmth[key]
         for key, final in zip(keys, final_warmth):
@@ -352,21 +353,6 @@ class CacheModel:
             miss_rates=miss_rates,
             pressure=pressure,
         )
-
-    def occupancy_shares(self, demands: Sequence[CacheDemand]) -> List[float]:
-        """Waterfilled LLC allocations for a co-runner set.
-
-        The allocations depend only on capacity and the demands — not on
-        warmth — so callers with a stable co-runner set can compute them
-        once and apply the current warmth every epoch, exactly as
-        :meth:`solve` does.
-        """
-        weights = []
-        caps = []
-        for d in demands:
-            weights.append(d.intensity * max(d.working_set_bytes, 1.0))
-            caps.append(d.working_set_bytes)
-        return waterfill_shares(self.capacity_bytes, weights, caps)
 
     def advance(self, dt: float, demands: Mapping[int, CacheDemand]) -> None:
         """Advance warmth after an epoch in which ``demands`` ran here."""

@@ -11,14 +11,17 @@ closed just as on hardware: what vProbe observes is exactly what the
 machine model did.  The hypervisor-side cost of reading and switching
 counters is charged separately (see ``collection_cost_s``), feeding the
 overhead accounting of Table III.
+
+Every counter, the per-node access counts included, is a plain Python
+float: the batched engine's replay adds to a bank in place, exactly as
+:meth:`PMU.charge` does, so there is no second copy of any counter to
+keep in step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Tuple
-
-import numpy as np
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.util.validation import check_index, check_non_negative
 
@@ -39,7 +42,7 @@ class VcpuCounters:
         Last-level cache misses.
     node_accesses:
         Per-node DRAM accesses attributed to this VCPU (where the page
-        lived), length ``num_nodes``.
+        lived): a list of ``num_nodes`` floats.
     local_accesses / remote_accesses:
         DRAM accesses split by whether the serving node matched the
         node the VCPU was running on at the time.
@@ -49,7 +52,7 @@ class VcpuCounters:
     instructions: float = 0.0
     llc_refs: float = 0.0
     llc_misses: float = 0.0
-    node_accesses: np.ndarray = field(default=None)  # type: ignore[assignment]
+    node_accesses: List[float] = field(default=None)  # type: ignore[assignment]
     local_accesses: float = 0.0
     remote_accesses: float = 0.0
 
@@ -57,7 +60,7 @@ class VcpuCounters:
         if self.num_nodes <= 0:
             raise ValueError(f"num_nodes must be > 0, got {self.num_nodes}")
         if self.node_accesses is None:
-            self.node_accesses = np.zeros(self.num_nodes)
+            self.node_accesses = [0.0] * self.num_nodes
 
     def copy(self) -> "VcpuCounters":
         """Deep copy (node_accesses is duplicated)."""
@@ -66,7 +69,7 @@ class VcpuCounters:
             instructions=self.instructions,
             llc_refs=self.llc_refs,
             llc_misses=self.llc_misses,
-            node_accesses=self.node_accesses.copy(),
+            node_accesses=list(self.node_accesses),
             local_accesses=self.local_accesses,
             remote_accesses=self.remote_accesses,
         )
@@ -80,7 +83,9 @@ class VcpuCounters:
             instructions=self.instructions - baseline.instructions,
             llc_refs=self.llc_refs - baseline.llc_refs,
             llc_misses=self.llc_misses - baseline.llc_misses,
-            node_accesses=self.node_accesses - baseline.node_accesses,
+            node_accesses=[
+                a - b for a, b in zip(self.node_accesses, baseline.node_accesses)
+            ],
             local_accesses=self.local_accesses - baseline.local_accesses,
             remote_accesses=self.remote_accesses - baseline.remote_accesses,
         )
@@ -116,67 +121,18 @@ class PMU:
         self._counters: Dict[int, VcpuCounters] = {}
         self._window_base: Dict[int, VcpuCounters] = {}
         self._collection_events = 0
-        # Structure-of-arrays storage for the per-node access counters:
-        # each registered bank's ``node_accesses`` is a row view into
-        # this matrix, so the batched engine commits a horizon's access
-        # counts with one indexed store per row instead of touching
-        # every bank's ndarray.
-        self._row_of: Dict[int, int] = {}
-        self._node_matrix = np.zeros((0, num_nodes))
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Re-establish the row-view invariant.  Pickle serializes each
-        # bank's ``node_accesses`` view as an independent array, so a
-        # restored PMU would have banks detached from ``_node_matrix``:
-        # the batched engine's matrix commits would land in the matrix
-        # while every reader (window deltas, affinity) kept seeing the
-        # bank's frozen copy.  Rebinding on restore is exactly what
-        # :meth:`register` does after a matrix reallocation.
-        for key, bank in self._counters.items():
-            bank.node_accesses = self._node_matrix[self._row_of[key]]
 
     def register(self, vcpu_key: int) -> None:
         """Create counter banks for a VCPU (idempotent)."""
         if vcpu_key in self._counters:
             return
-        row = self._row_of.get(vcpu_key)
-        if row is None:
-            row = len(self._row_of)
-            self._row_of[vcpu_key] = row
-            if row >= self._node_matrix.shape[0]:
-                grown = np.zeros(
-                    (max(8, 2 * self._node_matrix.shape[0]), self.num_nodes)
-                )
-                grown[: self._node_matrix.shape[0]] = self._node_matrix
-                self._node_matrix = grown
-                # Rebind live banks onto the reallocated matrix.
-                for key, bank in self._counters.items():
-                    bank.node_accesses = self._node_matrix[self._row_of[key]]
-        bank = VcpuCounters(self.num_nodes)
-        self._node_matrix[row] = 0.0
-        bank.node_accesses = self._node_matrix[row]
-        self._counters[vcpu_key] = bank
+        self._counters[vcpu_key] = VcpuCounters(self.num_nodes)
         self._window_base[vcpu_key] = VcpuCounters(self.num_nodes)
 
     def unregister(self, vcpu_key: int) -> None:
-        """Drop a VCPU's banks (domain destroyed).
-
-        The VCPU's matrix row stays reserved and is recycled if the key
-        ever re-registers.
-        """
+        """Drop a VCPU's banks (domain destroyed)."""
         self._counters.pop(vcpu_key, None)
         self._window_base.pop(vcpu_key, None)
-
-    def bank_row(self, vcpu_key: int) -> Tuple[VcpuCounters, int]:
-        """A VCPU's live counter bank and its ``_node_matrix`` row.
-
-        Cacheable by batch chargers until the key is unregistered: the
-        bank object and the row index survive matrix growth from later
-        registrations (only the bank's ``node_accesses`` view is
-        rebound).
-        """
-        return self._counters[vcpu_key], self._row_of[vcpu_key]
 
     def known(self) -> Tuple[int, ...]:
         """Registered VCPU keys (sorted)."""
@@ -198,7 +154,7 @@ class PMU:
         instructions: float,
         llc_refs: float,
         llc_misses: float,
-        node_access_share: np.ndarray,
+        node_access_share: Sequence[float],
         run_node: int,
     ) -> None:
         """Accumulate one epoch's activity into a VCPU's bank.
@@ -225,11 +181,19 @@ class PMU:
         bank.instructions += instructions
         bank.llc_refs += llc_refs
         bank.llc_misses += llc_misses
-        accesses = llc_misses * np.asarray(node_access_share, dtype=float)
-        bank.node_accesses += accesses
-        local = float(accesses[run_node])
+        # Left-to-right sum from 0.0: the order numpy's ``sum`` uses
+        # below eight elements, which the batched replay inlines.
+        node_accesses = bank.node_accesses
+        total = 0.0
+        local = 0.0
+        for node, share in enumerate(node_access_share):
+            accesses = llc_misses * float(share)
+            node_accesses[node] += accesses
+            total += accesses
+            if node == run_node:
+                local = accesses
         bank.local_accesses += local
-        bank.remote_accesses += float(accesses.sum()) - local
+        bank.remote_accesses += total - local
 
     # ------------------------------------------------------------------
     # Reading (called by schedulers; costs hypervisor time)
@@ -257,9 +221,10 @@ class PMU:
     def peek(self, vcpu_key: int) -> VcpuCounters:
         """The live cumulative bank for a VCPU, *no copy*.
 
-        For read-only hot paths (the audit layer's per-epoch
-        monotonicity checks) where :meth:`totals`'s defensive copy
-        would dominate the cost.  Callers must not mutate the result.
+        For hot paths where :meth:`totals`'s defensive copy would
+        dominate the cost: the audit layer's per-epoch checks read it,
+        and the batched engine's replay charges it in place, with the
+        arithmetic of :meth:`charge`.  No other caller may mutate it.
         """
         return self._counters[vcpu_key]
 

@@ -153,6 +153,7 @@ AUDIT_REPORT_SCHEMA: Dict[str, Any] = {
                 "seeds",
                 "engines",
                 "checks_run",
+                "engine_comparisons",
                 "elapsed_s",
                 "results",
                 "metamorphic",
@@ -163,6 +164,7 @@ AUDIT_REPORT_SCHEMA: Dict[str, Any] = {
                 "seeds": {"type": "array", "items": _INT},
                 "engines": {"type": "array", "items": _STRING},
                 "checks_run": _INT,
+                "engine_comparisons": _INT,
                 "elapsed_s": _NUMBER,
                 "results": {"type": "array", "items": {"type": "object"}},
                 "metamorphic": {"type": "array", "items": {"type": "object"}},

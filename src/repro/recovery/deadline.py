@@ -26,24 +26,24 @@ change a result.  Scenario build and ``summarize`` run outside the run
 loop and are unguarded: their time counts against the deadline, but
 they are bounded and are never cut short.
 
-The guarded worker entry (:func:`run_cell_batch_guarded`) reports
-per-cell *outcomes* instead of raising, so the parent can tell a
-timeout (quarantine path) from a genuine error (serial-retry path)
-even when both happen inside one chunk.
+The guarded worker entry (:func:`run_cell_guarded`) reports the
+cell's *outcome* instead of raising, so the parent can tell a timeout
+(quarantine path) from a genuine error (serial-retry path) without
+unpickling a worker exception.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from time import monotonic
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 __all__ = [
     "CellDeadlineExceeded",
     "DeadlinePolicy",
     "Quarantine",
     "cell_stop_check",
-    "run_cell_batch_guarded",
+    "run_cell_guarded",
     "TIMEOUT_EXCEPTIONS",
 ]
 
@@ -159,30 +159,26 @@ def cell_stop_check(
 CellOutcome = Tuple[str, Any]
 
 
-def run_cell_batch_guarded(
-    cells: Sequence[Tuple[Any, str, Any]],
+def run_cell_guarded(
+    builder: Any,
+    scheduler: str,
+    cfg: Any,
     deadline_s: Optional[float] = None,
-) -> List[CellOutcome]:
-    """Worker entry: run a chunk of cells, reporting per-cell outcomes.
+) -> CellOutcome:
+    """Worker entry: run one cell, reporting its outcome.
 
     Module-level (picklable) and cache-blind — the parent owns all
-    cache traffic.  An exception in cell *k* never poisons cells
-    *k+1..n* of the chunk, and the parent learns exactly which cell
-    failed how: timeout-class failures route to the quarantine path,
-    everything else to the crash-retry path.
+    cache traffic.  Timeout-class failures come back as ``"timeout"``
+    (the quarantine path), everything else as ``"error"`` (the
+    crash-retry path).
     """
     from repro.experiments.runner import execute_cell
     from repro.xen.simulator import SimulationTimeout
 
-    outcomes: List[CellOutcome] = []
-    for builder, scheduler, cfg in cells:
-        try:
-            stop_check = cell_stop_check(deadline_s)
-            outcomes.append(
-                ("ok", execute_cell(builder, scheduler, cfg, stop_check=stop_check))
-            )
-        except (SimulationTimeout, CellDeadlineExceeded) as exc:
-            outcomes.append(("timeout", (type(exc).__name__, str(exc))))
-        except Exception as exc:
-            outcomes.append(("error", (type(exc).__name__, str(exc))))
-    return outcomes
+    try:
+        stop_check = cell_stop_check(deadline_s)
+        return ("ok", execute_cell(builder, scheduler, cfg, stop_check=stop_check))
+    except (SimulationTimeout, CellDeadlineExceeded) as exc:
+        return ("timeout", (type(exc).__name__, str(exc)))
+    except Exception as exc:
+        return ("error", (type(exc).__name__, str(exc)))

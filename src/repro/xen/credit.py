@@ -144,12 +144,12 @@ class CreditScheduler(SchedulerPolicy):
 
         # Debit running VCPUs; a VCPU that received a full tick of
         # service also loses its wake-up BOOST (csched_vcpu_acct).
+        floor = params.credit_floor
+        debit = params.credits_per_tick
         for pcpu in machine.pcpus:
             cur = pcpu.current
             if cur is not None:
-                cur.credits = max(
-                    params.credit_floor, cur.credits - params.credits_per_tick
-                )
+                cur.credits = max(floor, cur.credits - debit)
                 cur.boosted = False
 
         # Accounting period: refill credits in proportion to weight.
@@ -162,12 +162,12 @@ class CreditScheduler(SchedulerPolicy):
         # even with an empty local queue — that is where the balancer
         # gets its chance to pull queued work from loaded peers, which
         # is what keeps surplus VCPUs fairly served machine-wide.
+        slice_end = params.slice_s - 1e-12
         for pcpu in machine.pcpus:
             cur = pcpu.current
             if cur is None:
                 continue
-            slice_expired = cur.slice_used_s >= params.slice_s - 1e-12
-            if slice_expired or pcpu.queue.has_priority_over(cur):
+            if cur.slice_used_s >= slice_end or pcpu.queue.has_priority_over(cur):
                 machine.preempt(pcpu, now)
         # Balancing itself happens at the machine's scheduling pass:
         # whenever a PCPU must pick work and its best local candidate

@@ -1,18 +1,30 @@
-"""Structure-of-arrays fast path for the epoch engine.
+"""The batched epoch engine: one fused scalar replay per event horizon.
 
 The reference implementation in :mod:`repro.xen.simulator` prices every
 epoch through per-VCPU dictionaries (demands, rates, traffic, penalties,
 page mixes) and rescans all VCPUs for wakeups, phase changes and finite
 completion.  That is the clearest possible statement of the model — and
-the hot path of every experiment, so :class:`VectorEngine` keeps flat
-per-VCPU invariants keyed by VCPU index, event heaps and the persistent
-parts each horizon's replay plan is assembled from (per-(VCPU, node)
-records and per-co-runner-set node plans), and :class:`BatchedEngine`
-— the ``"batched"`` engine, the one fast engine a run can select —
-advances every event horizon, from a single epoch up, through one
-fused scalar replay on top of it.
-Both are built only for the paper's dual-socket host; the machine runs
-other topologies through its reference loop.
+the hot path of every experiment, so :class:`BatchedEngine`, the one
+fast engine a run can select (``engine="batched"``), keeps flat per-VCPU
+invariants keyed by VCPU index, event heaps, and one persistent *replay
+slot* per PCPU, and advances every event horizon, from a single epoch
+up, through one fused scalar replay.  It is built only for the paper's
+dual-socket host; the machine runs other topologies through its
+reference loop.
+
+**Replay slots.**  A PCPU's slot holds the replay row of the VCPU it
+runs: the row constants of that VCPU on that node (from a per-(VCPU,
+node) record), the placement's live page-mix lists, and the live
+objects the replay charges in place — the PCPU (overhead budget, busy
+time), the VCPU (slice, burst), its workload (progress) and its PMU
+bank (counters, per-node accesses).  A slot is rebuilt only when its
+PCPU runs a different VCPU or that VCPU changed phase; a node's
+co-runner plan (its members' LLC shares) is looked up, and their
+warmth scratch reseeded, only when that node's running set changed.  Because the replay reads
+and writes the live fields themselves, whatever a boundary phase wrote
+between horizons (tick and context-switch overhead charges, a slice
+reset on switch-in, a crash's lost progress) is simply what the next
+horizon starts from: there is no seed and no commit to keep in step.
 
 **The contract is bitwise equality**: for any scenario and seed, a run
 through the batched engine produces exactly the same simulated results
@@ -40,8 +52,8 @@ reference loop.  Four rules keep that true:
 
 The engine holds only *derived* state; all simulation state lives in
 the machine's VCPUs, workloads and hardware models.  Rebuilding the
-engine from a live machine (``Machine.add_domain`` invalidates it) is
-therefore lossless.
+engine from a live machine (``Machine.add_domain`` invalidates it, and
+a checkpoint drops it) is therefore lossless.
 """
 
 from __future__ import annotations
@@ -50,25 +62,46 @@ import heapq
 import math
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
-from repro.hardware.cache import CacheDemand, LLCState
+from repro.hardware.cache import LLCState, waterfill_shares
 from repro.hardware.memory import BYTES_PER_MISS
 from repro.xen.vcpu import Vcpu, VcpuState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.xen.pcpu import Pcpu
     from repro.xen.simulator import Machine
 
-__all__ = ["VectorEngine", "BatchedEngine"]
+__all__ = ["BatchedEngine"]
 
 
-class VectorEngine:
-    """Per-VCPU invariants, event heaps and replay plans for one machine.
+class BatchedEngine:
+    """Macro-stepping engine: one fused scalar replay per event horizon.
 
     Built lazily on the first stepped epoch of a dual-socket machine and
     discarded whenever the machine's VCPU population changes;
     construction scans the live machine state once, after which
-    per-epoch work touches only the VCPUs that are actually running,
-    waking or changing phase.  :class:`BatchedEngine` adds the horizon
-    sizing and the replay kernel.
+    per-horizon work touches only the VCPUs that are actually running,
+    waking or changing phase.
+
+    Each horizon is sized first: the number of upcoming epochs
+    guaranteed free of discrete events — scheduler ticks, sampling
+    boundaries, wakeups, phase changes, finite-work completions,
+    run-burst expiries, fault stalls/crashes, the epoch cap and the
+    run's time limit.  Every horizon, a single epoch included, then
+    advances in one call to :meth:`_advance_replay_fused`, which runs
+    the reference loop's exact per-epoch arithmetic on the replay slots
+    (see the module docstring); a horizon with nothing running only
+    decays LLC warmth.
+
+    The bitwise contract survives batching because inside the horizon
+    every epoch applies the same Python-float expressions, in the same
+    order, to the same running set; only transitions and the LLC
+    warmth commit move to the batch end.  Scheduler RNG parity is kept
+    by one :meth:`~repro.xen.credit.SchedulerPolicy.idle_steals` call
+    per horizon, which draws what the (no-op) steal attempts of idle
+    PCPUs in the interior epochs would draw.
+
+    Dual-socket only: the replay inlines the two-node memory solve, and
+    ``Machine`` builds no engine for other topologies.
     """
 
     def __init__(self, machine: "Machine") -> None:
@@ -83,7 +116,7 @@ class VectorEngine:
         self.node_ns2c: List[float] = [c * 1e-9 for c in self.node_clock]
 
         # Per-VCPU invariants, keyed by VCPU key.  Profile constants are
-        # immutable; the phase-dependent ones (rpi, demand, warmth
+        # immutable; the phase-dependent ones (rpi, LLC demand, warmth
         # charge) are refreshed by refresh_vcpu() on phase change.
         n = len(vcpus)
         self.cpi_base: List[float] = [v.workload.profile.cpi_base for v in vcpus]
@@ -95,16 +128,22 @@ class VectorEngine:
             min(1.0, v.workload.profile.touch_rate * self.epoch) for v in vcpus
         ]
         self.rpi: List[float] = [0.0] * n
-        self.demand: List[Optional[CacheDemand]] = [None] * n
-        self.charge_factor: List[float] = [1.0] * n
+        #: (waterfill weight, working set) of the VCPU's LLC demand
+        self.llc_fill: List[Tuple[float, float]] = [(0.0, 0.0)] * n
+        #: (min miss, miss span, curve shape, working set <= 0, warmth
+        #: charge factor): the VCPU's miss curve and warmth charge
+        self.miss_tail: List[tuple] = [()] * n
         self.total_instr: List[float] = [0.0] * n
         #: per-key phase generation, bumped by refresh_vcpu(): a replay
-        #: record built under an older generation is rebuilt on next use.
+        #: record or slot built under an older generation is rebuilt.
         self.key_gen: List[int] = [0] * n
         # Per-key replay scratch ``[x0, x1, miss]`` (page mix and miss
-        # rate of the current epoch).  Stable list objects shared by the
-        # records and node plans, so no plan embeds a PCPU position.
+        # rate of the current epoch) and ``[warmth, share]`` (the VCPU's
+        # warmth on the LLC it runs on and its capped LLC share there,
+        # set when its node's co-runner set is planned).  Stable list
+        # objects held by the records, so no row embeds a co-runner set.
         self._scratch = [[0.0, 0.0, 0.0] for _ in range(n)]
+        self._warm = [[0.0, 0.0] for _ in range(n)]
         # Replay records, ``_records[key][node]`` (see _record): a stale
         # record is replaced in place, so the memo holds at most one per
         # (VCPU, node) and needs no eviction.
@@ -114,16 +153,33 @@ class VectorEngine:
         # Per-co-runner-set node plans (see _node_entry).  Phase-
         # dependent, so refresh_vcpu() evicts entries mentioning the key.
         self._node_cache: Dict[Tuple, Tuple] = {}
-        # Last horizon's plan and its (PCPUs, VCPUs, generations)
-        # signature: an unchanged running set reuses it outright.
+        #: per-key node-cache keys of the plans mentioning it (some may
+        #: already be evicted)
+        self._node_keys_of: List[List[Tuple]] = [[] for _ in range(n)]
+        # Replay slots: each PCPU's slot row (see _slot) for the VCPU
+        # it runs, or None when idle or invalidated by a phase change.
+        self._slots: List[Optional[tuple]] = [None] * len(machine.pcpus)
+        # Each node's plan entry in the last replayed horizon: its
+        # members' warmth scratch already holds what the warmth commit
+        # wrote.  None marks a node whose co-runner set must be planned
+        # and reseeded.
+        self._node_last: List[Optional[tuple]] = [None, None]
+        self._node_pids: List[List[int]] = [
+            [p.pcpu_id for p in machine.pcpus if p.node == node]
+            for node in range(2)
+        ]
+        # The current plan and the PCPU occupancy it was built for.
         self._plan: Optional[tuple] = None
-        self._plan_sig: Optional[tuple] = None
+        self._currents: list = []
         for vcpu in vcpus:
             self.refresh_vcpu(vcpu)
 
         # Live per-node warmth tables (stable dict objects).
         self._warmth_tables = [
             cache.state.warmth_table for cache in machine.caches
+        ]
+        self._cache_advance_batch = [
+            cache.state.advance_compact_batch for cache in machine.caches
         ]
 
         # Wake-time min-heap replacing the all-VCPU step-2 scan.  Lazy
@@ -157,6 +213,26 @@ class VectorEngine:
         self.has_finite = bool(finite)
         self.finite_remaining = sum(1 for w in finite if not w.done)
 
+        self._horizon_hist: Dict[int, int] = {}
+        # Latency/topology constants for the inlined dual-socket solve
+        # (queue_inflation's default cap and knee, minus validation).
+        lat = machine.config.latency
+        memsys = machine.memsys
+        nodes = memsys.topology.nodes
+        cap = 8.0
+        self._scalars = (
+            lat.llc_hit_ns,
+            lat.local_dram_ns,
+            nodes[0].imc_bandwidth,
+            nodes[1].imc_bandwidth,
+            memsys.topology.qpi_bandwidth,
+            memsys.latency.local_dram_ns,
+            memsys.latency.remote_extra_ns,
+            cap,
+            1.0 - 1.0 / cap,
+            BYTES_PER_MISS,
+        )
+
     # ------------------------------------------------------------------
     # Invariant maintenance
     # ------------------------------------------------------------------
@@ -166,17 +242,34 @@ class VectorEngine:
         key = vcpu.key
         self.rpi[key] = w.profile.refs_per_instruction * w.intensity_multiplier
         demand = w.cache_demand()
-        self.demand[key] = demand
-        tau = max(1e-4, demand.working_set_bytes / LLCState.FILL_BANDWIDTH)
-        self.charge_factor[key] = math.exp(-self.epoch / tau)
+        ws = demand.working_set_bytes
+        # The weight and the charge factor are the reference's
+        # expressions (CacheModel.solve, LLCState.advance).
+        self.llc_fill[key] = (demand.intensity * max(ws, 1.0), ws)
+        tau = max(1e-4, ws / LLCState.FILL_BANDWIDTH)
+        self.miss_tail[key] = (
+            demand.min_miss_rate,
+            demand.max_miss_rate - demand.min_miss_rate,
+            demand.curve_shape,
+            ws <= 0,
+            math.exp(-self.epoch / tau),
+        )
         self.total_instr[key] = w.profile.total_instructions
         self.key_gen[key] += 1
         # Selective eviction: only node plans that embed this key's
-        # phase-dependent data (demand, charge factor) are stale; its
-        # records fail their generation check on next use.
+        # demand are stale; its records fail their generation check on
+        # next use, and a slot running it is dropped (with its node's
+        # plan) here.
         node_cache = self._node_cache
-        for nk in [nk for nk in node_cache if key in nk[1]]:
-            del node_cache[nk]
+        for node_key in self._node_keys_of[key]:
+            node_cache.pop(node_key, None)
+        self._node_keys_of[key] = []
+        slots = self._slots
+        for pid, row in enumerate(slots):
+            if row is not None and row[14] is vcpu:
+                slots[pid] = None
+                self._node_last[row[19].node] = None
+        self._plan = None
 
     # ------------------------------------------------------------------
     # Event-driven scans
@@ -244,20 +337,27 @@ class VectorEngine:
     def _record(self, key: int, node: int) -> tuple:
         """Replay record for VCPU ``key`` running on ``node``.
 
-        ``(gen, row, bank, pmu_row, placement)``: ``gen`` is the key's
-        phase generation at build time; ``row`` is the replay row ``(c,
-        1.0 - c, slice_row, overall, rpi, cpi_base, mlp, clock, ns2c,
-        scratch, node == 0, total, drift, num_slices)``, whose
-        ``slice_row``/``overall`` are the placement's live dual-socket
-        lists (aliased readers share them, so intra-epoch interleavings
-        replay exactly); ``bank``/``pmu_row`` are the PMU bank and its
-        node-matrix row; ``placement`` is the one to mark stale after a
-        horizon, or None when the VCPU does not drift.
+        ``(gen, row, placement, tail)``: ``gen`` is the key's phase
+        generation at build time; ``row`` is ``(c, 1.0 - c, slice_row,
+        overall, rpi, cpi_base, mlp, clock, ns2c, scratch, node == 0,
+        total, drift, num_slices, vcpu, workload, bank, node_accesses,
+        step)``, whose ``slice_row``/``overall`` are the placement's
+        live dual-socket lists (aliased readers share them, so
+        intra-epoch interleavings replay exactly), whose ``bank`` and
+        ``node_accesses`` are the VCPU's live PMU bank and its per-node
+        list, and whose ``step`` is the most progress one epoch can
+        make there (``clock / cpi_base * epoch``, the horizon's
+        completion floor).  ``placement`` is the one to mark stale after
+        a horizon, or None when the VCPU does not drift; ``tail`` is
+        ``(warm, min_miss, miss_span, curve_shape, ws <= 0,
+        charge_factor)``, with ``warm`` the VCPU's ``[warmth, share]``
+        scratch.
         """
         vcpu = self.machine.vcpus[key]
         placement = vcpu.domain.placement
         c = self.conc[key]
         drift = self.drift_amount[key]
+        bank = self.machine.pmu.peek(key)
         row = (
             c,
             1.0 - c,
@@ -273,151 +373,116 @@ class VectorEngine:
             self.total_instr[key],
             drift,
             placement.num_slices,
+            vcpu,
+            vcpu.workload,
+            bank,
+            bank.node_accesses,
+            self.node_clock[node] / self.cpi_base[key] * self.epoch,
         )
-        bank, pmu_row = self.machine.pmu.bank_row(key)
         return (
-            self.key_gen[key], row, bank, pmu_row,
+            self.key_gen[key],
+            row,
             placement if drift > 0 else None,
+            (self._warm[key],) + self.miss_tail[key],
         )
 
     def _node_entry(self, node: int, members: Tuple[int, ...]) -> Tuple:
-        """``(members, w_l, member_set, miss_plan, charge_plan)``.
+        """``(members, shares, member_set)`` for one co-runner set.
 
-        The plan for one co-runner set (``members`` sorted by key) on
-        ``node``: ``w_l`` is the members' warmth scratch, reseeded from
-        the live table each horizon; ``miss_plan[j]`` is ``(w_l, j,
-        scratch, share, min_miss, miss_span, curve_shape, ws <= 0)``
-        and ``charge_plan[j]`` is ``(w_l, j, charge_factor)``.  The
-        capped share ``min(1.0, alloc / ws)`` is exactly the scalar the
-        reference recomputes every epoch — same inputs, same float — so
-        it is safe to freeze per co-runner set.
+        ``members`` is sorted by key; ``shares[j]`` is member ``j``'s
+        capped LLC share ``min(1.0, alloc / ws)`` on ``node``: exactly
+        the scalar the reference recomputes every epoch — same inputs,
+        same float — so it is safe to freeze per co-runner set.
         """
         node_key = (node, members)
         entry = self._node_cache.get(node_key)
         if entry is None:
-            demands = [self.demand[key] for key in members]
-            allocs = self.machine.caches[node].occupancy_shares(demands)
-            w_l = [0.0] * len(members)
-            miss_plan = []
-            charge_plan = []
-            for j, key in enumerate(members):
-                d = demands[j]
-                ws = d.working_set_bytes
-                miss_plan.append(
-                    (
-                        w_l,
-                        j,
-                        self._scratch[key],
-                        min(1.0, allocs[j] / ws) if ws > 0 else 0.0,
-                        d.min_miss_rate,
-                        d.max_miss_rate - d.min_miss_rate,
-                        d.curve_shape,
-                        ws <= 0,
-                    )
-                )
-                charge_plan.append((w_l, j, self.charge_factor[key]))
-            entry = (members, w_l, frozenset(members), miss_plan, charge_plan)
+            # The waterfilled allocations depend only on capacity and
+            # the demands, not on warmth, so they are fixed per set.
+            fills = [self.llc_fill[key] for key in members]
+            caps = [ws for _, ws in fills]
+            allocs = waterfill_shares(
+                self.machine.caches[node].capacity_bytes,
+                [weight for weight, _ in fills],
+                caps,
+            )
+            shares = [
+                min(1.0, alloc / ws) if ws > 0 else 0.0
+                for alloc, ws in zip(allocs, caps)
+            ]
+            entry = (members, shares, frozenset(members))
             self._node_cache[node_key] = entry
+            for key in members:
+                self._node_keys_of[key].append(node_key)
         return entry
 
-    def _plan_for(
-        self, running_pcpus: list, running_vcpus: List[Vcpu]
-    ) -> tuple:
-        """This horizon's replay plan, assembled from records and node plans.
+    def _slot(self, pcpu: Pcpu, vcpu: Vcpu) -> tuple:
+        """The replay row of ``pcpu`` running ``vcpu``.
 
-        ``(rows, miss_plan, charge_plan, nodes, banks, pmu_rows,
-        stale)``: rows, banks and PMU rows in PCPU order; the miss and
-        charge plans in node-then-key order (the order the reference's
-        ``sorted(demands)`` solve iterates); one node plan per node.
+        The VCPU's record row on the PCPU's node (rebuilt when the
+        VCPU's phase generation moved), followed by the PCPU, the
+        placement to flag stale after a horizon (None when the VCPU
+        does not drift) and the record's miss/warmth tail.
         """
-        kg = self.key_gen
-        gens = [kg[v.key] for v in running_vcpus]
-        sig = (running_pcpus, running_vcpus, gens)
-        if sig == self._plan_sig:
-            return self._plan
-        records = self._records
-        rows = []
-        banks = []
-        pmu_rows = []
-        stale = []
-        groups: Tuple[list, list] = ([], [])
-        for pcpu, vcpu, gen in zip(running_pcpus, running_vcpus, gens):
-            key = vcpu.key
-            node = pcpu.node
-            pair = records[key]
-            rec = pair[node]
-            if rec is None or rec[0] != gen:
-                rec = pair[node] = self._record(key, node)
-            rows.append(rec[1])
-            banks.append(rec[2])
-            pmu_rows.append(rec[3])
-            if rec[4] is not None:
-                stale.append(rec[4])
-            groups[node].append(key)
-        miss_plan = []
-        charge_plan = []
-        nodes = []
-        for node, group in enumerate(groups):
-            group.sort()
-            entry = self._node_entry(node, tuple(group))
-            miss_plan += entry[3]
-            charge_plan += entry[4]
-            nodes.append(entry)
-        plan = (rows, miss_plan, charge_plan, nodes, banks, pmu_rows, stale)
-        self._plan = plan
-        self._plan_sig = sig
-        return plan
+        key = vcpu.key
+        pair = self._records[key]
+        rec = pair[pcpu.node]
+        if rec is None or rec[0] != self.key_gen[key]:
+            rec = pair[pcpu.node] = self._record(key, pcpu.node)
+        return rec[1] + (pcpu, rec[2]) + rec[3]
 
+    def _plan_for(self) -> tuple:
+        """This horizon's replay plan, from the slots of the running PCPUs.
 
-class BatchedEngine(VectorEngine):
-    """Macro-stepping engine: one fused scalar replay per event horizon.
-
-    Extends :class:`VectorEngine` with an *event horizon*: the number of
-    upcoming epochs guaranteed free of discrete events — scheduler
-    ticks, sampling boundaries, wakeups, phase changes, finite-work
-    completions, run-burst expiries, fault stalls/crashes, the epoch cap
-    and the run's time limit.  Every horizon, a single epoch included,
-    advances in one call to :meth:`_advance_replay_fused`, which runs
-    the reference loop's exact per-epoch arithmetic with the running-set
-    scan, plan lookup and every state commit hoisted out of the epoch
-    loop; a horizon with nothing running only decays LLC warmth.
-
-    The bitwise contract survives batching because inside the horizon
-    every epoch applies the same Python-float expressions, in the same
-    order, to the same running set; only reads and writes of live state
-    move to the batch edges.  Scheduler RNG parity is kept by one
-    :meth:`~repro.xen.credit.SchedulerPolicy.idle_steals` call per
-    horizon, which draws what the (no-op) steal attempts of idle PCPUs
-    in the interior epochs would draw.
-
-    Dual-socket only: the replay inlines the two-node memory solve, and
-    ``Machine`` builds no engine for other topologies.
-    """
-
-    def __init__(self, machine: "Machine") -> None:
-        super().__init__(machine)
-        self._cache_advance_batch = [
-            cache.state.advance_compact_batch for cache in machine.caches
-        ]
-        self._horizon_hist: Dict[int, int] = {}
-        # Latency/topology constants for the inlined dual-socket solve
-        # (queue_inflation's default cap and knee, minus validation).
-        lat = machine.config.latency
-        memsys = machine.memsys
-        nodes = memsys.topology.nodes
-        cap = 8.0
-        self._scalars = (
-            lat.llc_hit_ns,
-            lat.local_dram_ns,
-            nodes[0].imc_bandwidth,
-            nodes[1].imc_bandwidth,
-            memsys.topology.qpi_bandwidth,
-            memsys.latency.local_dram_ns,
-            memsys.latency.remote_extra_ns,
-            cap,
-            1.0 - 1.0 / cap,
-            BYTES_PER_MISS,
+        ``(rows, nodes)``: the slot of every running PCPU, in PCPU
+        order, and each node's plan.  With the same occupancy as the
+        last horizon and no phase change since, the plan is reused
+        outright.  Otherwise only the slots whose PCPU now runs a
+        different VCPU are rebuilt, and only a node whose co-runner set
+        moved gets a new node plan, which sets its members' shares and
+        reseeds their warmth; the other node's members already hold
+        what the last warmth commit wrote.
+        """
+        pcpus = self.machine.pcpus
+        currents = [p.current for p in pcpus]
+        plan = self._plan
+        if plan is not None and currents == self._currents:
+            return plan
+        self._currents = currents
+        slots = self._slots
+        node_last = self._node_last
+        for pid, vcpu in enumerate(currents):
+            slot = slots[pid]
+            if vcpu is None:
+                if slot is not None:
+                    slots[pid] = None
+                    node_last[slot[19].node] = None
+            elif slot is None or slot[14] is not vcpu:
+                pcpu = pcpus[pid]
+                slots[pid] = self._slot(pcpu, vcpu)
+                node_last[pcpu.node] = None
+        for node, entry in enumerate(node_last):
+            if entry is None:
+                keys = [
+                    slots[pid][14].key
+                    for pid in self._node_pids[node]
+                    if slots[pid] is not None
+                ]
+                keys.sort()
+                members = tuple(keys)
+                entry = node_last[node] = self._node_entry(node, members)
+                table = self._warmth_tables[node]
+                warm = self._warm
+                for key, share in zip(members, entry[1]):
+                    cell = warm[key]
+                    cell[0] = table.get(key, 0.0)
+                    cell[1] = share
+        plan = (
+            [slot for slot in slots if slot is not None],
+            (node_last[0], node_last[1]),
         )
+        self._plan = plan
+        return plan
 
     # ------------------------------------------------------------------
     # Event horizon
@@ -430,12 +495,12 @@ class BatchedEngine(VectorEngine):
         could fire before the batch would end.  Every Credit tick and
         sampling boundary terminates the batch.
         """
-        kb = self._size_horizon(now, limit)
+        kb = self._size_horizon(now, limit, self._plan_for()[0])
         hist = self._horizon_hist
         hist[kb] = hist.get(kb, 0) + 1
         return kb
 
-    def _size_horizon(self, now: float, limit: float) -> int:
+    def _size_horizon(self, now: float, limit: float, rows: list) -> int:
         machine = self.machine
         e0 = machine.epoch_index
         epoch = self.epoch
@@ -469,23 +534,18 @@ class BatchedEngine(VectorEngine):
         # exactly one epoch per step regardless of contention, so the
         # expiry epoch is known in advance — the batch may end ON it and
         # fire the block transition at the batch boundary.
-        idle = False
-        for pcpu in machine.pcpus:
-            cur = pcpu.current
-            if cur is None:
-                idle = True
-                continue
-            key = cur.key
-            w = cur.workload
-            total = w.profile.total_instructions
+        window = (kb + 1) * epoch
+        for row in rows:
+            total = row[11]
             if total is not None:
-                remaining = total - w.instructions_done
-                rate_max = self.node_clock[pcpu.node] / self.cpi_base[key]
-                floor = int(remaining / (rate_max * epoch)) - 1
+                floor = int((total - row[15].instructions_done) / row[18]) - 1
                 if floor < kb:
+                    if floor <= 1:
+                        return 1
                     kb = floor
-            burst = cur.run_burst_remaining_s
-            if burst <= (kb + 1) * epoch:
+                    window = (kb + 1) * epoch
+            burst = row[14].run_burst_remaining_s
+            if burst <= window:
                 # Expiry may land inside the window: replay the exact
                 # per-epoch subtraction chain (`x -= epoch`, the same
                 # sequential float ops the progress pass performs) to
@@ -495,11 +555,12 @@ class BatchedEngine(VectorEngine):
                 for j in range(kb):
                     x -= epoch
                     if x <= 0.0:
+                        if j == 0:
+                            return 1
                         kb = j + 1
+                        window = (kb + 1) * epoch
                         break
-            if kb <= 1:
-                return 1
-        if idle:
+        if len(rows) < len(machine.pcpus):
             # After a scheduling pass an idle PCPU implies every queue
             # is empty (the pass steals unconditionally); guard the
             # invariant anyway — queued work next to an idle PCPU means
@@ -538,18 +599,13 @@ class BatchedEngine(VectorEngine):
         """Advance ``kb`` quiet epochs in one batch; returns the batch end.
 
         The caller (the stepper) has already run this epoch's pre-solve
-        phases and guarantees — via :meth:`compute_horizon` — that no
-        discrete event fires strictly inside the batch.
+        phases and sized the batch with :meth:`compute_horizon` at this
+        boundary, which guarantees that no discrete event fires strictly
+        inside it and leaves the boundary's replay plan in place.
         """
         machine = self.machine
-
-        running_pcpus = []
-        running_vcpus = []
-        for pcpu in machine.pcpus:
-            cur = pcpu.current
-            if cur is not None:
-                running_pcpus.append(pcpu)
-                running_vcpus.append(cur)
+        plan = self._plan
+        running = len(plan[0])
 
         t = now
         for _ in range(1, kb):
@@ -564,19 +620,18 @@ class BatchedEngine(VectorEngine):
         # credit.steal's permutation), so one idle_steals call consumes
         # all of them up front, leaving every stream where the
         # reference's per-epoch calls would.
-        n = (kb - 1) * (len(machine.pcpus) - len(running_pcpus))
+        n = (kb - 1) * (len(machine.pcpus) - running)
         if n > 0:
             machine.policy.idle_steals(n)
 
-        if not running_vcpus:
-            # Nothing runs: warmth still decays on every LLC.
+        if not running:
+            # Nothing runs: warmth still decays on every LLC, so no
+            # node's warmth scratch survives this horizon.
             for advance in self._cache_advance_batch:
                 advance(epoch, kb, (), (), frozenset())
+            self._node_last = [None, None]
             return end_batch
-        plan = self._plan_for(running_pcpus, running_vcpus)
-        return self._advance_replay_fused(
-            end_batch, epoch, kb, plan, running_pcpus, running_vcpus
-        )
+        return self._advance_replay_fused(end_batch, epoch, kb, plan)
 
     def _advance_replay_fused(
         self,
@@ -584,22 +639,21 @@ class BatchedEngine(VectorEngine):
         epoch: float,
         kb: int,
         plan: tuple,
-        running_pcpus: list,
-        running_vcpus: List[Vcpu],
     ) -> float:
-        """Event-free horizon: scalar replay with hoisted state.
+        """Event-free horizon: scalar replay on the slots' live objects.
 
         Runs the reference loop's exact arithmetic — same Python-float
         expressions, same accumulation order — for ``kb`` epochs, but
-        performs the running-set scan, plan lookup, warmth/PMU/placement
-        reads and every state commit once per batch instead of once per
-        epoch.  The accumulator chains (busy time, progress, PMU banks)
-        evolve on Python locals seeded from live state, and the finals
-        are written back after the last epoch; placement drift updates
-        the placements' live lists in place.  Both are bitwise neutral
+        performs the running-set scan, plan lookup and transitions once
+        per batch instead of once per epoch.  Progress, busy time,
+        overhead, slice, burst and PMU counters accumulate in place on
+        the live PCPU, VCPU, workload and bank objects; placement drift
+        updates the placements' live lists.  Both are bitwise neutral
         because nothing else reads that state mid-batch (the caller
         guarantees an event-free interior and has already drawn the
-        idle PCPUs' steal RNG, which reads none of it).
+        idle PCPUs' steal RNG, which reads none of it).  Only the
+        machine's busy total (a local) and the members' warmth (their
+        scratch) are written back at the end.
         """
         machine = self.machine
         (
@@ -614,58 +668,41 @@ class BatchedEngine(VectorEngine):
             knee,
             bpm,
         ) = self._scalars
-        rows, miss_plan, charge_plan, nodes, banks, pmu_rows, stale = plan
-
-        # Reseed member warmth from the live tables.
-        for table, (members, w_l, *_) in zip(self._warmth_tables, nodes):
-            for j, key in enumerate(members):
-                w_l[j] = table.get(key, 0.0)
-
-        # Accumulator seeds (live values in, finals out).
-        pend_l = [p.overhead_pending_s for p in running_pcpus]
-        busy_l = [p.busy_time_s for p in running_pcpus]
+        rows, nodes = plan
         mbusy = machine.busy_time_s
-        id_l = [v.workload.instructions_done for v in running_vcpus]
-        slice_l = [v.slice_used_s for v in running_vcpus]
-        burst_l = [v.run_burst_remaining_s for v in running_vcpus]
-        matrix = machine.pmu._node_matrix
-        bi_l = [b.instructions for b in banks]
-        br_l = [b.llc_refs for b in banks]
-        bm_l = [b.llc_misses for b in banks]
-        bl_l = [b.local_accesses for b in banks]
-        bx_l = [b.remote_accesses for b in banks]
-        m0_l = [float(matrix[r, 0]) for r in pmu_rows]
-        m1_l = [float(matrix[r, 1]) for r in pmu_rows]
 
         # --- Per-epoch replay ------------------------------------------
-        # Each epoch preserves the reference phase order: miss curves,
-        # then page mix + first contention round (rates feed traffic,
+        # Each epoch preserves the reference phase order: miss curves +
+        # page mix + first contention round (rates feed traffic,
         # traffic feeds the inlined dual-socket solve), then penalties +
-        # final rates + progress/PMU/drift, then warmth charge.  Merging
-        # the per-i loops is bitwise neutral because no merged statement
-        # reads another VCPU's output from the same pass; every
-        # cross-VCPU accumulator (imc/qpi flows, machine busy time)
-        # still folds in ascending VCPU order.
+        # final rates + progress/PMU/drift + warmth charge.  Merging
+        # the per-VCPU loops is bitwise neutral because no merged
+        # statement reads another VCPU's output from the same pass (a
+        # miss rate and a warmth charge read only their own VCPU's
+        # warmth); every cross-VCPU accumulator (imc/qpi flows, machine
+        # busy time) still folds in ascending VCPU order.
         for _tt in range(kb):
-            for w_l, j, scr, share, minmr, span, shape, bad in miss_plan:
-                f = 1.0 if bad else share * w_l[j]
-                missing = 1.0 - f if shape == 1.0 else (1.0 - f) ** shape
-                scr[2] = minmr + span * missing
-
             imc0 = 0.0
             imc1 = 0.0
             qpi_t = 0.0
             for (
-                c, a, row, over, rp, cb, ml, ck, n2, scr, nd0, _t, _d, _n
+                c, a, row, over, rp, cb, ml, ck, n2, scr, nd0,
+                _t, _d, _n, _vc, _w, _b, _na, _s, _pc, _pl,
+                warm, minmr, span, shape, bad, _cf,
             ) in rows:
-                m0 = c * row[0] + a * over[0]
-                m1 = c * row[1] + a * over[1]
+                f = 1.0 if bad else warm[1] * warm[0]
+                missing = 1.0 - f if shape == 1.0 else (1.0 - f) ** shape
+                mr = minmr + span * missing
+                scr[2] = mr
+                r0, r1 = row
+                o0, o1 = over
+                m0 = c * r0 + a * o0
+                m1 = c * r1 + a * o1
                 s = m0 + m1
                 x0 = m0 / s
                 x1 = m1 / s
                 scr[0] = x0
                 scr[1] = x1
-                mr = scr[2]
                 per_ref_ns = (1.0 - mr) * hit_ns + mr * local_dram
                 stall = rp * per_ref_ns * n2 / ml
                 rate = ck / (cb + stall)
@@ -688,64 +725,62 @@ class BatchedEngine(VectorEngine):
             dram0 = s_dram * factor0
             dram1 = s_dram * factor1
             remote_add = s_remote * qpi_factor
+            far0 = dram0 + remote_add
+            far1 = dram1 + remote_add
 
-            i = 0
             for (
                 _c, _a, row, over, rp, cb, ml, ck, n2, scr, nd0, total,
-                d, nsl,
+                d, nsl, vcpu, w, bank, na, _s, pcpu, _pl,
+                warm, _mm, _sp, _cs, _bd, cf,
             ) in rows:
-                penalty = 0.0
-                frac = scr[0]
-                if frac > 0:
-                    penalty += (
-                        frac * dram0 if nd0 else frac * (dram0 + remote_add)
-                    )
-                frac = scr[1]
-                if frac > 0:
-                    penalty += (
-                        frac * (dram1 + remote_add) if nd0 else frac * dram1
-                    )
-                mr = scr[2]
+                # The per-miss penalty: each node's page share times
+                # its DRAM latency, plus the QPI hop when remote.  A
+                # zero share adds +0.0, which leaves the sum's bits
+                # alone, so the reference's ``if frac > 0`` needs no
+                # branch here.
+                x0, x1, mr = scr
+                if nd0:
+                    penalty = x0 * dram0 + x1 * far1
+                else:
+                    penalty = x0 * far0 + x1 * dram1
                 per_ref_ns = (1.0 - mr) * hit_ns + mr * penalty
                 stall = rp * per_ref_ns * n2 / ml
                 rate = ck / (cb + stall)
 
-                pending = pend_l[i]
+                pending = pcpu.overhead_pending_s
                 if pending > 0.0:
                     used = pending if pending < epoch else epoch
-                    pend_l[i] = pending - used
+                    pcpu.overhead_pending_s = pending - used
                     compute = epoch - used
                 else:
                     compute = epoch
-                busy_l[i] += epoch
+                pcpu.busy_time_s += epoch
                 mbusy += epoch
                 done = rate * compute
                 if total is not None:
-                    remaining = total - id_l[i]
+                    remaining = total - w.instructions_done
                     if remaining < 0.0:
                         remaining = 0.0
                     if remaining < done:
                         done = remaining
                 r = done * rp
                 mi = r * mr
-                a0 = mi * scr[0]
-                a1 = mi * scr[1]
-                m0_l[i] += a0
-                m1_l[i] += a1
-                bi_l[i] += done
-                br_l[i] += r
-                bm_l[i] += mi
+                a0 = mi * x0
+                a1 = mi * x1
+                na[0] += a0
+                na[1] += a1
+                bank.instructions += done
+                bank.llc_refs += r
+                bank.llc_misses += mi
                 local = a0 if nd0 else a1
-                bl_l[i] += local
-                bx_l[i] += (a0 + a1) - local
+                bank.local_accesses += local
+                bank.remote_accesses += (a0 + a1) - local
 
-                id_l[i] += done
-                slice_l[i] += epoch
-                burst_l[i] -= epoch
-                i += 1
+                w.instructions_done += done
+                vcpu.slice_used_s += epoch
+                vcpu.run_burst_remaining_s -= epoch
                 if d > 0:
-                    r0 = row[0]
-                    r1 = row[1]
+                    r0, r1 = row
                     keep = 1.0 - d
                     n0 = r0 * keep
                     n1 = r1 * keep
@@ -757,49 +792,32 @@ class BatchedEngine(VectorEngine):
                     row[1] = n1
                     over[0] += (n0 - r0) / nsl
                     over[1] += (n1 - r1) / nsl
+                warm[0] = 1.0 - (1.0 - warm[0]) * cf
 
-            for w_l, j, cf in charge_plan:
-                w_l[j] = 1.0 - (1.0 - w_l[j]) * cf
-
-        # --- Commit ----------------------------------------------------
-        for i, pcpu in enumerate(running_pcpus):
-            pcpu.overhead_pending_s = pend_l[i]
-            pcpu.busy_time_s = busy_l[i]
-            vcpu = running_vcpus[i]
-            vcpu.workload.instructions_done = id_l[i]
-            vcpu.slice_used_s = slice_l[i]
-            vcpu.run_burst_remaining_s = burst_l[i]
         machine.busy_time_s = mbusy
-
-        for i, b in enumerate(banks):
-            b.instructions = bi_l[i]
-            b.llc_refs = br_l[i]
-            b.llc_misses = bm_l[i]
-            b.local_accesses = bl_l[i]
-            b.remote_accesses = bx_l[i]
-            r = pmu_rows[i]
-            matrix[r, 0] = m0_l[i]
-            matrix[r, 1] = m1_l[i]
-
-        for placement in stale:
-            placement._np_stale = True
+        for row in rows:
+            placement = row[20]
+            if placement is not None:
+                placement._np_stale = True
 
         # Batch-final transitions, in running order (interior epochs are
         # transition-free by the horizon contract; the burst cap is
         # inclusive, so a burst draining to zero blocks here).
         policy = machine.policy
-        log = machine.log
-        for pcpu, vcpu in zip(running_pcpus, running_vcpus):
-            w = vcpu.workload
-            total = w.profile.total_instructions
+        for row in rows:
+            total = row[11]
+            vcpu = row[14]
+            w = row[15]
             if total is not None and w.instructions_done >= total:
+                pcpu = row[19]
                 vcpu.mark_done(end_batch)
                 pcpu.current = None
                 machine.context_switches += 1
                 policy.on_context_switch(pcpu, vcpu, None)
-                log.emit(end_batch, "finish", vcpu=vcpu.name)
+                machine.log.emit(end_batch, "finish", vcpu=vcpu.name)
                 self.finite_remaining -= 1
             elif vcpu.run_burst_remaining_s <= 0:
+                pcpu = row[19]
                 vcpu.block_until(end_batch + w.draw_block_time())
                 self.push_wake(vcpu)
                 pcpu.current = None
@@ -809,10 +827,13 @@ class BatchedEngine(VectorEngine):
         # --- LLC warmth commit -----------------------------------------
         # Every node advances (a member-less node still decays its
         # warm entries), exactly like the reference loop.
-        for advance, (members, w_l, member_set, *_) in zip(
+        warm = self._warm
+        for advance, (members, _shares, member_set) in zip(
             self._cache_advance_batch, nodes
         ):
-            advance(epoch, kb, members, w_l, member_set)
+            advance(
+                epoch, kb, members, [warm[key][0] for key in members], member_set
+            )
         return end_batch
 
     # ------------------------------------------------------------------

@@ -16,6 +16,7 @@ the smallest LLC pressure, regardless of class — Algorithm 2).
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Callable, Deque, Iterator, List, Optional, Tuple
 
 from repro.xen.vcpu import Vcpu, VcpuState
@@ -34,18 +35,19 @@ class RunQueue:
         )
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self._classes)
+        boost, under, over = self._classes
+        return len(boost) + len(under) + len(over)
 
     def __bool__(self) -> bool:
         return any(self._classes)
 
     def __iter__(self) -> Iterator[Vcpu]:
         """Iterate in scheduling order (class by class, FIFO within)."""
-        for q in self._classes:
-            yield from q
+        return chain(*self._classes)
 
     def __contains__(self, vcpu: Vcpu) -> bool:
-        return any(vcpu in q for q in self._classes)
+        boost, under, over = self._classes
+        return vcpu in boost or vcpu in under or vcpu in over
 
     def push(self, vcpu: Vcpu) -> None:
         """Enqueue at the tail of the VCPU's priority class.
@@ -104,9 +106,13 @@ class RunQueue:
 
     def head_rank(self) -> Optional[int]:
         """Priority rank of the queue head (None when empty)."""
-        for rank, q in enumerate(self._classes):
-            if q:
-                return rank
+        boost, under, over = self._classes
+        if boost:
+            return 0
+        if under:
+            return 1
+        if over:
+            return 2
         return None
 
     def remove(self, vcpu: Vcpu) -> bool:
@@ -163,7 +169,9 @@ class RunQueue:
         Used when priorities were recomputed and class membership may
         have changed; callers re-:meth:`push` the drained VCPUs.
         """
-        drained = list(self)
-        for q in self._classes:
-            q.clear()
+        boost, under, over = self._classes
+        drained = [*boost, *under, *over]
+        boost.clear()
+        under.clear()
+        over.clear()
         return drained

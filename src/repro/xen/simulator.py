@@ -39,6 +39,8 @@ from repro.xen.vcpu import Vcpu, VcpuState
 
 __all__ = ["SimConfig", "SimResult", "SimulationTimeout", "Machine"]
 
+_RUNNING = VcpuState.RUNNING
+
 #: Rounds of the reference loop's traffic->queueing->rate fixed point.
 #: The batched engine's fused replay inlines exactly this many.
 CONTENTION_ROUNDS = 2
@@ -537,15 +539,22 @@ class Machine:
         if self.faults is not None:
             self.faults.begin_epoch(self, now)
 
-        # 1. Credit tick (credits, preemption) and PMU refresh charges.
+        # 1. Credit tick (credits, preemption) and PMU refresh charges:
+        # one collection per running PCPU, each charged to its PCPU and
+        # added to the "pmu" total in PCPU order (charge_overhead,
+        # inlined).
         if self.epoch_index % self._epochs_per_tick == 0:
             self.policy.on_tick(now, self.tick_index)
             if self.policy.collects_pmu:
-                for pcpu in self.pcpus:
-                    if pcpu.current is not None:
-                        self.charge_overhead(
-                            "pmu", pcpu, self.pmu.record_collection()
-                        )
+                running = [p for p in self.pcpus if p.current is not None]
+                self.pmu.record_collection(len(running))
+                cost = self.pmu.collection_cost_s
+                if running and cost > 0:
+                    total = self.overhead_s.get("pmu", 0.0)
+                    for pcpu in running:
+                        pcpu.overhead_pending_s += cost
+                        total += cost
+                    self.overhead_s["pmu"] = total
             self.tick_index += 1
 
         # 2. Wakeups: a VCPU waking from sleep gets BOOST priority and
@@ -592,25 +601,25 @@ class Machine:
         # to find an UNDER VCPU elsewhere before settling for it.
         for pcpu in self.pcpus:
             cur = pcpu.current
-            if cur is not None and not cur.runnable:
+            if cur is not None:
+                if cur.state is _RUNNING or cur.runnable:
+                    continue
                 pcpu.current = None
-                cur = None
-            if cur is None:
-                # Local candidate first; if it is OVER (or the queue is
-                # empty), the balancer may find strictly better work
-                # elsewhere (Xen's csched_load_balance condition).
-                head_rank = pcpu.queue.head_rank()
-                nxt: Optional[Vcpu] = None
-                if head_rank is None or head_rank >= 2:
-                    nxt = self.policy.steal(
-                        pcpu, now, under_only=head_rank is not None
-                    )
-                    if nxt is not None:
-                        self._account_steal(pcpu, nxt, now)
-                if nxt is None:
-                    nxt = pcpu.queue.pop()
+            # Local candidate first; if it is OVER (or the queue is
+            # empty), the balancer may find strictly better work
+            # elsewhere (Xen's csched_load_balance condition).
+            head_rank = pcpu.queue.head_rank()
+            nxt: Optional[Vcpu] = None
+            if head_rank is None or head_rank >= 2:
+                nxt = self.policy.steal(
+                    pcpu, now, under_only=head_rank is not None
+                )
                 if nxt is not None:
-                    self._switch_in(pcpu, nxt, now)
+                    self._account_steal(pcpu, nxt, now)
+            if nxt is None:
+                nxt = pcpu.queue.pop()
+            if nxt is not None:
+                self._switch_in(pcpu, nxt, now)
 
         # Audit hook: placement and work conservation are only
         # guaranteed right here, after the pass filled every PCPU it

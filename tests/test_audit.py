@@ -322,6 +322,18 @@ class TestFuzzScenario:
             assert all(1 <= a <= nv for a, nv in zip(s.active, s.vcpus))
             assert s.fault == "churn" or s.churn_at_s == 0.0
 
+    def test_most_seeds_draw_the_fast_engines_host(self):
+        # The batched engine runs only on dual-socket hosts, so most
+        # seeds must draw one (varied cores per node) for the fuzzer to
+        # compare engines: at least 20 of 25, and 4 of CI's 5 seeds.
+        shapes = [generate_scenario(seed) for seed in range(25)]
+        dual = [s for s in shapes if s.num_nodes == 2]
+        assert len(dual) >= 20
+        assert sum(1 for s in shapes[:5] if s.num_nodes == 2) >= 4
+        assert {s.pcpus_per_node for s in dual} <= {2, 3, 4, 5, 6}
+        assert len({s.pcpus_per_node for s in dual}) >= 3
+        assert {s.num_nodes for s in shapes} - {2}, "no non-dual shape left"
+
     def test_misaligned_domains_rejected(self):
         with pytest.raises(ValueError, match="vcpus"):
             tiny_scenario(profiles=("hungry", "mcf"))
@@ -334,6 +346,7 @@ class TestDifferential:
         assert result.checks_run > 0
         assert set(result.summaries) == {"reference", "batched"}
         assert result.summaries["reference"] == result.summaries["batched"]
+        assert result.comparisons == 1
 
     @pytest.mark.parametrize(
         "engines", [("reference", "batched"), ("batched", "reference")]
@@ -347,6 +360,7 @@ class TestDifferential:
         assert result.ok and result.kind == "ok"
         assert set(result.summaries) == {engines[0]}
         assert result.checks_run == single.checks_run > 0
+        assert result.comparisons == 0
 
     def test_divergence_reported_with_first_difference(self, monkeypatch):
         import repro.audit.fuzz as fuzz
@@ -500,6 +514,9 @@ class TestAuditReport:
         obj = json.loads(report.to_json())
         assert obj["schema"] == AUDIT_SCHEMA
         assert validate_audit_report(obj) == []
+        # Seeds 0 and 1 draw dual-socket hosts: both compare engines.
+        assert report.engine_comparisons == 2
+        assert obj["payload"]["engine_comparisons"] == 2
 
     def test_exhausted_budget_is_reported_not_hidden(self):
         report = run_audit(seeds=3, budget_s=-1.0, metamorphic=False)

@@ -29,10 +29,11 @@ from repro.experiments.scenarios import (
     solo_scenario,
     spec_scenario,
 )
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import DomainCrash, FaultPlan
 from repro.hardware.cache import LLCState
 from repro.metrics.collectors import summarize
 from repro.obs.manifest import canonical_dumps
+from repro.recovery.checkpoint import load_checkpoint, save_checkpoint
 from repro.util.rng import RngStreams
 from repro.workloads.appmodel import VcpuWorkload
 from repro.workloads.generators import scaled_profile
@@ -40,6 +41,8 @@ from repro.workloads.suites import get_profile
 from repro.xen.domain import Domain
 from repro.xen.engine import BatchedEngine
 from repro.xen.memalloc import place_interleaved
+from repro.xen.simulator import Machine
+from repro.xen.vcpu import VcpuState
 
 
 def _batched_run(monkeypatch, check, **cfg_kw):
@@ -216,8 +219,9 @@ class TestFusedReplay:
         finished = []
         orig = BatchedEngine._advance_replay_fused
 
-        def wrapped(self, end_batch, epoch, kb, gather, pcpus, vcpus):
-            end = orig(self, end_batch, epoch, kb, gather, pcpus, vcpus)
+        def wrapped(self, end_batch, epoch, kb, plan):
+            vcpus = [row[14] for row in plan[0]]
+            end = orig(self, end_batch, epoch, kb, plan)
             if kb == 1:
                 single.append(end)
                 finished.extend(v for v in vcpus if v.finish_time is not None)
@@ -295,12 +299,12 @@ class TestReplayRecords:
         aliased = []
         orig = BatchedEngine._advance_replay_fused
 
-        def wrapped(self, end_batch, epoch, kb, plan, pcpus, vcpus):
-            if len(vcpus) == 2:
+        def wrapped(self, end_batch, epoch, kb, plan):
+            if len(plan[0]) == 2:
                 a, b = plan[0]
                 if a[2] is b[2] and a[12] > 0:
                     aliased.append(kb)
-            return orig(self, end_batch, epoch, kb, plan, pcpus, vcpus)
+            return orig(self, end_batch, epoch, kb, plan)
 
         monkeypatch.setattr(BatchedEngine, "_advance_replay_fused", wrapped)
         machine = _shared_slice_machine("batched")
@@ -326,8 +330,10 @@ class TestReplayRecords:
         last_node = {}
         orig = BatchedEngine._advance_replay_fused
 
-        def wrapped(self, end_batch, epoch, kb, plan, pcpus, vcpus):
-            for row, pcpu, vcpu in zip(plan[0], pcpus, vcpus):
+        def wrapped(self, end_batch, epoch, kb, plan):
+            for row in plan[0]:
+                vcpu, pcpu = row[14], row[19]
+                assert pcpu.current is vcpu
                 w = vcpu.workload
                 node = pcpu.node
                 assert row[2] is vcpu.domain.placement._rows2[w.slice_id]
@@ -342,7 +348,7 @@ class TestReplayRecords:
                 last_node[vcpu.key] = node
                 if self.key_gen[vcpu.key] > 1:
                     rebuilt.add(vcpu.key)
-            return orig(self, end_batch, epoch, kb, plan, pcpus, vcpus)
+            return orig(self, end_batch, epoch, kb, plan)
 
         monkeypatch.setattr(BatchedEngine, "_advance_replay_fused", wrapped)
 
@@ -381,3 +387,128 @@ class TestReplayRecords:
         assert len(held) <= 2 * len(machine.vcpus)
         horizons = engine.horizon_stats()["horizons"]
         assert 0 < builds < 0.1 * horizons
+
+
+def _loaded_soplex(engine, seed=0, **cfg_kw):
+    cfg = ScenarioConfig(work_scale=0.15, seed=seed, engine=engine, **cfg_kw)
+    return spec_scenario("soplex", make_scheduler("vprobe"), cfg)
+
+
+def _assert_reference_parity(machine, build):
+    ref = build("reference")
+    ref.run(max_time_s=machine.time)
+    assert ref.time == machine.time
+    assert _canonical(machine) == _canonical(ref)
+    assert rng_states(machine) == rng_states(ref)
+
+
+class TestReplaySlots:
+    """Per-PCPU replay slots across the boundary phases that touch them.
+
+    A slot persists while its PCPU keeps running the same VCPU, and the
+    replay charges the live PCPU, VCPU, workload and PMU bank in place.
+    Each case drives a boundary write into a running slot on the loaded
+    soplex cell and checks the batched run against the reference loop,
+    summary and RNG end states alike.
+    """
+
+    def test_repick_after_tick_preemption_restarts_the_slice(self, monkeypatch):
+        # A tick preempts a VCPU whose slice expired and the scheduling
+        # pass re-picks it on the same PCPU at the same instant: a new
+        # run, so its slice restarts from zero.
+        repicks = []
+        preempted = {}
+        orig_preempt = Machine.preempt
+        orig_switch = Machine._switch_in
+
+        def preempt(self, pcpu, now):
+            preempted[id(self), pcpu.pcpu_id] = (pcpu.current, now)
+            return orig_preempt(self, pcpu, now)
+
+        def switch_in(self, pcpu, vcpu, now):
+            if self._engine is not None and preempted.get(
+                (id(self), pcpu.pcpu_id)
+            ) == (vcpu, now):
+                repicks.append(now)
+            return orig_switch(self, pcpu, vcpu, now)
+
+        monkeypatch.setattr(Machine, "preempt", preempt)
+        monkeypatch.setattr(Machine, "_switch_in", switch_in)
+        machine = _loaded_soplex("batched")
+        machine.run(max_time_s=1.5)
+        assert repicks, "no VCPU was re-picked on the PCPU that preempted it"
+        _assert_reference_parity(machine, _loaded_soplex)
+
+    def test_fault_stall_charges_a_running_pcpu(self, monkeypatch):
+        # A stall lands as overhead on a PCPU whose slot carries on into
+        # the next horizon: the replay must spend that budget.
+        charged = []
+        orig = Machine.charge_overhead
+
+        def charge(self, source, pcpu, seconds):
+            if (
+                self._engine is not None
+                and source == "fault_stall"
+                and pcpu.current is not None
+            ):
+                charged.append(pcpu.pcpu_id)
+            return orig(self, source, pcpu, seconds)
+
+        monkeypatch.setattr(Machine, "charge_overhead", charge)
+        build = partial(
+            _loaded_soplex, faults=FaultPlan(stall_rate=0.02, stall_epochs=3)
+        )
+        machine = build("batched")
+        machine.run(max_time_s=1.5)
+        assert charged, "no stall hit a running PCPU"
+        _assert_reference_parity(machine, build)
+
+    def test_crash_restart_returns_to_its_old_pcpu(self, monkeypatch):
+        # A crash with lost progress deschedules the domain; after the
+        # restart a VCPU runs again on the PCPU it ran on before, from
+        # zero retired instructions.
+        returned = []
+        old_pcpu = {}
+        orig_crash = Machine.crash_domain
+        orig_switch = Machine._switch_in
+
+        def crash(self, domain_name, now, downtime_s, lose_progress=True):
+            if self._engine is not None:
+                for v in self.domain(domain_name).vcpus:
+                    if v.state is VcpuState.RUNNING:
+                        old_pcpu[v.key] = v.pcpu
+            return orig_crash(self, domain_name, now, downtime_s, lose_progress)
+
+        def switch_in(self, pcpu, vcpu, now):
+            if self._engine is not None and old_pcpu.get(vcpu.key) == pcpu.pcpu_id:
+                returned.append(vcpu.key)
+            return orig_switch(self, pcpu, vcpu, now)
+
+        monkeypatch.setattr(Machine, "crash_domain", crash)
+        monkeypatch.setattr(Machine, "_switch_in", switch_in)
+        plan = FaultPlan(
+            crashes=(DomainCrash("vm1", at_time_s=0.5, downtime_s=0.1),)
+        )
+        build = partial(_loaded_soplex, faults=plan)
+        machine = build("batched")
+        machine.run(max_time_s=1.5)
+        assert old_pcpu, "the crash found no running VCPU"
+        assert returned, "no restarted VCPU came back to its old PCPU"
+        _assert_reference_parity(machine, build)
+
+    def test_checkpoint_mid_run_resumes_bitwise(self, tmp_path):
+        # A checkpoint drops the engine and its slots; the resumed run
+        # rebuilds them from the restored machine.
+        machine = _loaded_soplex("batched")
+        polls = iter(range(10**9))
+        result = machine.run(
+            max_time_s=1.5, stop_check=lambda: next(polls) >= 150
+        )
+        assert result.interrupted
+        assert any(slot is not None for slot in machine._engine._slots)
+        path = tmp_path / "mid.ckpt"
+        save_checkpoint(machine, path)
+        restored = load_checkpoint(path)
+        assert restored._engine is None
+        restored.run(max_time_s=1.5)
+        _assert_reference_parity(restored, _loaded_soplex)

@@ -15,10 +15,8 @@ from repro.cache.store import ResultCache
 from repro.experiments.parallel import (
     ParallelExecutionError,
     ParallelRunner,
-    _auto_chunksize,
     cell_name,
     default_jobs,
-    run_packed_batch_guarded,
 )
 from repro.experiments.runner import compare, compare_mean
 from repro.experiments.scenarios import ScenarioConfig, solo_scenario
@@ -165,7 +163,7 @@ class TestCellName:
 
 
 class TestDispatchPayloads:
-    """Builder dedupe: fingerprints hash once, chunks pickle builders once."""
+    """Builder dedupe: a grid hashes each builder fingerprint once."""
 
     def test_builder_fingerprint_hashed_once_per_grid(self, tmp_path, monkeypatch):
         import repro.cache.keys as keys
@@ -185,25 +183,3 @@ class TestDispatchPayloads:
         ]
         ParallelRunner(1, cache=ResultCache(tmp_path)).run_cells(cells)
         assert len(calls) == 1
-
-    def test_packed_chunks_ship_each_distinct_builder_once(self):
-        # Distinct-but-equal partials, as the figure modules create them:
-        # the packed payload must collapse them onto one instance.
-        cells = [
-            (partial(solo_scenario, "lu"), "credit", dataclasses.replace(CFG, seed=s))
-            for s in range(3)
-        ]
-        runner = ParallelRunner(1)
-        builders, packed = runner._pack_chunk(cells, [0, 1, 2])
-        assert len(builders) == 1
-        assert [slot for slot, _, _ in packed] == [0, 0, 0]
-        outcomes = run_packed_batch_guarded(builders, packed)
-        expected = ParallelRunner(1).run_cells(cells)
-        assert [payload for status, payload in outcomes] == expected
-        assert all(status == "ok" for status, _ in outcomes)
-
-    def test_auto_chunksize_targets_two_chunks_per_worker(self):
-        assert _auto_chunksize(64, 2) == 16
-        assert _auto_chunksize(8, 8) == 1
-        assert _auto_chunksize(1000, 4) == 64  # capped
-        assert _auto_chunksize(1, 1) == 1

@@ -97,7 +97,7 @@ class TestCheckpointFile:
         machine = run_partially(build_machine())
         path = tmp_path / "m.ckpt"
         header = save_checkpoint(machine, path)
-        assert header["schema"] == "repro.checkpoint/v4"
+        assert header["schema"] == "repro.checkpoint/v5"
         assert header["config_hash"] == config_hash(machine.config)
         assert header["epoch_index"] == machine.epoch_index
         assert read_header(path) == header
@@ -236,21 +236,32 @@ class TestResumeParity:
 
 
 class TestPmuPickle:
-    def test_counter_views_rebound_after_unpickle(self):
-        # Regression: numpy does not preserve view/base aliasing through
-        # pickle, so a restored PMU's per-vcpu banks would be detached
-        # copies of their _node_matrix rows — the batched engine's
-        # matrix commits landing in the matrix while every reader kept
-        # the frozen copy.  PMU.__setstate__ must rebind the views.
+    def test_restored_banks_are_the_ones_the_replay_charges(self):
+        # A restored machine's PMU banks (plain-float counters) must be
+        # the very objects the rebuilt engine's replay slots charge in
+        # place, so what the analyzer later reads is what the replay
+        # wrote — no detached copy survives a pickle round trip.
         machine = run_partially(build_machine())
         restored = pickle.loads(pickle.dumps(machine))
         pmu = restored.pmu
-        for key, bank in pmu._counters.items():
-            assert bank.node_accesses.base is pmu._node_matrix
-            row = pmu._row_of[key]
-            # A matrix-side write must be visible through the bank view.
-            pmu._node_matrix[row, 0] += 1.0
-            assert bank.node_accesses[0] == pmu._node_matrix[row, 0]
+        before = {key: pmu.totals(key) for key in pmu}
+        restored.run(max_time_s=restored.time + 0.05)
+        engine = restored._engine
+        assert engine is not None
+        rows = engine._plan[0]
+        assert rows
+        for row in rows:
+            vcpu, bank, node_accesses = row[14], row[16], row[17]
+            assert bank is pmu.peek(vcpu.key)
+            assert node_accesses is bank.node_accesses
+        charged = [
+            key for key in pmu
+            if pmu.peek(key).instructions > before[key].instructions
+        ]
+        assert charged
+        for key in charged:
+            now, then = pmu.peek(key), before[key]
+            assert sum(now.node_accesses) > sum(then.node_accesses)
 
 
 # ----------------------------------------------------------------------
@@ -586,7 +597,7 @@ class TestQuarantine:
     def test_parallel_sim_timeout_quarantines_without_serial_retry(self):
         capped = ScenarioConfig(work_scale=0.02, seed=1, max_epochs=50)
         cells = [(BUILDER, name, capped) for name in ("credit", "vprobe")]
-        runner = ParallelRunner(2, chunksize=1)
+        runner = ParallelRunner(2)
         results = runner.run_cells(cells)
         assert results == [None, None]
         assert len(runner.quarantined) == 2
@@ -600,7 +611,7 @@ class TestQuarantine:
             (BUILDER, "credit", capped),
             (BUILDER, "vprobe", CFG),
         ]
-        runner = ParallelRunner(2, chunksize=1)
+        runner = ParallelRunner(2)
         results = runner.run_cells(cells)
         assert results[1] is None
         assert results[0] is not None and results[2] is not None

@@ -236,12 +236,6 @@ class TestParallelRunnerCache:
         assert warm_runner.run_cells(self.CELLS) == cold
         assert warm_runner.cache_misses == 0
 
-    def test_chunksize_variants_match(self, cache):
-        base = ParallelRunner(1).run_cells(self.CELLS)
-        for chunksize in (1, 2, len(self.CELLS)):
-            runner = ParallelRunner(2, chunksize=chunksize)
-            assert runner.run_cells(self.CELLS) == base
-
     def test_partial_warm_only_runs_misses(self, cache):
         runner = ParallelRunner(1, cache=cache)
         runner.run_cells(self.CELLS[:3])
