@@ -236,6 +236,15 @@ class TestParallelRunnerCache:
         assert warm_runner.run_cells(self.CELLS) == cold
         assert warm_runner.cache_misses == 0
 
+    def test_chunksize_variants_match(self):
+        # Dispatch has no chunk knob any more (each missing cell is one
+        # future), so the grouping that is left to vary is how many
+        # workers the cells are spread over; results must not depend on it.
+        base = ParallelRunner(1).run_cells(self.CELLS)
+        for jobs in (2, 3):
+            runner = ParallelRunner(jobs)
+            assert runner.run_cells(self.CELLS) == base
+
     def test_partial_warm_only_runs_misses(self, cache):
         runner = ParallelRunner(1, cache=cache)
         runner.run_cells(self.CELLS[:3])
