@@ -254,7 +254,7 @@ class LLCState:
         steps: int,
         keys: Sequence[int],
         final_warmth: Sequence[float],
-        key_set: AbstractSet[int] | None = None,
+        key_set: AbstractSet[int],
     ) -> None:
         """Commit ``steps`` quiet epochs of warmth evolution at once.
 
@@ -262,26 +262,25 @@ class LLCState:
         charge recurrence ``w <- 1 - (1 - w) * charge`` ``steps`` times,
         where ``charge`` is ``exp(-dt / max(1e-4, working_set /
         FILL_BANDWIDTH))`` as in :meth:`advance`, and passes the final
-        values in ``final_warmth``; ``key_set``, when given, must be
-        ``set(keys)``.  Non-member keys decay through the same
-        sequential per-epoch multiplies :meth:`advance` performs.  The
-        epsilon eviction check runs once at the end, which is
-        state-equivalent: decay is monotone, so a key below the
-        threshold at any interior epoch is below it at the end too, and
-        nothing reads non-member warmth mid-batch.  With no members
-        (``keys`` empty) this is ``steps`` idle epochs of pure decay.
+        values in ``final_warmth``; ``key_set`` must be ``set(keys)``.
+        Non-member keys decay through the same sequential per-epoch
+        multiplies :meth:`advance` performs.  The epsilon eviction check
+        runs once at the end, which is state-equivalent: decay is
+        monotone, so a key below the threshold at any interior epoch is
+        below it at the end too, and nothing reads non-member warmth
+        mid-batch.  With no members (``keys`` empty) this is ``steps``
+        idle epochs of pure decay.
         """
         if dt != self._decay_dt:
             self._decay_dt = dt
             self._decay_factor = math.exp(-dt / self.DECAY_TIME) if dt > 0 else 1.0
         decay = self._decay_factor
         warmth = self._warmth
-        running = set(keys) if key_set is None else key_set
         eps = self._EPSILON
         chain = range(steps)
         stale: List[int] = []
         for key, w in warmth.items():
-            if key not in running:
+            if key not in key_set:
                 for _ in chain:
                     w *= decay
                 if w < eps:

@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Sequence
 
-import numpy as np
-
 from repro.hardware.topology import NUMATopology
 from repro.util.validation import check_non_negative, check_positive
 
@@ -142,7 +140,7 @@ class MemorySystem:
             Average per-miss penalties and resource utilisations.
         """
         num_nodes = self.topology.num_nodes
-        imc_traffic = np.zeros(num_nodes)
+        imc_traffic = [0.0] * num_nodes
         qpi_traffic = 0.0
 
         for key, traffic in miss_rate_bytes_per_s.items():
@@ -162,10 +160,10 @@ class MemorySystem:
         imc_util: Dict[int, float] = {}
         imc_factor: Dict[int, float] = {}
         for n, spec in enumerate(self.topology.nodes):
-            rho = float(imc_traffic[n] / spec.imc_bandwidth)
+            rho = imc_traffic[n] / spec.imc_bandwidth
             imc_util[n] = rho
             imc_factor[n] = queue_inflation(rho)
-        qpi_rho = float(qpi_traffic / self.topology.qpi_bandwidth)
+        qpi_rho = qpi_traffic / self.topology.qpi_bandwidth
         qpi_factor = queue_inflation(qpi_rho)
 
         penalties: Dict[int, float] = {}
@@ -194,14 +192,3 @@ class MemorySystem:
             qpi_utilisation=qpi_rho,
             local_fraction=local_frac,
         )
-
-    def traffic_for(
-        self,
-        refs_per_s: float,
-        miss_rate: float,
-    ) -> float:
-        """Demanded DRAM traffic for an LLC reference stream (bytes/s),
-        including the prefetch/write-back overhead per miss."""
-        check_non_negative(refs_per_s, "refs_per_s")
-        check_non_negative(miss_rate, "miss_rate")
-        return refs_per_s * miss_rate * BYTES_PER_MISS

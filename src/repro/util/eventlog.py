@@ -9,9 +9,8 @@ migration statistics reported alongside the paper's figures.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List
 
 __all__ = ["LogEvent", "EventLog"]
 
@@ -41,28 +40,16 @@ class EventLog:
 
     Logging can be disabled (``enabled=False``) for long benchmark runs;
     in that state :meth:`emit` is a cheap no-op.
-
-    A ``capacity`` turns the log into a ring buffer holding the **most
-    recent** events: once full, each new emission evicts the oldest
-    event and increments :attr:`dropped`.  (Earlier versions dropped
-    the *newest* events instead, silently losing the run's tail — the
-    part the figure experiments and steal-locality tests assert on.)
     """
 
-    def __init__(self, enabled: bool = True, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._capacity = capacity
-        self._events: Deque[LogEvent] = deque(maxlen=capacity)
-        self._dropped = 0
+        self._events: List[LogEvent] = []
 
     def emit(self, time: float, kind: str, **data: Any) -> None:
-        """Record an event (evicting the oldest when at capacity)."""
+        """Record an event."""
         if not self.enabled:
             return
-        if self._capacity is not None and len(self._events) == self._capacity:
-            self._dropped += 1  # the deque's maxlen evicts the oldest
         self._events.append(LogEvent(time=time, kind=kind, data=data))
 
     def __len__(self) -> int:
@@ -70,11 +57,6 @@ class EventLog:
 
     def __iter__(self) -> Iterator[LogEvent]:
         return iter(self._events)
-
-    @property
-    def dropped(self) -> int:
-        """Number of (oldest) events evicted to stay within capacity."""
-        return self._dropped
 
     def of_kind(self, kind: str) -> List[LogEvent]:
         """All events with the given ``kind``, in emission order."""
@@ -89,6 +71,5 @@ class EventLog:
         return [e for e in self._events if predicate(e)]
 
     def clear(self) -> None:
-        """Drop all recorded events (the drop counter is reset too)."""
+        """Drop all recorded events."""
         self._events.clear()
-        self._dropped = 0

@@ -144,7 +144,7 @@ class Domain:
         """Size of one memory slice."""
         return self.memory_bytes / self.num_vcpus
 
-    def page_mix_for(self, vcpu_index: int) -> np.ndarray:
+    def page_mix_for(self, vcpu_index: int) -> List[float]:
         """Node distribution of the pages VCPU ``vcpu_index`` accesses.
 
         Combines the workload's *current* hot slice (phases may have
@@ -156,8 +156,10 @@ class Domain:
         )
 
     def affinity_node(self, vcpu_index: int) -> int:
-        """Ground-truth best node for a VCPU (most of its hot pages)."""
-        return int(np.argmax(self.page_mix_for(vcpu_index)))
+        """Ground-truth best node for a VCPU (most of its hot pages,
+        lowest node id on ties)."""
+        mix = self.page_mix_for(vcpu_index)
+        return max(range(len(mix)), key=mix.__getitem__)
 
     @property
     def finite_workloads_done(self) -> bool:

@@ -153,9 +153,8 @@ class BatchedEngine:
         # Per-co-runner-set node plans (see _node_entry).  Phase-
         # dependent, so refresh_vcpu() evicts entries mentioning the key.
         self._node_cache: Dict[Tuple, Tuple] = {}
-        #: per-key node-cache keys of the plans mentioning it (some may
-        #: already be evicted)
-        self._node_keys_of: List[List[Tuple]] = [[] for _ in range(n)]
+        #: per-key node-cache keys of the live plans mentioning it
+        self._node_keys_of: List[Set[Tuple]] = [set() for _ in range(n)]
         # Replay slots: each PCPU's slot row (see _slot) for the VCPU
         # it runs, or None when idle or invalidated by a phase change.
         self._slots: List[Optional[tuple]] = [None] * len(machine.pcpus)
@@ -259,11 +258,16 @@ class BatchedEngine:
         # Selective eviction: only node plans that embed this key's
         # demand are stale; its records fail their generation check on
         # next use, and a slot running it is dropped (with its node's
-        # plan) here.
+        # plan) here.  An evicted plan leaves every member's index, so
+        # the index holds only live plans.
         node_cache = self._node_cache
-        for node_key in self._node_keys_of[key]:
-            node_cache.pop(node_key, None)
-        self._node_keys_of[key] = []
+        keys_of = self._node_keys_of
+        for node_key in keys_of[key]:
+            del node_cache[node_key]
+            for member in node_key[1]:
+                if member != key:
+                    keys_of[member].discard(node_key)
+        keys_of[key] = set()
         slots = self._slots
         for pid, row in enumerate(slots):
             if row is not None and row[14] is vcpu:
@@ -337,32 +341,29 @@ class BatchedEngine:
     def _record(self, key: int, node: int) -> tuple:
         """Replay record for VCPU ``key`` running on ``node``.
 
-        ``(gen, row, placement, tail)``: ``gen`` is the key's phase
-        generation at build time; ``row`` is ``(c, 1.0 - c, slice_row,
-        overall, rpi, cpi_base, mlp, clock, ns2c, scratch, node == 0,
-        total, drift, num_slices, vcpu, workload, bank, node_accesses,
-        step)``, whose ``slice_row``/``overall`` are the placement's
-        live dual-socket lists (aliased readers share them, so
-        intra-epoch interleavings replay exactly), whose ``bank`` and
-        ``node_accesses`` are the VCPU's live PMU bank and its per-node
-        list, and whose ``step`` is the most progress one epoch can
-        make there (``clock / cpi_base * epoch``, the horizon's
-        completion floor).  ``placement`` is the one to mark stale after
-        a horizon, or None when the VCPU does not drift; ``tail`` is
-        ``(warm, min_miss, miss_span, curve_shape, ws <= 0,
-        charge_factor)``, with ``warm`` the VCPU's ``[warmth, share]``
-        scratch.
+        ``(gen, row, tail)``: ``gen`` is the key's phase generation at
+        build time; ``row`` is ``(c, 1.0 - c, slice_row, overall, rpi,
+        cpi_base, mlp, clock, ns2c, scratch, node == 0, total, drift,
+        num_slices, vcpu, workload, bank, node_accesses, step)``, whose
+        ``slice_row``/``overall`` are the placement's live lists
+        ``placement.rows[slice]`` and ``placement.overall`` (aliased
+        readers share them, so intra-epoch interleavings replay
+        exactly), whose ``bank`` and ``node_accesses`` are the VCPU's
+        live PMU bank and its per-node list, and whose ``step`` is the
+        most progress one epoch can make there (``clock / cpi_base *
+        epoch``, the horizon's completion floor).  ``tail`` is ``(warm,
+        min_miss, miss_span, curve_shape, ws <= 0, charge_factor)``,
+        with ``warm`` the VCPU's ``[warmth, share]`` scratch.
         """
         vcpu = self.machine.vcpus[key]
         placement = vcpu.domain.placement
         c = self.conc[key]
-        drift = self.drift_amount[key]
         bank = self.machine.pmu.peek(key)
         row = (
             c,
             1.0 - c,
-            placement._rows2[vcpu.workload.slice_id],
-            placement._over2,
+            placement.rows[vcpu.workload.slice_id],
+            placement.overall,
             self.rpi[key],
             self.cpi_base[key],
             self.mlp[key],
@@ -371,7 +372,7 @@ class BatchedEngine:
             self._scratch[key],
             node == 0,
             self.total_instr[key],
-            drift,
+            self.drift_amount[key],
             placement.num_slices,
             vcpu,
             vcpu.workload,
@@ -379,12 +380,7 @@ class BatchedEngine:
             bank.node_accesses,
             self.node_clock[node] / self.cpi_base[key] * self.epoch,
         )
-        return (
-            self.key_gen[key],
-            row,
-            placement if drift > 0 else None,
-            (self._warm[key],) + self.miss_tail[key],
-        )
+        return (self.key_gen[key], row, (self._warm[key],) + self.miss_tail[key])
 
     def _node_entry(self, node: int, members: Tuple[int, ...]) -> Tuple:
         """``(members, shares, member_set)`` for one co-runner set.
@@ -413,23 +409,22 @@ class BatchedEngine:
             entry = (members, shares, frozenset(members))
             self._node_cache[node_key] = entry
             for key in members:
-                self._node_keys_of[key].append(node_key)
+                self._node_keys_of[key].add(node_key)
         return entry
 
     def _slot(self, pcpu: Pcpu, vcpu: Vcpu) -> tuple:
         """The replay row of ``pcpu`` running ``vcpu``.
 
         The VCPU's record row on the PCPU's node (rebuilt when the
-        VCPU's phase generation moved), followed by the PCPU, the
-        placement to flag stale after a horizon (None when the VCPU
-        does not drift) and the record's miss/warmth tail.
+        VCPU's phase generation moved), followed by the PCPU and the
+        record's miss/warmth tail.
         """
         key = vcpu.key
         pair = self._records[key]
         rec = pair[pcpu.node]
         if rec is None or rec[0] != self.key_gen[key]:
             rec = pair[pcpu.node] = self._record(key, pcpu.node)
-        return rec[1] + (pcpu, rec[2]) + rec[3]
+        return rec[1] + (pcpu,) + rec[2]
 
     def _plan_for(self) -> tuple:
         """This horizon's replay plan, from the slots of the running PCPUs.
@@ -687,7 +682,7 @@ class BatchedEngine:
             qpi_t = 0.0
             for (
                 c, a, row, over, rp, cb, ml, ck, n2, scr, nd0,
-                _t, _d, _n, _vc, _w, _b, _na, _s, _pc, _pl,
+                _t, _d, _n, _vc, _w, _b, _na, _s, _pc,
                 warm, minmr, span, shape, bad, _cf,
             ) in rows:
                 f = 1.0 if bad else warm[1] * warm[0]
@@ -730,7 +725,7 @@ class BatchedEngine:
 
             for (
                 _c, _a, row, over, rp, cb, ml, ck, n2, scr, nd0, total,
-                d, nsl, vcpu, w, bank, na, _s, pcpu, _pl,
+                d, nsl, vcpu, w, bank, na, _s, pcpu,
                 warm, _mm, _sp, _cs, _bd, cf,
             ) in rows:
                 # The per-miss penalty: each node's page share times
@@ -795,10 +790,6 @@ class BatchedEngine:
                 warm[0] = 1.0 - (1.0 - warm[0]) * cf
 
         machine.busy_time_s = mbusy
-        for row in rows:
-            placement = row[20]
-            if placement is not None:
-                placement._np_stale = True
 
         # Batch-final transitions, in running order (interior epochs are
         # transition-free by the horizon contract; the burst cap is

@@ -2,10 +2,14 @@
 
 Xen allocates a domain's machine memory at creation time; the guest
 never learns where its pages landed (the semantic gap of §I).  The
-placement is modelled as a matrix: one row per *slice* (one slice per
-VCPU — the memory a guest thread predominantly touches), each row a
-distribution over nodes saying where that slice's pages physically
-live.
+placement is one row per *slice* (one slice per VCPU — the memory a
+guest thread predominantly touches), each row a distribution over
+nodes saying where that slice's pages physically live, plus the
+domain-wide mix.  Rows and mix are plain lists of floats on every
+topology, mutated in place.  Every sum over nodes runs left to right
+from 0.0, the order numpy's ``sum`` uses below eight elements (never
+builtin ``sum``, which Python 3.12 compensates), so each result is
+bitwise that of the equivalent numpy expression.
 
 Placement policies provided:
 
@@ -22,7 +26,7 @@ target node and reports the bytes moved so the simulator can charge the
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -42,11 +46,25 @@ class MemoryPlacement:
     Parameters
     ----------
     slice_nodes:
-        Array of shape ``(num_slices, num_nodes)``; each row must be a
-        probability vector (fractions of the slice on each node).
+        Array-like of shape ``(num_slices, num_nodes)``; each row must
+        be a probability vector (fractions of the slice on each node).
+
+    Attributes
+    ----------
+    rows:
+        ``rows[s][n]`` is the fraction of slice ``s`` on node ``n``.
+    overall:
+        The domain-wide node mix (the mean of the rows), maintained
+        incrementally by every mutation.
+
+    Both are plain lists of floats whose list objects are stable for
+    the placement's lifetime: mutations write into them, so a reader
+    may hold a reference to a row (the batched engine's replay records
+    do).  Treat them as read-only; mutate through :meth:`drift_slice`
+    and :meth:`migrate_slice`.
     """
 
-    def __init__(self, slice_nodes: np.ndarray) -> None:
+    def __init__(self, slice_nodes: "np.ndarray | Sequence[Sequence[float]]") -> None:
         matrix = np.asarray(slice_nodes, dtype=float)
         if matrix.ndim != 2:
             raise ValueError(f"slice_nodes must be 2-D, got shape {matrix.shape}")
@@ -57,91 +75,30 @@ class MemoryPlacement:
         sums = matrix.sum(axis=1)
         if not np.allclose(sums, 1.0, atol=1e-9):
             raise ValueError(f"each slice row must sum to 1, got sums {sums}")
-        self._matrix = np.clip(matrix, 0.0, None)
-        # Overall mix is read every epoch (page_mix); maintain it
-        # incrementally instead of re-averaging the matrix each call.
-        self._overall = self._matrix.mean(axis=0)
-        # Dual-socket hot-path mirror: plain Python lists shadowing the
-        # matrix rows and overall mix.  First-touch drift (the per-epoch
-        # mutation) updates only the mirror; the ndarrays are synced
-        # lazily when an array reader shows up.  The list *objects* are
-        # stable for the placement's lifetime, so hot-path callers may
-        # cache row references.
-        if self._matrix.shape[1] == 2:
-            self._rows2: "list[list[float]] | None" = self._matrix.tolist()
-            self._over2: "list[float] | None" = self._overall.tolist()
-        else:
-            self._rows2 = None
-            self._over2 = None
-        self._np_stale = False
-
-    def _sync_np(self) -> None:
-        """Write pending mirror updates back into the ndarrays."""
-        if not self._np_stale:
-            return
-        matrix = self._matrix
-        for i, row in enumerate(self._rows2):
-            matrix[i, 0] = row[0]
-            matrix[i, 1] = row[1]
-        self._overall[0] = self._over2[0]
-        self._overall[1] = self._over2[1]
-        self._np_stale = False
-
-    def _refresh_mirror(self) -> None:
-        """Reload the mirror from the ndarrays after an array-side write.
-
-        Updates the existing list objects in place so cached row
-        references stay valid.
-        """
-        if self._rows2 is None:
-            return
-        vals = self._matrix.tolist()
-        for row, src in zip(self._rows2, vals):
-            row[0] = src[0]
-            row[1] = src[1]
-        self._over2[0] = float(self._overall[0])
-        self._over2[1] = float(self._overall[1])
-        self._np_stale = False
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Raw ``(num_slices, num_nodes)`` placement matrix.
-
-        A live view, synced from the dual-socket mirror first — treat
-        as read-only; mutate through :meth:`drift_slice` /
-        :meth:`migrate_slice` so ``_overall`` stays consistent.
-        """
-        self._sync_np()
-        return self._matrix
-
-    @property
-    def overall(self) -> np.ndarray:
-        """Raw overall node mix (live view; treat as read-only)."""
-        self._sync_np()
-        return self._overall
+        matrix = np.clip(matrix, 0.0, None)
+        self.rows: List[List[float]] = matrix.tolist()
+        self.overall: List[float] = matrix.mean(axis=0).tolist()
 
     @property
     def num_slices(self) -> int:
         """Number of memory slices (== VCPUs of the owning domain)."""
-        return self._matrix.shape[0]
+        return len(self.rows)
 
     @property
     def num_nodes(self) -> int:
         """Number of NUMA nodes the placement spans."""
-        return self._matrix.shape[1]
+        return len(self.overall)
 
-    def slice_mix(self, slice_id: int) -> np.ndarray:
+    def slice_mix(self, slice_id: int) -> List[float]:
         """Node distribution of one slice (a copy)."""
         check_index(slice_id, self.num_slices, "slice_id")
-        self._sync_np()
-        return self._matrix[slice_id].copy()
+        return list(self.rows[slice_id])
 
-    def overall_mix(self) -> np.ndarray:
+    def overall_mix(self) -> List[float]:
         """Node distribution of the domain's whole memory (a copy)."""
-        self._sync_np()
-        return self._overall.copy()
+        return list(self.overall)
 
-    def page_mix(self, slice_id: int, concentration: float) -> np.ndarray:
+    def page_mix(self, slice_id: int, concentration: float) -> List[float]:
         """Access-weighted node mix for a VCPU hot in ``slice_id``.
 
         A VCPU directs ``concentration`` of its accesses at its own
@@ -149,19 +106,22 @@ class MemoryPlacement:
         data, guest-kernel structures).
         """
         check_fraction(concentration, "concentration")
-        self._sync_np()
-        mix = (
-            concentration * self._matrix[slice_id]
-            + (1.0 - concentration) * self._overall
-        )
+        rest = 1.0 - concentration
+        mix = [
+            concentration * share + rest * whole
+            for share, whole in zip(self.rows[slice_id], self.overall)
+        ]
         # Normalise defensively against floating-point drift.
-        return mix / mix.sum()
+        total = 0.0
+        for share in mix:
+            total += share
+        return [share / total for share in mix]
 
     def home_node(self, slice_id: int) -> int:
-        """Node holding the plurality of a slice's pages."""
+        """Node holding the plurality of a slice's pages (lowest id on ties)."""
         check_index(slice_id, self.num_slices, "slice_id")
-        self._sync_np()
-        return int(np.argmax(self._matrix[slice_id]))
+        row = self.rows[slice_id]
+        return max(range(len(row)), key=row.__getitem__)
 
     def drift_slice(self, slice_id: int, toward_node: int, amount: float) -> None:
         """First-touch drift: move ``amount`` of a slice toward a node.
@@ -181,34 +141,16 @@ class MemoryPlacement:
         check_fraction(amount, "amount")
         if amount <= 0.0:
             return
-        rows = self._rows2
-        if rows is not None:
-            # Dual-socket fast path: the same elementwise operations on
-            # Python scalars against the list mirror; the ndarrays are
-            # synced lazily on the next array read.
-            row = rows[slice_id]
-            r0 = row[0]
-            r1 = row[1]
-            keep = 1.0 - amount
-            n0 = r0 * keep
-            n1 = r1 * keep
-            if toward_node == 0:
-                n0 = n0 + amount
-            else:
-                n1 = n1 + amount
-            row[0] = n0
-            row[1] = n1
-            num_slices = len(rows)
-            overall = self._over2
-            overall[0] += (n0 - r0) / num_slices
-            overall[1] += (n1 - r1) / num_slices
-            self._np_stale = True
-            return
-        row = self._matrix[slice_id]
-        before = row.copy()
-        row *= 1.0 - amount
-        row[toward_node] += amount
-        self._overall += (row - before) / self.num_slices
+        row = self.rows[slice_id]
+        overall = self.overall
+        num_slices = len(self.rows)
+        keep = 1.0 - amount
+        for node, old in enumerate(row):
+            new = old * keep
+            if node == toward_node:
+                new = new + amount
+            row[node] = new
+            overall[node] += (new - old) / num_slices
 
     def migrate_slice(
         self, slice_id: int, to_node: int, fraction: float, slice_bytes: float
@@ -222,16 +164,21 @@ class MemoryPlacement:
         check_index(to_node, self.num_nodes, "to_node")
         check_fraction(fraction, "fraction")
         check_positive(slice_bytes, "slice_bytes")
-        self._sync_np()
-        row = self._matrix[slice_id]
+        row = self.rows[slice_id]
         moved_fraction = fraction * (1.0 - row[to_node])
-        before = row.copy()
-        row *= 1.0 - fraction
-        row[to_node] += fraction
+        keep = 1.0 - fraction
+        moved = [share * keep for share in row]
+        moved[to_node] += fraction
         # Re-normalise (guards accumulation of rounding error).
-        row /= row.sum()
-        self._overall += (row - before) / self.num_slices
-        self._refresh_mirror()
+        total = 0.0
+        for share in moved:
+            total += share
+        overall = self.overall
+        num_slices = len(self.rows)
+        for node, old in enumerate(row):
+            new = moved[node] / total
+            row[node] = new
+            overall[node] += (new - old) / num_slices
         return moved_fraction * slice_bytes
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.hardware.cache import CacheModel
@@ -85,8 +83,6 @@ class SimConfig:
         Record the structured event log (off for long benches).
     pmu_collection_cost_s:
         Hypervisor time per counter collection event.
-    stop_on_finite_completion:
-        Stop once every finite active workload has completed.
     engine:
         ``"batched"`` (default) runs epochs through the macro-stepping
         :class:`~repro.xen.engine.BatchedEngine`, which advances every
@@ -119,7 +115,6 @@ class SimConfig:
     latency: LatencySpec = field(default_factory=LatencySpec)
     log_events: bool = False
     pmu_collection_cost_s: float = 0.3e-6
-    stop_on_finite_completion: bool = True
     engine: str = "batched"
     faults: Optional[FaultPlan] = None
     max_epochs: Optional[int] = None
@@ -292,10 +287,10 @@ class Machine:
         # First-touch: the guest faults its data in from wherever its
         # threads start, so each slice begins on its VCPU's initial node.
         if domain.first_touch_init:
-            matrix = np.zeros((domain.num_vcpus, self.topology.num_nodes))
+            rows = [[0.0] * self.topology.num_nodes for _ in domain.vcpus]
             for vcpu in domain.vcpus:
-                matrix[vcpu.index, self.topology.node_of_pcpu(vcpu.pcpu)] = 1.0
-            domain.placement = MemoryPlacement(matrix)
+                rows[vcpu.index][self.topology.node_of_pcpu(vcpu.pcpu)] = 1.0
+            domain.placement = MemoryPlacement(rows)
         return domain
 
     def domain(self, name: str) -> Domain:
@@ -503,7 +498,7 @@ class Machine:
                     self.time,
                 )
             self._step_epoch(limit)
-            if self.config.stop_on_finite_completion and self._all_finite_done():
+            if self._all_finite_done():
                 return SimResult(sim_time_s=self.time, completed=True, machine=self)
         return SimResult(
             sim_time_s=self.time, completed=self._all_finite_done(), machine=self
@@ -706,7 +701,7 @@ class Machine:
             {} for _ in range(self.topology.num_nodes)
         ]
         run_node: Dict[int, int] = {}
-        page_mix: Dict[int, np.ndarray] = {}
+        page_mix: Dict[int, List[float]] = {}
         for pcpu, vcpu in running:
             demand = vcpu.workload.cache_demand()
             node_demands[pcpu.node][vcpu.key] = demand
@@ -844,10 +839,6 @@ class Machine:
         if self.busy_time_s <= 0:
             return 0.0
         return self.total_overhead_s / self.busy_time_s
-
-    def runnable_vcpus(self) -> List[Vcpu]:
-        """All VCPUs currently runnable or running."""
-        return [v for v in self.vcpus if v.runnable]
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (

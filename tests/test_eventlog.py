@@ -1,7 +1,5 @@
 """Tests for repro.util.eventlog."""
 
-import pytest
-
 from repro.util.eventlog import EventLog, LogEvent
 
 
@@ -39,39 +37,12 @@ class TestEventLog:
         crossing = log.where(lambda e: e.data.get("cross"))
         assert len(crossing) == 1 and crossing[0].time == 0.1
 
-    def test_capacity_drops_and_counts(self):
-        log = EventLog(capacity=2)
-        for i in range(5):
-            log.emit(float(i), "x")
-        assert len(log) == 2
-        assert log.dropped == 3
-
-    def test_capacity_keeps_newest_events(self):
-        """Ring-buffer regression: the run's tail must survive.
-
-        The old implementation kept the *oldest* events and silently
-        discarded everything after the cap — exactly the late-run
-        events the figure experiments assert on.
-        """
-        log = EventLog(capacity=3)
-        for i in range(10):
-            log.emit(float(i), "x", seq=i)
-        assert [e.data["seq"] for e in log] == [7, 8, 9]
-        assert log.dropped == 7
-        # The very last event always survives at capacity.
-        log.emit(99.0, "last")
-        assert list(log)[-1].kind == "last"
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            EventLog(capacity=0)
-
     def test_clear_resets_everything(self):
-        log = EventLog(capacity=1)
+        log = EventLog()
         log.emit(0.0, "x")
         log.emit(0.0, "x")
         log.clear()
-        assert len(log) == 0 and log.dropped == 0
+        assert len(log) == 0 and log.count("x") == 0
 
     def test_events_are_frozen(self):
         event = LogEvent(time=1.0, kind="x")

@@ -248,7 +248,7 @@ class TestFusedReplay:
                 idle_horizons.append(kb)
             return orig_batch(self, now, epoch, kb)
 
-        def decay(self, dt, steps, keys, final_warmth, key_set=None):
+        def decay(self, dt, steps, keys, final_warmth, key_set):
             if not keys and steps > 1:
                 decay_steps.append(steps)
             return orig_decay(self, dt, steps, keys, final_warmth, key_set)
@@ -316,8 +316,8 @@ class TestReplayRecords:
         assert _canonical(machine) == _canonical(ref)
         assert rng_states(machine) == rng_states(ref)
         assert (
-            machine.domains[0].placement.matrix.tolist()
-            == ref.domains[0].placement.matrix.tolist()
+            machine.domains[0].placement.rows
+            == ref.domains[0].placement.rows
         )
 
     def test_migration_and_phase_change_get_fresh_records(self, monkeypatch):
@@ -336,7 +336,7 @@ class TestReplayRecords:
                 assert pcpu.current is vcpu
                 w = vcpu.workload
                 node = pcpu.node
-                assert row[2] is vcpu.domain.placement._rows2[w.slice_id]
+                assert row[2] is vcpu.domain.placement.rows[w.slice_id]
                 assert row[4] == (
                     w.profile.refs_per_instruction * w.intensity_multiplier
                 )
@@ -387,6 +387,27 @@ class TestReplayRecords:
         assert len(held) <= 2 * len(machine.vcpus)
         horizons = engine.horizon_stats()["horizons"]
         assert 0 < builds < 0.1 * horizons
+
+    def test_node_plan_index_holds_only_live_plans(self):
+        # Same cell: a phase change evicts the plans that mention its
+        # VCPU, and each evicted plan leaves every member's index, so
+        # the per-VCPU index is exactly the live plans' membership.
+        cfg = ScenarioConfig(work_scale=1.0, seed=0, engine="batched")
+        machine = spec_scenario("soplex", make_scheduler("vprobe"), cfg)
+        machine.run(max_time_s=25.0)
+        engine = machine._engine
+        indexed = {
+            (key, node_key)
+            for key, node_keys in enumerate(engine._node_keys_of)
+            for node_key in node_keys
+        }
+        live = {
+            (key, node_key)
+            for node_key in engine._node_cache
+            for key in node_key[1]
+        }
+        assert indexed == live
+        assert engine.key_gen and max(engine.key_gen) > 1, "no phase change"
 
 
 def _loaded_soplex(engine, seed=0, **cfg_kw):

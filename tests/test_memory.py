@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.hardware.memory import (
-    BYTES_PER_MISS,
     LatencySpec,
     MemorySystem,
     queue_inflation,
@@ -95,10 +94,6 @@ class TestMemorySystemSolve:
     def test_negative_traffic_rejected(self, memsys):
         with pytest.raises(ValueError):
             memsys.solve({1: -1.0}, {1: 0}, {1: np.array([1.0, 0.0])})
-
-    def test_traffic_for_includes_prefetch_overhead(self, memsys):
-        traffic = memsys.traffic_for(refs_per_s=1e6, miss_rate=0.5)
-        assert traffic == pytest.approx(1e6 * 0.5 * BYTES_PER_MISS)
 
     @given(
         st.floats(min_value=0, max_value=1),

@@ -97,7 +97,7 @@ class TestCheckpointFile:
         machine = run_partially(build_machine())
         path = tmp_path / "m.ckpt"
         header = save_checkpoint(machine, path)
-        assert header["schema"] == "repro.checkpoint/v5"
+        assert header["schema"] == "repro.checkpoint/v6"
         assert header["config_hash"] == config_hash(machine.config)
         assert header["epoch_index"] == machine.epoch_index
         assert read_header(path) == header
@@ -133,6 +133,19 @@ class TestCheckpointFile:
         path.write_text('{"schema": "something.else/v9"}\n')
         with pytest.raises(CheckpointError, match="schema"):
             read_header(path)
+
+    def test_previous_schema_rejected(self, tmp_path):
+        # A v5 snapshot pickled the placement's ndarray layout; the
+        # v6 reader refuses it before unpickling a byte.
+        machine = run_partially(build_machine())
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(machine, path)
+        header_line, _, payload = path.read_bytes().partition(b"\n")
+        header = json.loads(header_line)
+        header["schema"] = "repro.checkpoint/v5"
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
+        with pytest.raises(CheckpointError, match="schema"):
+            inspect_checkpoint(path)
 
     def test_stale_version_rejected(self, tmp_path, monkeypatch):
         machine = run_partially(build_machine())
