@@ -17,7 +17,8 @@ Invariant catalogue (``INVARIANT_NAMES``):
     ``current`` on exactly the PCPU they record and queued nowhere;
     RUNNABLE VCPUs sit in exactly one run queue — their own PCPU's;
     BLOCKED/DONE VCPUs are neither queued nor current.  Never zero
-    places, never two.
+    places, never two.  The run queues' shared queued count equals the
+    number of VCPUs they hold.
 ``work_conservation``
     After a scheduling pass no PCPU idles while its own queue holds
     runnable VCPUs (checked post-pass: later in the same epoch a
@@ -403,6 +404,13 @@ class InvariantChecker:
                         f"and pcpu {pid}",
                     )
                 queued[key] = pid
+        if machine.queued_vcpus != len(queued):
+            self._fail(
+                machine,
+                "placement",
+                f"queued count is {machine.queued_vcpus} but the run queues "
+                f"hold {len(queued)} VCPUs",
+            )
         pcpus = machine.pcpus
         for v in machine.vcpus:
             state = v.state

@@ -17,7 +17,7 @@ scan it:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.xen.pcpu import Pcpu
 from repro.xen.vcpu import Vcpu
@@ -25,23 +25,7 @@ from repro.xen.vcpu import Vcpu
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.xen.simulator import Machine
 
-__all__ = ["numa_aware_steal", "node_visit_order"]
-
-
-def node_visit_order(machine: "Machine", home_node: int) -> Iterable[int]:
-    """Node scan order: local node, then remote nodes (nearest first).
-
-    On the paper's two-socket host "nearest first" is trivial; for
-    larger synthetic topologies nodes are visited by distance then id,
-    matching the ``nextNode()`` iteration of Algorithm 2.
-    """
-    topo = machine.topology
-    remote = sorted(
-        topo.remote_nodes(home_node),
-        key=lambda n: (topo.distance(home_node, n), n),
-    )
-    yield home_node
-    yield from remote
+__all__ = ["numa_aware_steal"]
 
 
 def numa_aware_steal(
@@ -72,9 +56,8 @@ def numa_aware_steal(
     vProbe substitutes 0 for VCPUs whose telemetry it no longer
     trusts, so stale pressure readings cannot pin a VCPU in place.
     """
-    if not any(p.queue for p in machine.pcpus if p is not pcpu):
-        # Both passes skip empty queues: nothing to steal.
-        return None
+    if machine.queued_vcpus == len(pcpu.queue):
+        return None  # only the thief's own queue holds work: nothing to steal
     if pressure_of is None:
         pressure_of = _recorded_pressure
     hot_window = machine.policy.params.cache_hot_s
@@ -99,14 +82,16 @@ def _recorded_pressure(vcpu: Vcpu) -> float:
     return vcpu.llc_pressure
 
 
+def _descending_load(pcpu: Pcpu) -> int:
+    return -len(pcpu.queue)
+
+
 def _scan_nodes(machine, pcpu, now, only_cold, hot_window, pressure_of):
-    for node in node_visit_order(machine, pcpu.node):
-        # loadList: this node's PCPUs by descending workload counter.
-        peers = sorted(
-            (machine.pcpus[p] for p in machine.topology.pcpus_of_node(node)),
-            key=lambda p: (-p.workload, p.pcpu_id),
-        )
-        for victim in peers:
+    by_node = machine._pcpus_by_node
+    for node in machine.topology.visit_order(pcpu.node):
+        # loadList: this node's PCPUs by descending workload counter,
+        # ties by id (the list is in id order; sorted() is stable).
+        for victim in sorted(by_node[node], key=_descending_load):
             if victim is pcpu or not victim.queue:
                 continue
             candidates = [

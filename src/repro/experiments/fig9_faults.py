@@ -117,6 +117,16 @@ class Fig9Result:
         )
 
 
+def _seed_mean(values: Sequence[float]) -> float:
+    """Mean over paired seeds, summed left to right from 0.0: the same
+    bits on every Python version (the builtin ``sum`` of floats is
+    compensated from 3.12 on)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
 def run(
     cfg: Optional[ScenarioConfig] = None,
     rates: Sequence[float] = FIG9_RATES,
@@ -151,14 +161,12 @@ def run(
             group = summaries[at : at + seeds]
             at += seeds
             runtime[name].append(
-                sum(s.domain("vm1").mean_finish_time_s for s in group) / seeds
+                _seed_mean([s.domain("vm1").mean_finish_time_s for s in group])
             )
             events[name].append(
-                sum(
-                    s.fault_stats.total_events if s.fault_stats else 0
-                    for s in group
+                _seed_mean(
+                    [s.fault_stats.total_events if s.fault_stats else 0 for s in group]
                 )
-                / seeds
             )
     return Fig9Result(
         rates=tuple(rates),

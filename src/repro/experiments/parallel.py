@@ -78,6 +78,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import os
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -205,6 +206,15 @@ class GridIncompleteError(RuntimeError):
         super().__init__(
             f"{len(self.quarantined)} of {total} cells quarantined: {detail}"
         )
+
+
+def _worker_signals() -> None:
+    """Pool worker initializer: die on SIGTERM, leave SIGINT to the parent.
+
+    An inherited shutdown handler would turn the parent's terminate()
+    into a cell outcome the worker reports and survives."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
 
 
 class ParallelRunner:
@@ -447,6 +457,9 @@ class ParallelRunner:
                         self._finish(index, cells[index], keys[index], summary, results)
             else:
                 self._run_parallel(cells, keys, misses, results)
+            # A signal whose exception was swallowed (one landing in an
+            # at-fork hook while the pool starts) only set the flag.
+            self._check_shutdown()
         finally:
             self.total_cache_hits += self.cache_hits
             self.total_cache_misses += self.cache_misses
@@ -537,7 +550,7 @@ class ParallelRunner:
         deadline_s = self.deadline.deadline_s if self.deadline is not None else None
         failed: List[int] = []
         timeouts: Dict[int, Tuple[str, str]] = {}
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_signals)
         try:
             futures: Dict[int, object] = {}
             for index in misses:
@@ -564,14 +577,19 @@ class ParallelRunner:
                     failed.append(index)
             pool.shutdown(wait=True)
         except BaseException:
-            # Prompt teardown (ShutdownRequested, KeyboardInterrupt):
-            # kill workers instead of waiting out their current cells.
-            for proc in list((getattr(pool, "_processes", None) or {}).values()):
-                try:
-                    proc.terminate()
-                except OSError:  # pragma: no cover - already gone
-                    pass
+            # Prompt teardown (ShutdownRequested, KeyboardInterrupt): cancel
+            # what has not started, then kill and reap every worker, read
+            # from the executor's table after the shutdown call.
+            workers_by_pid = getattr(pool, "_processes", None) or {}
             pool.shutdown(wait=False, cancel_futures=True)
+            procs = list(workers_by_pid.values())
+            for proc in procs:
+                proc.terminate()
+            for proc in procs:
+                proc.join(5.0)
+                if proc.exitcode is None:  # pragma: no cover - ignored SIGTERM
+                    proc.kill()
+                    proc.join()
             raise
 
         # Timeout-class outcomes: quarantine path, never full-cost

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from repro.util.validation import check_fraction, check_non_negative, check_positive
 
@@ -124,7 +124,9 @@ def waterfill_shares(
     active = [i for i in range(n) if weights[i] > 0 and caps[i] > 0]
     remaining = capacity
     while active and remaining > 1e-12:
-        total_w = sum([weights[i] for i in active])
+        total_w = 0.0  # left to right: ``sum`` is compensated on 3.12+
+        for i in active:
+            total_w += weights[i]
         if total_w <= 0:
             break
         capped: List[int] = []
@@ -191,15 +193,10 @@ class LLCState:
     DECAY_TIME = 0.050
 
     #: Warmth below which an entry is dropped from the table.
-    _EPSILON = 1e-3
+    EPSILON = 1e-3
 
     def __init__(self) -> None:
         self._warmth: Dict[int, float] = {}
-        # Decay factor memo for the fixed-dt fast path
-        # (advance_compact_batch): exp(-dt / DECAY_TIME) is invariant
-        # while dt is.
-        self._decay_dt: float | None = None
-        self._decay_factor: float = 1.0
 
     def warmth(self, vcpu_key: int) -> float:
         """Current warmth of ``vcpu_key`` on this LLC (0 if never ran)."""
@@ -210,7 +207,10 @@ class LLCState:
         """Live view of the warmth table, for hot-path readers.
 
         The returned mapping is the state's own table (not a copy) and
-        stays valid across :meth:`advance` calls; treat it as read-only.
+        stays valid across :meth:`advance` calls.  The batched engine
+        commits its horizons' warmth into it directly
+        (``BatchedEngine._commit_warmth``); anyone else treats it as
+        read-only.
         """
         return self._warmth
 
@@ -236,7 +236,7 @@ class LLCState:
             if key in running:
                 continue
             w *= decay
-            if w < self._EPSILON:
+            if w < self.EPSILON:
                 stale.append(key)
             else:
                 self._warmth[key] = w
@@ -247,50 +247,6 @@ class LLCState:
             current = self._warmth.get(key, 0.0)
             # Exponential charge toward 1 with time constant tau.
             self._warmth[key] = 1.0 - (1.0 - current) * math.exp(-dt / tau)
-
-    def advance_compact_batch(
-        self,
-        dt: float,
-        steps: int,
-        keys: Sequence[int],
-        final_warmth: Sequence[float],
-        key_set: AbstractSet[int],
-    ) -> None:
-        """Commit ``steps`` quiet epochs of warmth evolution at once.
-
-        The caller (the batched engine) has already iterated the member
-        charge recurrence ``w <- 1 - (1 - w) * charge`` ``steps`` times,
-        where ``charge`` is ``exp(-dt / max(1e-4, working_set /
-        FILL_BANDWIDTH))`` as in :meth:`advance`, and passes the final
-        values in ``final_warmth``; ``key_set`` must be ``set(keys)``.
-        Non-member keys decay through the same sequential per-epoch
-        multiplies :meth:`advance` performs.  The epsilon eviction check
-        runs once at the end, which is state-equivalent: decay is
-        monotone, so a key below the threshold at any interior epoch is
-        below it at the end too, and nothing reads non-member warmth
-        mid-batch.  With no members (``keys`` empty) this is ``steps``
-        idle epochs of pure decay.
-        """
-        if dt != self._decay_dt:
-            self._decay_dt = dt
-            self._decay_factor = math.exp(-dt / self.DECAY_TIME) if dt > 0 else 1.0
-        decay = self._decay_factor
-        warmth = self._warmth
-        eps = self._EPSILON
-        chain = range(steps)
-        stale: List[int] = []
-        for key, w in warmth.items():
-            if key not in key_set:
-                for _ in chain:
-                    w *= decay
-                if w < eps:
-                    stale.append(key)
-                else:
-                    warmth[key] = w
-        for key in stale:
-            del warmth[key]
-        for key, final in zip(keys, final_warmth):
-            warmth[key] = final
 
     def evict(self, vcpu_key: int) -> None:
         """Forget a VCPU entirely (domain destroyed)."""

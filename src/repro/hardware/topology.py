@@ -128,6 +128,12 @@ class NUMATopology:
             self._node_pcpus.append(ids)
             self._pcpu_node.extend([node.node_id] * node.num_pcpus)
             next_pcpu += node.num_pcpus
+        self._visit_order = [
+            (h,) + tuple(
+                sorted(self.remote_nodes(h), key=lambda n, h=h: (self.distance(h, n), n))
+            )
+            for h in range(self.num_nodes)
+        ]
 
     # ------------------------------------------------------------------
     # Shape accessors
@@ -166,6 +172,12 @@ class NUMATopology:
         """All node ids other than ``node_id`` (ascending)."""
         check_index(node_id, self.num_nodes, "node_id")
         return tuple(n for n in range(self.num_nodes) if n != node_id)
+
+    def visit_order(self, node_id: int) -> Tuple[int, ...]:
+        """Steal scan order for a PCPU on ``node_id``: that node, then
+        the others by distance then id (Algorithm 2's ``nextNode()``;
+        on the paper's two-socket host, simply local then remote)."""
+        return self._visit_order[node_id]
 
     def distance(self, from_node: int, to_node: int) -> int:
         """Hop distance between nodes (0 = same node, 1 = one hop).

@@ -101,8 +101,11 @@ class MachineStats:
 
     @property
     def total_overhead_s(self) -> float:
-        """Hypervisor overhead across all sources."""
-        return sum(self.overhead_s.values())
+        """Hypervisor overhead across all sources (left to right)."""
+        total = 0  # like ``sum``: a run without overhead reports int 0
+        for seconds in self.overhead_s.values():
+            total += seconds
+        return total
 
     @property
     def overhead_fraction(self) -> float:

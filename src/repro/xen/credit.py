@@ -184,20 +184,22 @@ class CreditScheduler(SchedulerPolicy):
         active = [v for v in machine.vcpus if v.runnable]
         if not active:
             return
-        total_weight = sum(v.domain.weight for v in active)
+        total_weight = 0.0  # left to right: ``sum`` is compensated on 3.12+
+        for vcpu in active:
+            total_weight += vcpu.domain.weight
         # Credit supply per period: one full slice's worth per PCPU.
         supply = params.credits_per_tick * params.ticks_per_acct * len(machine.pcpus)
+        cap = params.credit_cap
         for vcpu in active:
-            share = supply * (vcpu.domain.weight / total_weight)
-            vcpu.credits = min(params.credit_cap, vcpu.credits + share)
+            credits = vcpu.credits + supply * (vcpu.domain.weight / total_weight)
+            vcpu.credits = credits if credits < cap else cap
 
     def _requeue_for_priority(self) -> None:
         """Re-sort queues after refill may have flipped UNDER/OVER."""
         machine = self.machine
         assert machine is not None
         for pcpu in machine.pcpus:
-            for vcpu in pcpu.queue.requeue_all():
-                pcpu.queue.push(vcpu)
+            pcpu.queue.reclassify()
 
     # ------------------------------------------------------------------
     # Load balancing (the NUMA-blind part the paper fixes)
@@ -213,9 +215,9 @@ class CreditScheduler(SchedulerPolicy):
         assert machine is not None
         pcpus = machine.pcpus
         order = machine.rng.get("credit.steal").permutation(len(pcpus))
-        if not any(p.queue for p in pcpus if p is not pcpu):
-            # Both scans below skip empty queues: nothing to steal.
-            return None
+        if machine.queued_vcpus == len(pcpu.queue):
+            return None  # only the thief's own queue holds work: nothing to steal
+        order = order.tolist()
         max_rank = 1 if under_only else 2
         hot_window = self.params.cache_hot_s
 
@@ -223,7 +225,7 @@ class CreditScheduler(SchedulerPolicy):
             return now - v.last_ran_time >= hot_window
 
         for idx in order:
-            victim = pcpus[int(idx)]
+            victim = pcpus[idx]
             if victim is pcpu:
                 continue
             candidate = victim.queue.steal_candidate(max_rank, cold)
@@ -233,7 +235,7 @@ class CreditScheduler(SchedulerPolicy):
         if not under_only:
             # A PCPU about to idle takes cache-hot work rather than none.
             for idx in order:
-                victim = pcpus[int(idx)]
+                victim = pcpus[idx]
                 if victim is pcpu:
                     continue
                 candidate = victim.queue.pop()

@@ -12,19 +12,36 @@ up, through one fused scalar replay.  It is built only for the paper's
 dual-socket host; the machine runs other topologies through its
 reference loop.
 
-**Replay slots.**  A PCPU's slot holds the replay row of the VCPU it
-runs: the row constants of that VCPU on that node (from a per-(VCPU,
-node) record), the placement's live page-mix lists, and the live
-objects the replay charges in place — the PCPU (overhead budget, busy
-time), the VCPU (slice, burst), its workload (progress) and its PMU
-bank (counters, per-node accesses).  A slot is rebuilt only when its
-PCPU runs a different VCPU or that VCPU changed phase; a node's
-co-runner plan (its members' LLC shares) is looked up, and their
-warmth scratch reseeded, only when that node's running set changed.  Because the replay reads
+**Replay slots.**  A PCPU's slot holds two projections of the replay
+row of the VCPU it runs, one per replay pass, each with only the fields
+that pass reads: 16 for the contention pass (miss curve, page mix,
+first contention round) and 19 for the progress pass (penalties,
+rates, progress, PMU, drift, warmth charge).  Both come from a
+per-(VCPU, node) record and hold the placement's live page-mix lists
+and the live objects the replay charges in place — the PCPU (overhead
+budget, busy time), the VCPU (slice, burst), its workload (progress)
+and its PMU bank.  A slot is rebuilt only when its PCPU runs a
+different VCPU or that VCPU changed phase.  Because the replay reads
 and writes the live fields themselves, whatever a boundary phase wrote
 between horizons (tick and context-switch overhead charges, a slice
 reset on switch-in, a crash's lost progress) is simply what the next
 horizon starts from: there is no seed and no commit to keep in step.
+
+**Node plans and warmth.**  A node whose running set changed gets a
+new plan: its members' capped LLC shares, and their warmth scratch
+reseeded from the LLC's live warmth table.  The shares are a waterfill
+of the node's capacity over the members' demands, so they are memoised
+by ``(node, members' demands)``: co-runner sets with equal demands
+share one waterfill, and a phase change (a new demand) evicts nothing.
+After the replay, one engine loop commits the horizon's warmth into
+both nodes' live tables — members take their charged scratch, every
+other VCPU decays by the hoisted per-epoch factor — and a horizon with
+nothing running takes the same loop with no members.
+
+**Boundary glue.**  The run queues keep a machine-wide queued count,
+so an idle PCPU's steal with nothing queued elsewhere, and the horizon
+sizing's idle-queue guard, cost one comparison instead of a scan over
+every queue (the audit's placement invariant checks the count).
 
 **The contract is bitwise equality**: for any scenario and seed, a run
 through the batched engine produces exactly the same simulated results
@@ -35,13 +52,14 @@ reference loop.  Four rules keep that true:
   whether it runs through numpy ufuncs or Python scalars, so each
   per-VCPU expression may use whichever is faster at the machine's
   scale — but *reductions* may not be reordered: every ordered
-  accumulation (IMC/QPI traffic, per-miss penalties, busy time) stays
-  a sequential loop in exactly the reference's order;
+  accumulation (IMC/QPI traffic, per-miss penalties, busy time, a
+  warmth decay chain) stays a sequential loop in exactly the
+  reference's order;
 * every cached invariant (``refs_per_instruction * intensity_multiplier``,
   the memoised :class:`CacheDemand`, the LLC warmth charge factor, the
   first-touch drift per epoch, the waterfilled LLC shares) depends only
-  on the profile, the phase multipliers and the co-runner set, so it is
-  invalidated precisely when :meth:`VcpuWorkload.maybe_phase_change`
+  on the profile, the phase multipliers and the co-runners' demands, so
+  it is refreshed precisely when :meth:`VcpuWorkload.maybe_phase_change`
   fires (a generation counter) or the running set changes;
 * heap-driven wake and phase processing replays due events in VCPU-key
   order — the order the reference scans ``machine.vcpus`` — because
@@ -60,6 +78,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.hardware.cache import LLCState, waterfill_shares
@@ -72,36 +91,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["BatchedEngine"]
 
+_BLOCKED = VcpuState.BLOCKED
+_vcpu_key = attrgetter("key")
+#: Node plans of a horizon with nothing running: no members anywhere.
+_IDLE_NODES = (((), ()), ((), ()))
+
 
 class BatchedEngine:
     """Macro-stepping engine: one fused scalar replay per event horizon.
 
     Built lazily on the first stepped epoch of a dual-socket machine and
-    discarded whenever the machine's VCPU population changes;
-    construction scans the live machine state once, after which
-    per-horizon work touches only the VCPUs that are actually running,
-    waking or changing phase.
-
-    Each horizon is sized first: the number of upcoming epochs
-    guaranteed free of discrete events — scheduler ticks, sampling
-    boundaries, wakeups, phase changes, finite-work completions,
-    run-burst expiries, fault stalls/crashes, the epoch cap and the
-    run's time limit.  Every horizon, a single epoch included, then
-    advances in one call to :meth:`_advance_replay_fused`, which runs
-    the reference loop's exact per-epoch arithmetic on the replay slots
-    (see the module docstring); a horizon with nothing running only
-    decays LLC warmth.
-
-    The bitwise contract survives batching because inside the horizon
-    every epoch applies the same Python-float expressions, in the same
-    order, to the same running set; only transitions and the LLC
+    discarded whenever the machine's VCPU population changes.  Each
+    horizon is sized first (:meth:`compute_horizon`): the number of
+    upcoming epochs guaranteed free of discrete events — scheduler
+    ticks, sampling boundaries, wakeups, phase changes, finite-work
+    completions, run-burst expiries, fault stalls/crashes, the epoch cap
+    and the run's time limit.  :meth:`advance_batch` then replays it in
+    one call (see the module docstring); only transitions and the LLC
     warmth commit move to the batch end.  Scheduler RNG parity is kept
     by one :meth:`~repro.xen.credit.SchedulerPolicy.idle_steals` call
     per horizon, which draws what the (no-op) steal attempts of idle
     PCPUs in the interior epochs would draw.
-
-    Dual-socket only: the replay inlines the two-node memory solve, and
-    ``Machine`` builds no engine for other topologies.
     """
 
     def __init__(self, machine: "Machine") -> None:
@@ -115,25 +125,15 @@ class BatchedEngine:
         self.node_clock: List[float] = [node.clock_hz for node in topo.nodes]
         self.node_ns2c: List[float] = [c * 1e-9 for c in self.node_clock]
 
-        # Per-VCPU invariants, keyed by VCPU key.  Profile constants are
-        # immutable; the phase-dependent ones (rpi, LLC demand, warmth
-        # charge) are refreshed by refresh_vcpu() on phase change.
+        # Per-VCPU LLC demands, keyed by VCPU key and refreshed by
+        # refresh_vcpu() on phase change.
         n = len(vcpus)
-        self.cpi_base: List[float] = [v.workload.profile.cpi_base for v in vcpus]
-        self.mlp: List[float] = [v.workload.profile.mlp for v in vcpus]
-        self.conc: List[float] = [
-            v.workload.profile.slice_concentration for v in vcpus
-        ]
-        self.drift_amount: List[float] = [
-            min(1.0, v.workload.profile.touch_rate * self.epoch) for v in vcpus
-        ]
-        self.rpi: List[float] = [0.0] * n
         #: (waterfill weight, working set) of the VCPU's LLC demand
         self.llc_fill: List[Tuple[float, float]] = [(0.0, 0.0)] * n
-        #: (min miss, miss span, curve shape, working set <= 0, warmth
-        #: charge factor): the VCPU's miss curve and warmth charge
-        self.miss_tail: List[tuple] = [()] * n
-        self.total_instr: List[float] = [0.0] * n
+        #: small id of the VCPU's ``llc_fill`` value: VCPUs with equal
+        #: demands share an id, so node plans can be keyed by demand
+        self.fill_id: List[int] = [0] * n
+        self._fill_ids: Dict[Tuple[float, float], int] = {}
         #: per-key phase generation, bumped by refresh_vcpu(): a replay
         #: record or slot built under an older generation is rebuilt.
         self.key_gen: List[int] = [0] * n
@@ -150,36 +150,35 @@ class BatchedEngine:
         self._records: List[List[Optional[tuple]]] = [
             [None, None] for _ in range(n)
         ]
-        # Per-co-runner-set node plans (see _node_entry).  Phase-
-        # dependent, so refresh_vcpu() evicts entries mentioning the key.
-        self._node_cache: Dict[Tuple, Tuple] = {}
-        #: per-key node-cache keys of the live plans mentioning it
-        self._node_keys_of: List[Set[Tuple]] = [set() for _ in range(n)]
-        # Replay slots: each PCPU's slot row (see _slot) for the VCPU
-        # it runs, or None when idle or invalidated by a phase change.
+        # Node plans' capped LLC shares, keyed by ``(node, fill ids of
+        # the members in key order)`` (see _node_entry).  The shares
+        # depend only on the demands, so a phase change evicts nothing.
+        self._shares_memo: Dict[Tuple, List[float]] = {}
+        # Replay slots: each PCPU's ``(contention row, progress row,
+        # guard)`` (see _slot) for the VCPU in ``_held[pid]``, None when
+        # the PCPU idles or its slot was dropped by a phase change.
         self._slots: List[Optional[tuple]] = [None] * len(machine.pcpus)
-        # Each node's plan entry in the last replayed horizon: its
-        # members' warmth scratch already holds what the warmth commit
-        # wrote.  None marks a node whose co-runner set must be planned
-        # and reseeded.
+        self._held: List[Optional[Vcpu]] = [None] * len(machine.pcpus)
+        # Each node's plan entry in the last replayed horizon (its
+        # members' warmth scratch holds what the warmth commit wrote);
+        # None marks a node to plan and reseed.
         self._node_last: List[Optional[tuple]] = [None, None]
-        self._node_pids: List[List[int]] = [
-            [p.pcpu_id for p in machine.pcpus if p.node == node]
-            for node in range(2)
+        # Each node's PCPUs as a slice of ``_held`` (ids run node by node).
+        self._node_span: List[slice] = [
+            slice(ids[0], ids[-1] + 1) for ids in map(topo.pcpus_of_node, range(2))
         ]
-        # The current plan and the PCPU occupancy it was built for.
+        # The current plan, None when a slot or node plan must change.
         self._plan: Optional[tuple] = None
-        self._currents: list = []
         for vcpu in vcpus:
             self.refresh_vcpu(vcpu)
 
-        # Live per-node warmth tables (stable dict objects).
+        # Live per-node warmth tables (stable dict objects) and the
+        # reference's per-epoch decay factor for absent VCPUs
+        # (LLCState.advance with dt = epoch > 0).
         self._warmth_tables = [
             cache.state.warmth_table for cache in machine.caches
         ]
-        self._cache_advance_batch = [
-            cache.state.advance_compact_batch for cache in machine.caches
-        ]
+        self._decay = math.exp(-self.epoch / LLCState.DECAY_TIME)
 
         # Wake-time min-heap replacing the all-VCPU step-2 scan.  Lazy
         # invalidation: entries are validated against live VCPU state at
@@ -220,16 +219,11 @@ class BatchedEngine:
         nodes = memsys.topology.nodes
         cap = 8.0
         self._scalars = (
-            lat.llc_hit_ns,
-            lat.local_dram_ns,
-            nodes[0].imc_bandwidth,
-            nodes[1].imc_bandwidth,
+            lat.llc_hit_ns, lat.local_dram_ns,
+            nodes[0].imc_bandwidth, nodes[1].imc_bandwidth,
             memsys.topology.qpi_bandwidth,
-            memsys.latency.local_dram_ns,
-            memsys.latency.remote_extra_ns,
-            cap,
-            1.0 - 1.0 / cap,
-            BYTES_PER_MISS,
+            memsys.latency.local_dram_ns, memsys.latency.remote_extra_ns,
+            cap, 1.0 - 1.0 / cap, BYTES_PER_MISS,
         )
 
     # ------------------------------------------------------------------
@@ -237,43 +231,22 @@ class BatchedEngine:
     # ------------------------------------------------------------------
     def refresh_vcpu(self, vcpu: Vcpu) -> None:
         """Recompute phase-dependent invariants after a phase change."""
-        w = vcpu.workload
         key = vcpu.key
-        self.rpi[key] = w.profile.refs_per_instruction * w.intensity_multiplier
-        demand = w.cache_demand()
+        demand = vcpu.workload.cache_demand()
         ws = demand.working_set_bytes
-        # The weight and the charge factor are the reference's
-        # expressions (CacheModel.solve, LLCState.advance).
-        self.llc_fill[key] = (demand.intensity * max(ws, 1.0), ws)
-        tau = max(1e-4, ws / LLCState.FILL_BANDWIDTH)
-        self.miss_tail[key] = (
-            demand.min_miss_rate,
-            demand.max_miss_rate - demand.min_miss_rate,
-            demand.curve_shape,
-            ws <= 0,
-            math.exp(-self.epoch / tau),
-        )
-        self.total_instr[key] = w.profile.total_instructions
+        # The reference's waterfill weight (CacheModel.solve).
+        fill = (demand.intensity * max(ws, 1.0), ws)
+        self.llc_fill[key] = fill
+        ids = self._fill_ids
+        self.fill_id[key] = ids.setdefault(fill, len(ids))
         self.key_gen[key] += 1
-        # Selective eviction: only node plans that embed this key's
-        # demand are stale; its records fail their generation check on
-        # next use, and a slot running it is dropped (with its node's
-        # plan) here.  An evicted plan leaves every member's index, so
-        # the index holds only live plans.
-        node_cache = self._node_cache
-        keys_of = self._node_keys_of
-        for node_key in keys_of[key]:
-            del node_cache[node_key]
-            for member in node_key[1]:
-                if member != key:
-                    keys_of[member].discard(node_key)
-        keys_of[key] = set()
-        slots = self._slots
-        for pid, row in enumerate(slots):
-            if row is not None and row[14] is vcpu:
-                slots[pid] = None
-                self._node_last[row[19].node] = None
-        self._plan = None
+        # Its records fail their generation check on next use; a slot
+        # holding it is dropped here, with its node's plan and the plan.
+        held = self._held
+        for pid, running in enumerate(held):
+            if running is vcpu:
+                held[pid] = self._slots[pid] = self._plan = None
+                self._node_last[self.machine.pcpus[pid].node] = None
 
     # ------------------------------------------------------------------
     # Event-driven scans
@@ -285,18 +258,18 @@ class BatchedEngine:
             return []
         vcpus = self.machine.vcpus
         due: List[Vcpu] = []
-        seen: Set[int] = set()
         while heap and heap[0][0] <= now:
-            _, key = heapq.heappop(heap)
-            vcpu = vcpus[key]
+            vcpu = vcpus[heapq.heappop(heap)[1]]
+            # A stale entry (the VCPU woke, or blocked again until
+            # later) is dropped; a VCPU with two due entries wakes once.
             if (
-                key not in seen
-                and vcpu.state is VcpuState.BLOCKED
+                vcpu.state is _BLOCKED
                 and vcpu.wake_time <= now
+                and vcpu not in due
             ):
-                seen.add(key)
                 due.append(vcpu)
-        due.sort(key=lambda v: v.key)
+        if len(due) > 1:
+            due.sort(key=_vcpu_key)
         return due
 
     def push_wake(self, vcpu: Vcpu) -> None:
@@ -341,60 +314,65 @@ class BatchedEngine:
     def _record(self, key: int, node: int) -> tuple:
         """Replay record for VCPU ``key`` running on ``node``.
 
-        ``(gen, row, tail)``: ``gen`` is the key's phase generation at
-        build time; ``row`` is ``(c, 1.0 - c, slice_row, overall, rpi,
-        cpi_base, mlp, clock, ns2c, scratch, node == 0, total, drift,
-        num_slices, vcpu, workload, bank, node_accesses, step)``, whose
-        ``slice_row``/``overall`` are the placement's live lists
+        ``(gen, contention, progress, guard)``: the key's phase
+        generation at build time and the slot's rows without their PCPU
+        (see :meth:`_slot`).  Both rows hold the placement's live lists
         ``placement.rows[slice]`` and ``placement.overall`` (aliased
         readers share them, so intra-epoch interleavings replay
-        exactly), whose ``bank`` and ``node_accesses`` are the VCPU's
-        live PMU bank and its per-node list, and whose ``step`` is the
-        most progress one epoch can make there (``clock / cpi_base *
-        epoch``, the horizon's completion floor).  ``tail`` is ``(warm,
-        min_miss, miss_span, curve_shape, ws <= 0, charge_factor)``,
-        with ``warm`` the VCPU's ``[warmth, share]`` scratch.
+        exactly) and the VCPU's scratch cells.
         """
         vcpu = self.machine.vcpus[key]
+        w = vcpu.workload
+        prof = w.profile
         placement = vcpu.domain.placement
-        c = self.conc[key]
+        demand = w.cache_demand()
+        ws = demand.working_set_bytes
+        c = prof.slice_concentration
         bank = self.machine.pmu.peek(key)
-        row = (
-            c,
-            1.0 - c,
-            placement.rows[vcpu.workload.slice_id],
-            placement.overall,
-            self.rpi[key],
-            self.cpi_base[key],
-            self.mlp[key],
-            self.node_clock[node],
-            self.node_ns2c[node],
-            self._scratch[key],
-            node == 0,
-            self.total_instr[key],
-            self.drift_amount[key],
-            placement.num_slices,
-            vcpu,
-            vcpu.workload,
-            bank,
-            bank.node_accesses,
-            self.node_clock[node] / self.cpi_base[key] * self.epoch,
+        warm = self._warm[key]
+        total = prof.total_instructions
+        step = self.node_clock[node] / prof.cpi_base * self.epoch
+        shared = (
+            placement.rows[w.slice_id], placement.overall,
+            prof.refs_per_instruction * w.intensity_multiplier,
+            prof.cpi_base, prof.mlp, self.node_clock[node],
+            self.node_ns2c[node], self._scratch[key], node == 0,
         )
-        return (self.key_gen[key], row, (self._warm[key],) + self.miss_tail[key])
+        return (
+            self.key_gen[key],
+            (c, 1.0 - c) + shared + (
+                warm, demand.min_miss_rate,
+                demand.max_miss_rate - demand.min_miss_rate,
+                demand.curve_shape, ws <= 0,
+            ),
+            shared + (
+                total, min(1.0, prof.touch_rate * self.epoch),
+                placement.num_slices, vcpu, w, bank, bank.node_accesses, warm,
+                # LLCState.advance's per-epoch charge factor.
+                math.exp(-self.epoch / max(1e-4, ws / LLCState.FILL_BANDWIDTH)),
+            ),
+            # Completion guard: a horizon spans at most a tick, so
+            # progress at or below this leaves the exclusive completion
+            # floor at least a tick away (_size_horizon).
+            math.inf if total is None
+            else total - (self.machine._epochs_per_tick + 2) * step,
+        )
 
     def _node_entry(self, node: int, members: Tuple[int, ...]) -> Tuple:
-        """``(members, shares, member_set)`` for one co-runner set.
+        """``(members, shares)`` for one co-runner set.
 
         ``members`` is sorted by key; ``shares[j]`` is member ``j``'s
         capped LLC share ``min(1.0, alloc / ws)`` on ``node``: exactly
         the scalar the reference recomputes every epoch — same inputs,
-        same float — so it is safe to freeze per co-runner set.
+        same float — so it is safe to freeze.  The inputs are the
+        node's capacity and the members' demands in key order, so the
+        shares are memoised by ``(node, fill ids)``: co-runner sets with
+        equal demands share one waterfill.
         """
-        node_key = (node, members)
-        entry = self._node_cache.get(node_key)
-        if entry is None:
-            # The waterfilled allocations depend only on capacity and
-            # the demands, not on warmth, so they are fixed per set.
+        fill_id = self.fill_id
+        memo_key = (node, tuple([fill_id[key] for key in members]))
+        shares = self._shares_memo.get(memo_key)
+        if shares is None:
             fills = [self.llc_fill[key] for key in members]
             caps = [ws for _, ws in fills]
             allocs = waterfill_shares(
@@ -402,67 +380,63 @@ class BatchedEngine:
                 [weight for weight, _ in fills],
                 caps,
             )
-            shares = [
+            shares = self._shares_memo[memo_key] = [
                 min(1.0, alloc / ws) if ws > 0 else 0.0
                 for alloc, ws in zip(allocs, caps)
             ]
-            entry = (members, shares, frozenset(members))
-            self._node_cache[node_key] = entry
-            for key in members:
-                self._node_keys_of[key].add(node_key)
-        return entry
+        return (members, shares)
 
     def _slot(self, pcpu: Pcpu, vcpu: Vcpu) -> tuple:
-        """The replay row of ``pcpu`` running ``vcpu``.
+        """The replay slot of ``pcpu`` running ``vcpu``.
 
-        The VCPU's record row on the PCPU's node (rebuilt when the
-        VCPU's phase generation moved), followed by the PCPU and the
-        record's miss/warmth tail.
+        ``(contention, progress, guard)``: the contention row ``(c, 1 - c,
+        slice_row, overall, rpi, cpi_base, mlp, clock, ns2c, scratch,
+        node == 0, warm, min_miss, miss_span, curve_shape, ws <= 0)``
+        and the progress row ``(slice_row, overall, rpi, cpi_base, mlp,
+        clock, ns2c, scratch, node == 0, total, drift, num_slices, vcpu,
+        workload, bank, node_accesses, warm, charge_factor, pcpu)`` and
+        the completion guard, from the VCPU's record on the PCPU's node
+        (rebuilt when the VCPU's phase generation moved).
         """
         key = vcpu.key
         pair = self._records[key]
         rec = pair[pcpu.node]
         if rec is None or rec[0] != self.key_gen[key]:
             rec = pair[pcpu.node] = self._record(key, pcpu.node)
-        return rec[1] + (pcpu,) + rec[2]
+        return (rec[1], rec[2] + (pcpu,), rec[3])
 
     def _plan_for(self) -> tuple:
         """This horizon's replay plan, from the slots of the running PCPUs.
 
-        ``(rows, nodes)``: the slot of every running PCPU, in PCPU
-        order, and each node's plan.  With the same occupancy as the
-        last horizon and no phase change since, the plan is reused
-        outright.  Otherwise only the slots whose PCPU now runs a
-        different VCPU are rebuilt, and only a node whose co-runner set
-        moved gets a new node plan, which sets its members' shares and
-        reseeds their warmth; the other node's members already hold
-        what the last warmth commit wrote.
+        ``(contention rows, progress rows, guards, nodes)``: the slot of
+        every running PCPU, transposed, in PCPU order, and each node's
+        plan.
+        With every PCPU still running the VCPU its slot holds (and no
+        phase change since), the plan is reused outright.  Otherwise
+        only the slots whose PCPU now runs a different VCPU are
+        rebuilt, and only a node whose co-runner set moved gets a new
+        node plan, which sets its members' shares and reseeds their
+        warmth; the other node's members already hold what the last
+        warmth commit wrote.
         """
         pcpus = self.machine.pcpus
-        currents = [p.current for p in pcpus]
-        plan = self._plan
-        if plan is not None and currents == self._currents:
-            return plan
-        self._currents = currents
+        held = self._held
         slots = self._slots
         node_last = self._node_last
-        for pid, vcpu in enumerate(currents):
-            slot = slots[pid]
-            if vcpu is None:
-                if slot is not None:
-                    slots[pid] = None
-                    node_last[slot[19].node] = None
-            elif slot is None or slot[14] is not vcpu:
-                pcpu = pcpus[pid]
-                slots[pid] = self._slot(pcpu, vcpu)
+        plan = self._plan
+        for pcpu, last in zip(pcpus, held):
+            vcpu = pcpu.current
+            if vcpu is not last:
+                pid = pcpu.pcpu_id
+                held[pid] = vcpu
+                slots[pid] = None if vcpu is None else self._slot(pcpu, vcpu)
                 node_last[pcpu.node] = None
+                plan = None
+        if plan is not None:
+            return plan
         for node, entry in enumerate(node_last):
             if entry is None:
-                keys = [
-                    slots[pid][14].key
-                    for pid in self._node_pids[node]
-                    if slots[pid] is not None
-                ]
+                keys = [v.key for v in held[self._node_span[node]] if v is not None]
                 keys.sort()
                 members = tuple(keys)
                 entry = node_last[node] = self._node_entry(node, members)
@@ -472,11 +446,9 @@ class BatchedEngine:
                     cell = warm[key]
                     cell[0] = table.get(key, 0.0)
                     cell[1] = share
-        plan = (
-            [slot for slot in slots if slot is not None],
-            (node_last[0], node_last[1]),
-        )
-        self._plan = plan
+        live = [slot for slot in slots if slot is not None]
+        rows = tuple(zip(*live)) if live else ((), (), ())
+        plan = self._plan = rows + ((node_last[0], node_last[1]),)
         return plan
 
     # ------------------------------------------------------------------
@@ -490,12 +462,12 @@ class BatchedEngine:
         could fire before the batch would end.  Every Credit tick and
         sampling boundary terminates the batch.
         """
-        kb = self._size_horizon(now, limit, self._plan_for()[0])
+        kb = self._size_horizon(now, limit, self._plan_for())
         hist = self._horizon_hist
         hist[kb] = hist.get(kb, 0) + 1
         return kb
 
-    def _size_horizon(self, now: float, limit: float, rows: list) -> int:
+    def _size_horizon(self, now: float, limit: float, plan: tuple) -> int:
         machine = self.machine
         e0 = machine.epoch_index
         epoch = self.epoch
@@ -521,6 +493,7 @@ class BatchedEngine:
         if kb <= 1:
             return 1
 
+        _, progress, guards, _ = plan
         # Running-set floors.  Completions stay *exclusive*: with rates
         # bounded by clock / cpi_base (the queueing stall is
         # non-negative), a one-epoch margin under each finite-work
@@ -530,16 +503,19 @@ class BatchedEngine:
         # expiry epoch is known in advance — the batch may end ON it and
         # fire the block transition at the batch boundary.
         window = (kb + 1) * epoch
-        for row in rows:
-            total = row[11]
-            if total is not None:
-                floor = int((total - row[15].instructions_done) / row[18]) - 1
+        for row, guard in zip(progress, guards):
+            if row[13].instructions_done > guard:
+                # Within a tick of its budget: the exact floor, from the
+                # most progress one epoch can make (clock / cpi_base *
+                # epoch).
+                step = row[5] / row[3] * epoch
+                floor = int((row[9] - row[13].instructions_done) / step) - 1
                 if floor < kb:
                     if floor <= 1:
                         return 1
                     kb = floor
                     window = (kb + 1) * epoch
-            burst = row[14].run_burst_remaining_s
+            burst = row[12].run_burst_remaining_s
             if burst <= window:
                 # Expiry may land inside the window: replay the exact
                 # per-epoch subtraction chain (`x -= epoch`, the same
@@ -555,14 +531,12 @@ class BatchedEngine:
                         kb = j + 1
                         window = (kb + 1) * epoch
                         break
-        if len(rows) < len(machine.pcpus):
+        if machine.queued_vcpus and len(progress) < len(machine.pcpus):
             # After a scheduling pass an idle PCPU implies every queue
             # is empty (the pass steals unconditionally); guard the
             # invariant anyway — queued work next to an idle PCPU means
             # rescheduling activity every epoch.
-            for pcpu in machine.pcpus:
-                if pcpu.queue.head_rank() is not None:
-                    return 1
+            return 1
 
         # Time-driven events: walk the exact epoch-end trajectory (the
         # same sequential float adds the stepper performs) against the
@@ -571,6 +545,10 @@ class BatchedEngine:
         # the stepper applies phase changes once at the batch end.
         wake = self.wake_heap[0][0] if self.wake_heap else math.inf
         phase = self.phase_heap[0][0] if self.phase_heap else math.inf
+        if min(wake, phase, crash_time, limit - 1e-12) > now + (kb + 1) * epoch:
+            # Every event lies a whole epoch beyond the walk's last
+            # epoch end, far more than its rounding: nothing can stop it.
+            return kb
         t = now
         j = 0
         while j < kb:
@@ -600,21 +578,17 @@ class BatchedEngine:
         """
         machine = self.machine
         plan = self._plan
-        running = len(plan[0])
+        running = len(plan[1])
 
         t = now
         for _ in range(1, kb):
             t = t + epoch
         end_batch = t + epoch
 
-        # Interior scheduling passes: running PCPUs are untouched (their
-        # VCPU stays runnable all batch), but each idle PCPU makes one
-        # steal attempt per interior epoch.  With every queue empty those
-        # attempts cannot succeed, mutate queues or read anything the
-        # replay advances — they only draw scheduler RNG (e.g.
-        # credit.steal's permutation), so one idle_steals call consumes
-        # all of them up front, leaving every stream where the
-        # reference's per-epoch calls would.
+        # Interior scheduling passes: each idle PCPU makes one steal
+        # attempt per interior epoch.  With every queue empty those can
+        # only draw scheduler RNG (e.g. credit.steal's permutation), so
+        # one idle_steals call draws them all up front.
         n = (kb - 1) * (len(machine.pcpus) - running)
         if n > 0:
             machine.policy.idle_steals(n)
@@ -622,49 +596,36 @@ class BatchedEngine:
         if not running:
             # Nothing runs: warmth still decays on every LLC, so no
             # node's warmth scratch survives this horizon.
-            for advance in self._cache_advance_batch:
-                advance(epoch, kb, (), (), frozenset())
+            self._commit_warmth(kb, _IDLE_NODES)
             self._node_last = [None, None]
             return end_batch
         return self._advance_replay_fused(end_batch, epoch, kb, plan)
 
-    def _advance_replay_fused(
-        self,
-        end_batch: float,
-        epoch: float,
-        kb: int,
-        plan: tuple,
-    ) -> float:
+    def _advance_replay_fused(self, end_batch: float, epoch: float, kb: int, plan: tuple) -> float:
         """Event-free horizon: scalar replay on the slots' live objects.
 
         Runs the reference loop's exact arithmetic — same Python-float
         expressions, same accumulation order — for ``kb`` epochs, but
         performs the running-set scan, plan lookup and transitions once
         per batch instead of once per epoch.  Progress, busy time,
-        overhead, slice, burst and PMU counters accumulate in place on
-        the live PCPU, VCPU, workload and bank objects; placement drift
-        updates the placements' live lists.  Both are bitwise neutral
-        because nothing else reads that state mid-batch (the caller
-        guarantees an event-free interior and has already drawn the
-        idle PCPUs' steal RNG, which reads none of it).  Only the
-        machine's busy total (a local) and the members' warmth (their
-        scratch) are written back at the end.
+        overhead, slice, burst, PMU counters and placement drift
+        accumulate in place on the live objects, which is bitwise
+        neutral because nothing else reads that state mid-batch (the
+        caller guarantees an event-free interior and has already drawn
+        the idle PCPUs' steal RNG, which reads none of it).
         """
         machine = self.machine
         (
-            hit_ns,
-            local_dram,
-            bw0,
-            bw1,
-            qpi_bw,
-            s_dram,
-            s_remote,
-            cap,
-            knee,
-            bpm,
+            hit_ns, local_dram, bw0, bw1, qpi_bw, s_dram, s_remote, cap, knee, bpm,
         ) = self._scalars
-        rows, nodes = plan
+        contention, progress, _, nodes = plan
         mbusy = machine.busy_time_s
+        # The completion clamp can only bind in a one-epoch horizon: a
+        # longer one leaves every finite row at least a whole epoch's
+        # most progress (clock / cpi_base * epoch, which bounds every
+        # rate * compute) short of its budget (_size_horizon's
+        # exclusive floor), so there the clamp is a no-op.
+        clamp = kb == 1
 
         # --- Per-epoch replay ------------------------------------------
         # Each epoch preserves the reference phase order: miss curves +
@@ -682,9 +643,8 @@ class BatchedEngine:
             qpi_t = 0.0
             for (
                 c, a, row, over, rp, cb, ml, ck, n2, scr, nd0,
-                _t, _d, _n, _vc, _w, _b, _na, _s, _pc,
-                warm, minmr, span, shape, bad, _cf,
-            ) in rows:
+                warm, minmr, span, shape, bad,
+            ) in contention:
                 f = 1.0 if bad else warm[1] * warm[0]
                 missing = 1.0 - f if shape == 1.0 else (1.0 - f) ** shape
                 mr = minmr + span * missing
@@ -724,10 +684,9 @@ class BatchedEngine:
             far1 = dram1 + remote_add
 
             for (
-                _c, _a, row, over, rp, cb, ml, ck, n2, scr, nd0, total,
-                d, nsl, vcpu, w, bank, na, _s, pcpu,
-                warm, _mm, _sp, _cs, _bd, cf,
-            ) in rows:
+                row, over, rp, cb, ml, ck, n2, scr, nd0, total,
+                d, nsl, vcpu, w, bank, na, warm, cf, pcpu,
+            ) in progress:
                 # The per-miss penalty: each node's page share times
                 # its DRAM latency, plus the QPI hop when remote.  A
                 # zero share adds +0.0, which leaves the sum's bits
@@ -752,7 +711,7 @@ class BatchedEngine:
                 pcpu.busy_time_s += epoch
                 mbusy += epoch
                 done = rate * compute
-                if total is not None:
+                if clamp and total is not None:
                     remaining = total - w.instructions_done
                     if remaining < 0.0:
                         remaining = 0.0
@@ -795,12 +754,12 @@ class BatchedEngine:
         # transition-free by the horizon contract; the burst cap is
         # inclusive, so a burst draining to zero blocks here).
         policy = machine.policy
-        for row in rows:
-            total = row[11]
-            vcpu = row[14]
-            w = row[15]
+        for row in progress:
+            total = row[9]
+            vcpu = row[12]
+            w = row[13]
             if total is not None and w.instructions_done >= total:
-                pcpu = row[19]
+                pcpu = row[18]
                 vcpu.mark_done(end_batch)
                 pcpu.current = None
                 machine.context_switches += 1
@@ -808,24 +767,48 @@ class BatchedEngine:
                 machine.log.emit(end_batch, "finish", vcpu=vcpu.name)
                 self.finite_remaining -= 1
             elif vcpu.run_burst_remaining_s <= 0:
-                pcpu = row[19]
+                pcpu = row[18]
                 vcpu.block_until(end_batch + w.draw_block_time())
                 self.push_wake(vcpu)
                 pcpu.current = None
                 machine.context_switches += 1
                 policy.on_context_switch(pcpu, vcpu, None)
 
-        # --- LLC warmth commit -----------------------------------------
-        # Every node advances (a member-less node still decays its
-        # warm entries), exactly like the reference loop.
-        warm = self._warm
-        for advance, (members, _shares, member_set) in zip(
-            self._cache_advance_batch, nodes
-        ):
-            advance(
-                epoch, kb, members, [warm[key][0] for key in members], member_set
-            )
+        self._commit_warmth(kb, nodes)
         return end_batch
+
+    def _commit_warmth(self, kb: int, nodes: tuple) -> None:
+        """Commit ``kb`` epochs of LLC warmth on both nodes' live tables.
+
+        Each node's members already hold their charged warmth in their
+        scratch cells (the replay iterated ``w <- 1 - (1 - w) *
+        charge``); every other tracked VCPU decays through the same
+        sequential per-epoch multiplies ``LLCState.advance`` performs,
+        by the factor hoisted in ``__init__``.  The epsilon eviction
+        runs once at the end, which is state-equivalent: decay is
+        monotone, so a key below the threshold at any interior epoch is
+        below it at the end too, and nothing reads non-member warmth
+        mid-horizon.  A node without members (every node of an idle
+        horizon) only decays.
+        """
+        decay = self._decay
+        eps = LLCState.EPSILON
+        warm = self._warm
+        chain = range(kb)
+        for table, (members, _shares) in zip(self._warmth_tables, nodes):
+            stale = []
+            for key, w in table.items():
+                if key not in members:
+                    for _ in chain:
+                        w *= decay
+                    if w < eps:
+                        stale.append(key)
+                    else:
+                        table[key] = w
+            for key in stale:
+                del table[key]
+            for key in members:
+                table[key] = warm[key][0]
 
     # ------------------------------------------------------------------
     # Horizon statistics

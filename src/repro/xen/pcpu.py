@@ -8,7 +8,7 @@ counter is simply the queue length, so it can never drift.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.xen.runqueue import RunQueue
 from repro.xen.vcpu import Vcpu
@@ -25,14 +25,16 @@ class Pcpu:
         Global PCPU index.
     node:
         NUMA node the PCPU belongs to.
+    queued:
+        The machine's shared queued count (see :class:`RunQueue`).
     """
 
     __slots__ = ("pcpu_id", "node", "queue", "current", "overhead_pending_s", "busy_time_s")
 
-    def __init__(self, pcpu_id: int, node: int) -> None:
+    def __init__(self, pcpu_id: int, node: int, queued: Optional[List[int]] = None) -> None:
         self.pcpu_id = pcpu_id
         self.node = node
-        self.queue = RunQueue()
+        self.queue = RunQueue(queued)
         self.current: Optional[Vcpu] = None
         #: hypervisor overhead seconds to deduct from upcoming epochs
         self.overhead_pending_s: float = 0.0

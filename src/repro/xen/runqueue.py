@@ -11,6 +11,10 @@ The queue also exposes the scan/remove operations the load balancers
 need: remove a specific VCPU, pop restricted to a priority ceiling,
 and pick the queued VCPU minimising an arbitrary key (vProbe steals
 the smallest LLC pressure, regardless of class — Algorithm 2).
+
+A machine's queues share a *queued count* (a one-element list), kept
+by every enqueue and dequeue, so "is anything queued anywhere else?"
+is one comparison instead of a scan over every queue.
 """
 
 from __future__ import annotations
@@ -25,14 +29,18 @@ __all__ = ["RunQueue"]
 
 
 class RunQueue:
-    """Three-class FIFO run queue (BOOST before UNDER before OVER)."""
+    """Three-class FIFO run queue (BOOST before UNDER before OVER).
 
-    def __init__(self) -> None:
+    ``queued`` is the machine's shared queued count (default: its own).
+    """
+
+    def __init__(self, queued: Optional[List[int]] = None) -> None:
         self._classes: Tuple[Deque[Vcpu], Deque[Vcpu], Deque[Vcpu]] = (
             deque(),
             deque(),
             deque(),
         )
+        self.queued: List[int] = [0] if queued is None else queued
 
     def __len__(self) -> int:
         boost, under, over = self._classes
@@ -59,14 +67,17 @@ class RunQueue:
         """
         if vcpu.state is not VcpuState.RUNNABLE:
             raise ValueError(f"cannot enqueue {vcpu!r}: state is {vcpu.state.value}")
-        if vcpu in self:
+        boost, under, over = classes = self._classes
+        if vcpu in boost or vcpu in under or vcpu in over:
             raise ValueError(f"{vcpu!r} is already queued")
-        self._classes[vcpu.priority_rank].append(vcpu)
+        classes[vcpu.priority_rank].append(vcpu)
+        self.queued[0] += 1
 
     def pop(self) -> Optional[Vcpu]:
         """Dequeue the head (best class, oldest); None when empty."""
         for q in self._classes:
             if q:
+                self.queued[0] -= 1
                 return q.popleft()
         return None
 
@@ -80,6 +91,7 @@ class RunQueue:
             if rank > max_rank:
                 break
             if q:
+                self.queued[0] -= 1
                 return q.popleft()
         return None
 
@@ -120,9 +132,10 @@ class RunQueue:
         for q in self._classes:
             try:
                 q.remove(vcpu)
-                return True
             except ValueError:
                 continue
+            self.queued[0] -= 1
+            return True
         return False
 
     def snapshot(self) -> List[Vcpu]:
@@ -163,15 +176,13 @@ class RunQueue:
             return True
         return head_rank < running.priority_rank
 
-    def requeue_all(self) -> List[Vcpu]:
-        """Drain the queue, returning VCPUs in scheduling order.
-
-        Used when priorities were recomputed and class membership may
-        have changed; callers re-:meth:`push` the drained VCPUs.
-        """
-        boost, under, over = self._classes
-        drained = [*boost, *under, *over]
-        boost.clear()
-        under.clear()
-        over.clear()
-        return drained
+    def reclassify(self) -> None:
+        """Move every queued VCPU, in order, to the tail of its current
+        class (credits were recomputed and may have flipped UNDER/OVER)."""
+        classes = self._classes
+        if classes[0] or classes[1] or classes[2]:
+            drained = [*classes[0], *classes[1], *classes[2]]
+            for q in classes:
+                q.clear()
+            for vcpu in drained:
+                classes[vcpu.priority_rank].append(vcpu)

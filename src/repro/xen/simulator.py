@@ -192,8 +192,11 @@ class Machine:
         )
 
         self.rng = RngStreams(self.config.seed)
+        #: VCPUs in any run queue, kept by the queues (:attr:`queued_vcpus`)
+        self._queued: List[int] = [0]
         self.pcpus: List[Pcpu] = [
-            Pcpu(i, topology.node_of_pcpu(i)) for i in range(topology.num_pcpus)
+            Pcpu(i, topology.node_of_pcpu(i), self._queued)
+            for i in range(topology.num_pcpus)
         ]
         self._pcpus_by_node: List[List[Pcpu]] = [
             [self.pcpus[p] for p in topology.pcpus_of_node(node)]
@@ -307,7 +310,7 @@ class Machine:
         """Charge hypervisor time to a PCPU, tracked per source."""
         if seconds <= 0:
             return
-        pcpu.charge_overhead(seconds)
+        pcpu.overhead_pending_s += seconds
         self.overhead_s[source] = self.overhead_s.get(source, 0.0) + seconds
 
     def preempt(self, pcpu: Pcpu, now: float) -> None:
@@ -415,22 +418,19 @@ class Machine:
             lose_progress=lose_progress,
         )
 
-    def swap_in_stolen(self, pcpu: Pcpu, stolen: Vcpu, now: float) -> None:
-        """Preempt ``pcpu``'s current VCPU in favour of a stolen one.
-
-        Used by the tick-time balancing path: the (OVER) incumbent goes
-        back to the local queue tail and the stolen UNDER VCPU runs.
-        """
-        self._account_steal(pcpu, stolen, now)
-        self.preempt(pcpu, now)
-        self._switch_in(pcpu, stolen, now)
-
     def least_loaded_pcpu(self, node: int) -> Pcpu:
         """The PCPU on ``node`` with the smallest load (ties: lowest id)."""
-        return min(
-            self._pcpus_by_node[node],
-            key=lambda p: (p.load_with_current, p.pcpu_id),
-        )
+        best = None
+        for pcpu in self._pcpus_by_node[node]:  # in id order
+            load = len(pcpu.queue) + (pcpu.current is not None)
+            if best is None or load < best_load:
+                best, best_load = pcpu, load
+        return best
+
+    @property
+    def queued_vcpus(self) -> int:
+        """VCPUs waiting in any run queue (the queues' shared count)."""
+        return self._queued[0]
 
     # ------------------------------------------------------------------
     # Main loop
@@ -831,8 +831,12 @@ class Machine:
     # ------------------------------------------------------------------
     @property
     def total_overhead_s(self) -> float:
-        """All hypervisor overhead charged so far, every source."""
-        return sum(self.overhead_s.values())
+        """All hypervisor overhead charged so far, every source (summed
+        left to right: ``sum`` of floats is compensated on 3.12+)."""
+        total = 0  # like ``sum``: a run without overhead reports int 0
+        for seconds in self.overhead_s.values():
+            total += seconds
+        return total
 
     def overhead_fraction(self) -> float:
         """Overhead time over busy time (the Table III metric)."""

@@ -28,6 +28,7 @@ from repro.audit import (
     state_digest,
 )
 from repro.obs.schema import AUDIT_SCHEMA, validate_audit_report
+from repro.xen.runqueue import RunQueue
 from repro.xen.vcpu import VcpuState
 
 
@@ -163,6 +164,24 @@ class TestMutationDetection:
         queued = next(v for p in machine.pcpus for v in p.queue)
         machine.pcpus[queued.pcpu].queue.remove(queued)
         expect_violation("placement", lambda: checker.after_schedule(machine))
+
+    def test_placement_catches_skipped_queued_decrement(self, monkeypatch):
+        # A dequeue that forgets the machine-wide queued count: the steal
+        # paths and horizon sizing would trust a count no queue backs.
+        def pop_keeping_count(queue):
+            for q in queue._classes:
+                if q:
+                    return q.popleft()
+            return None
+
+        monkeypatch.setattr(RunQueue, "pop", pop_keeping_count)
+        machine = build_fuzz_machine(
+            tiny_scenario(vcpus=(6,), active=(6,)), "reference"
+        )
+        checker = InvariantChecker(enabled=("placement",), every=1)
+        expect_violation(
+            "placement", lambda: machine.run(max_time_s=0.1, audit=checker)
+        )
 
     def test_work_conservation_catches_idle_with_queue(self):
         machine = warm_machine(tiny_scenario(vcpus=(6,), active=(6,)))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.balance import node_visit_order, numa_aware_steal
+from repro.core.balance import numa_aware_steal
 from repro.hardware.topology import symmetric_topology, xeon_e5620
 from repro.workloads.generators import synthetic_profile
 from repro.xen.credit import CreditScheduler
@@ -43,7 +43,8 @@ def park(machine, vcpu, pcpu_id, pressure, last_ran=-10.0):
 
 def clear_queues(machine):
     for pcpu in machine.pcpus:
-        pcpu.queue.requeue_all()
+        while pcpu.queue.pop() is not None:
+            pass
         pcpu.current = None
     for vcpu in machine.vcpus:
         vcpu.state = VcpuState.RUNNABLE
@@ -52,13 +53,13 @@ def clear_queues(machine):
 class TestNodeVisitOrder:
     def test_local_first(self):
         machine = build_machine()
-        assert list(node_visit_order(machine, 0)) == [0, 1]
-        assert list(node_visit_order(machine, 1)) == [1, 0]
+        assert machine.topology.visit_order(0) == (0, 1)
+        assert machine.topology.visit_order(1) == (1, 0)
 
     def test_distance_then_id_on_larger_hosts(self):
         topo = symmetric_topology(4, 2)
         machine = build_machine(num_vcpus=4, topology=topo)
-        assert list(node_visit_order(machine, 2)) == [2, 0, 1, 3]
+        assert machine.topology.visit_order(2) == (2, 0, 1, 3)
 
 
 class TestStealSelection:

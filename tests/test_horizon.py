@@ -30,7 +30,6 @@ from repro.experiments.scenarios import (
     spec_scenario,
 )
 from repro.faults.plan import DomainCrash, FaultPlan
-from repro.hardware.cache import LLCState
 from repro.metrics.collectors import summarize
 from repro.obs.manifest import canonical_dumps
 from repro.recovery.checkpoint import load_checkpoint, save_checkpoint
@@ -39,6 +38,7 @@ from repro.workloads.appmodel import VcpuWorkload
 from repro.workloads.generators import scaled_profile
 from repro.workloads.suites import get_profile
 from repro.xen.domain import Domain
+from repro.xen import engine as engine_module
 from repro.xen.engine import BatchedEngine
 from repro.xen.memalloc import place_interleaved
 from repro.xen.simulator import Machine
@@ -220,7 +220,7 @@ class TestFusedReplay:
         orig = BatchedEngine._advance_replay_fused
 
         def wrapped(self, end_batch, epoch, kb, plan):
-            vcpus = [row[14] for row in plan[0]]
+            vcpus = [row[12] for row in plan[1]]
             end = orig(self, end_batch, epoch, kb, plan)
             if kb == 1:
                 single.append(end)
@@ -241,20 +241,21 @@ class TestFusedReplay:
         idle_horizons = []
         decay_steps = []
         orig_batch = BatchedEngine.advance_batch
-        orig_decay = LLCState.advance_compact_batch
+        orig_commit = BatchedEngine._commit_warmth
 
         def batch(self, now, epoch, kb):
             if kb > 1 and all(p.current is None for p in self.machine.pcpus):
                 idle_horizons.append(kb)
             return orig_batch(self, now, epoch, kb)
 
-        def decay(self, dt, steps, keys, final_warmth, key_set):
-            if not keys and steps > 1:
-                decay_steps.append(steps)
-            return orig_decay(self, dt, steps, keys, final_warmth, key_set)
+        def commit(self, kb, nodes):
+            for members, _shares in nodes:
+                if not members and kb > 1:
+                    decay_steps.append(kb)
+            return orig_commit(self, kb, nodes)
 
         monkeypatch.setattr(BatchedEngine, "advance_batch", batch)
-        monkeypatch.setattr(LLCState, "advance_compact_batch", decay)
+        monkeypatch.setattr(BatchedEngine, "_commit_warmth", commit)
         build = partial(solo_scenario, "lu")
         batched = _summary(build, "vprobe", "batched", 0.05, seed=0)
         assert idle_horizons, "no fully idle horizon longer than one epoch"
@@ -300,9 +301,9 @@ class TestReplayRecords:
         orig = BatchedEngine._advance_replay_fused
 
         def wrapped(self, end_batch, epoch, kb, plan):
-            if len(plan[0]) == 2:
-                a, b = plan[0]
-                if a[2] is b[2] and a[12] > 0:
+            if len(plan[1]) == 2:
+                a, b = plan[1]  # progress rows
+                if a[0] is b[0] and a[10] > 0:
                     aliased.append(kb)
             return orig(self, end_batch, epoch, kb, plan)
 
@@ -331,18 +332,18 @@ class TestReplayRecords:
         orig = BatchedEngine._advance_replay_fused
 
         def wrapped(self, end_batch, epoch, kb, plan):
-            for row in plan[0]:
-                vcpu, pcpu = row[14], row[19]
+            for row in plan[1]:  # progress rows
+                vcpu, pcpu = row[12], row[18]
                 assert pcpu.current is vcpu
                 w = vcpu.workload
                 node = pcpu.node
-                assert row[2] is vcpu.domain.placement.rows[w.slice_id]
-                assert row[4] == (
+                assert row[0] is vcpu.domain.placement.rows[w.slice_id]
+                assert row[2] == (
                     w.profile.refs_per_instruction * w.intensity_multiplier
                 )
-                assert row[7] == self.node_clock[node]
-                assert row[8] == self.node_ns2c[node]
-                assert row[10] == (node == 0)
+                assert row[5] == self.node_clock[node]
+                assert row[6] == self.node_ns2c[node]
+                assert row[8] == (node == 0)
                 if last_node.setdefault(vcpu.key, node) != node:
                     moved.add(vcpu.key)
                 last_node[vcpu.key] = node
@@ -388,26 +389,72 @@ class TestReplayRecords:
         horizons = engine.horizon_stats()["horizons"]
         assert 0 < builds < 0.1 * horizons
 
-    def test_node_plan_index_holds_only_live_plans(self):
-        # Same cell: a phase change evicts the plans that mention its
-        # VCPU, and each evicted plan leaves every member's index, so
-        # the per-VCPU index is exactly the live plans' membership.
-        cfg = ScenarioConfig(work_scale=1.0, seed=0, engine="batched")
-        machine = spec_scenario("soplex", make_scheduler("vprobe"), cfg)
-        machine.run(max_time_s=25.0)
+    def test_phase_change_of_a_descheduled_vcpu_leaves_the_plan(self):
+        # A VCPU that blocks at a batch end and changes phase at that
+        # same boundary: its PCPU idles and its slot is dropped, so the
+        # next plan must not reuse the old one that still replays it.
+        machine = _loaded_soplex("batched")
+        machine.run(max_time_s=0.05)
         engine = machine._engine
-        indexed = {
-            (key, node_key)
-            for key, node_keys in enumerate(engine._node_keys_of)
-            for node_key in node_keys
-        }
-        live = {
-            (key, node_key)
-            for node_key in engine._node_cache
-            for key in node_key[1]
-        }
-        assert indexed == live
-        assert engine.key_gen and max(engine.key_gen) > 1, "no phase change"
+        engine._plan_for()
+        pcpu = next(p for p in machine.pcpus if p.current is not None)
+        vcpu = pcpu.current
+        pcpu.current = None
+        engine.refresh_vcpu(vcpu)
+        assert all(row[12] is not vcpu for row in engine._plan_for()[1])
+
+    def test_equal_demand_sets_share_one_plan(self, monkeypatch):
+        # The seed-0 loaded soplex cell for 2 simulated seconds: node
+        # plans are keyed by the members' demands, not their keys, so
+        # co-runner sets with equal demands share one waterfill, and a
+        # phase change (a new demand) evicts nothing yet replays exactly.
+        sets_of = {}
+        waterfills = []
+        build_entry = BatchedEngine._node_entry
+        waterfill = engine_module.waterfill_shares
+
+        def recording_entry(self, node, members):
+            entry = build_entry(self, node, members)
+            fills = tuple(self.llc_fill[key] for key in members)
+            shares = entry[1]
+            sets_of.setdefault(id(shares), (shares, set()))[1].add(
+                (node, members, fills)
+            )
+            return entry
+
+        def counting_waterfill(*args):
+            waterfills.append(args)
+            return waterfill(*args)
+
+        monkeypatch.setattr(BatchedEngine, "_node_entry", recording_entry)
+        monkeypatch.setattr(engine_module, "waterfill_shares", counting_waterfill)
+        def build(engine):
+            cfg = ScenarioConfig(work_scale=1.0, seed=0, engine=engine)
+            return spec_scenario("soplex", make_scheduler("vprobe"), cfg)
+
+        machine = build("batched")
+        machine.run(max_time_s=2.0)
+        engine = machine._engine
+        assert sum(gen > 1 for gen in engine.key_gen) >= 2, "too few phase changes"
+        distinct = set().union(*(uses for _, uses in sets_of.values()))
+        assert len(engine._shares_memo) == len(waterfills) < len(distinct) / 2
+        shared = [(s, uses) for s, uses in sets_of.values() if len(uses) > 1]
+        assert shared, "no two co-runner sets shared a plan"
+        for shares, uses in shared:
+            # Every set served by one plan has the same demands, and the
+            # plan holds exactly what their own waterfill gives.
+            assert len({(node, fills) for node, _, fills in uses}) == 1
+            for node, _, fills in uses:
+                allocs = waterfill(
+                    machine.caches[node].capacity_bytes,
+                    [weight for weight, _ in fills],
+                    [ws for _, ws in fills],
+                )
+                assert shares == [
+                    min(1.0, alloc / ws) if ws > 0 else 0.0
+                    for alloc, (_, ws) in zip(allocs, fills)
+                ]
+        _assert_reference_parity(machine, build)
 
 
 def _loaded_soplex(engine, seed=0, **cfg_kw):

@@ -6,7 +6,9 @@ ordering, identical aggregation — only the wall clock changes.
 """
 
 import dataclasses
+import multiprocessing
 import os
+import signal
 from functools import partial
 
 import pytest
@@ -20,6 +22,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.runner import compare, compare_mean
 from repro.experiments.scenarios import ScenarioConfig, solo_scenario
+from repro.recovery.shutdown import GracefulShutdown, ShutdownRequested
 
 CFG = ScenarioConfig(work_scale=0.02, seed=0)
 BUILDER = partial(solo_scenario, "lu")
@@ -141,6 +144,47 @@ class TestCrashRecovery:
         runner = ParallelRunner(2)
         runner.run_cells([(BUILDER, name, CFG) for name in ("credit", "vprobe")])
         assert runner.retried_cells == []
+
+
+class _SigtermOnFirstStore(ResultCache):
+    """A store that signals its own process once the first cell lands,
+    while the pool's other worker is still busy."""
+
+    def put(self, *args, **kwargs):
+        super().put(*args, **kwargs)
+        os.kill(os.getpid(), signal.SIGTERM)
+
+
+class TestInterruptedPool:
+    def test_shutdown_mid_grid_reaps_every_worker(self, tmp_path):
+        cells = [
+            (BUILDER, name, dataclasses.replace(CFG, seed=seed))
+            for seed in range(4)
+            for name in ("credit", "vprobe")
+        ]
+        with GracefulShutdown() as shutdown:
+            runner = ParallelRunner(
+                2, cache=_SigtermOnFirstStore(tmp_path), shutdown=shutdown
+            )
+            with pytest.raises(ShutdownRequested):
+                runner.run_cells(cells)
+        assert multiprocessing.active_children() == []
+
+    def test_swallowed_signal_still_stops_the_grid(self, tmp_path):
+        # A signal landing in a callback that ignores exceptions (an
+        # at-fork hook as the pool starts) only sets the flag; the grid
+        # still stores its cells and then reports the shutdown.
+        cells = [(BUILDER, name, CFG) for name in ("credit", "vprobe")]
+        shutdown = GracefulShutdown()
+        shutdown.requested, shutdown.signum = True, signal.SIGTERM
+        runner = ParallelRunner(2, cache=ResultCache(tmp_path), shutdown=shutdown)
+        with pytest.raises(ShutdownRequested):
+            runner.run_cells(cells)
+        assert runner.cache_misses == 2
+        again = ParallelRunner(2, cache=ResultCache(tmp_path))
+        again.run_cells(cells)
+        assert again.cache_hits == 2
+        assert multiprocessing.active_children() == []
 
 
 class TestDefaultJobs:

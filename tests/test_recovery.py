@@ -97,7 +97,7 @@ class TestCheckpointFile:
         machine = run_partially(build_machine())
         path = tmp_path / "m.ckpt"
         header = save_checkpoint(machine, path)
-        assert header["schema"] == "repro.checkpoint/v6"
+        assert header["schema"] == "repro.checkpoint/v7"
         assert header["config_hash"] == config_hash(machine.config)
         assert header["epoch_index"] == machine.epoch_index
         assert read_header(path) == header
@@ -135,14 +135,14 @@ class TestCheckpointFile:
             read_header(path)
 
     def test_previous_schema_rejected(self, tmp_path):
-        # A v5 snapshot pickled the placement's ndarray layout; the
-        # v6 reader refuses it before unpickling a byte.
+        # A v6 snapshot pickled run queues without their shared queued
+        # count; the v7 reader refuses it before unpickling a byte.
         machine = run_partially(build_machine())
         path = tmp_path / "m.ckpt"
         save_checkpoint(machine, path)
         header_line, _, payload = path.read_bytes().partition(b"\n")
         header = json.loads(header_line)
-        header["schema"] = "repro.checkpoint/v5"
+        header["schema"] = "repro.checkpoint/v6"
         path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
         with pytest.raises(CheckpointError, match="schema"):
             inspect_checkpoint(path)
@@ -261,10 +261,10 @@ class TestPmuPickle:
         restored.run(max_time_s=restored.time + 0.05)
         engine = restored._engine
         assert engine is not None
-        rows = engine._plan[0]
+        rows = engine._plan[1]  # progress rows
         assert rows
         for row in rows:
-            vcpu, bank, node_accesses = row[14], row[16], row[17]
+            vcpu, bank, node_accesses = row[12], row[14], row[15]
             assert bank is pmu.peek(vcpu.key)
             assert node_accesses is bank.node_accesses
         charged = [

@@ -146,14 +146,16 @@ class TestPreemptionPredicate:
 
 
 class TestRequeue:
-    def test_requeue_all_drains(self):
+    def test_reclassify_follows_current_class(self):
         q = RunQueue()
-        vcpus = make_vcpus([{"credits": 10}, {"credits": -10}])
-        for v in vcpus:
-            q.push(v)
-        drained = q.requeue_all()
-        assert len(q) == 0
-        assert set(drained) == set(vcpus)
+        under, over = make_vcpus([{"credits": 10}, {"credits": -10}])
+        q.push(under)
+        q.push(over)
+        under.credits, over.credits = -10.0, 10.0  # a refill flipped both
+        q.reclassify()
+        assert len(q) == 2 and q.queued == [2]
+        assert q.pop() is over
+        assert q.pop() is under
 
 
 @given(

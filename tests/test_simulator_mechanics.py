@@ -115,24 +115,6 @@ class TestMigrateVcpu:
         assert machine.migrations == 0
 
 
-class TestSwapInStolen:
-    def test_incumbent_requeued_and_stolen_runs(self):
-        machine = build(num_vcpus=2, pins=[0, 4])
-        thief = machine.pcpus[0]
-        incumbent, stolen = machine.vcpus
-        # Arrange: incumbent running on the thief, the other queued on
-        # PCPU 4 and just popped by a balancer.
-        thief.queue.remove(incumbent)
-        incumbent.begin_run(0.0)
-        thief.current = incumbent
-        machine.pcpus[4].queue.remove(stolen)
-        machine.swap_in_stolen(thief, stolen, now=0.002)
-        assert thief.current is stolen
-        assert incumbent in thief.queue
-        assert stolen.pcpu == 0
-        assert machine.cross_node_migrations == 1
-
-
 class TestStealAccounting:
     def test_local_and_remote_steal_counters(self):
         machine = build(num_vcpus=6, pins=[0, 0, 0, 0, 0, 0])

@@ -109,7 +109,8 @@ class TestWakePlacement:
         policy = machine.policy
         vcpu = machine.vcpus[0]
         vcpu.pcpu = 0
-        machine.pcpus[0].queue.requeue_all()
+        while machine.pcpus[0].queue.pop() is not None:
+            pass
         machine.pcpus[0].current = machine.vcpus[1]  # home is loaded
         target = policy.on_vcpu_wake(vcpu, 0.0)
         assert target != 0  # moved to any lighter PCPU, node-blind
