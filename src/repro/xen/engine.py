@@ -1,4 +1,4 @@
-"""The batched epoch engine: one fused scalar replay per event horizon.
+"""The batched epoch engine: one compiled replay per event horizon.
 
 The reference implementation in :mod:`repro.xen.simulator` prices every
 epoch through per-VCPU dictionaries (demands, rates, traffic, penalties,
@@ -8,12 +8,28 @@ the hot path of every experiment, so :class:`BatchedEngine`, the one
 fast engine a run can select (``engine="batched"``), keeps flat per-VCPU
 invariants keyed by VCPU index, event heaps, and one persistent *replay
 slot* per PCPU, and advances every event horizon, from a single epoch
-up, through one fused scalar replay.  It is built only for the paper's
-dual-socket host; the machine runs other topologies through its
-reference loop.
+up, through one call of a small C kernel.  It is built only for the
+paper's dual-socket host, and only when the kernel could be compiled;
+otherwise the machine runs its reference loop.
+
+**The kernel.**  ``_replay.c`` (built and loaded by
+:mod:`repro.xen.kernel` when this module is imported) runs the
+horizon's epochs: the contention pass, the inlined dual-socket solve
+and the progress/PMU/drift/warmth pass, with the reference loop's
+expressions in its order, on C doubles compiled with ``-O2
+-ffp-contract=off -fno-fast-math`` (so each ``+ - * /`` rounds as a
+Python float operation does; ``pow`` is the libm one ``float.__pow__``
+calls).  Per horizon it reads each slot's live fields once — PCPU
+overhead and busy time, the PMU bank's counters and node accesses,
+progress, slice, burst, warmth and scratch — and writes back only the
+fields the loop assigns, when it assigns them (overhead only when it
+was positive, placement lists only when they drift).  Placement rows
+and ``overall`` lists shared between VCPUs are de-duplicated by
+identity, so a shared list's drifts apply in row order within each
+epoch.  A zero divisor raises ``ZeroDivisionError``, as in Python.
 
 **Replay slots.**  A PCPU's slot holds two projections of the replay
-row of the VCPU it runs, one per replay pass, each with only the fields
+row of the VCPU it runs, one per kernel pass, each with only the fields
 that pass reads: 16 for the contention pass (miss curve, page mix,
 first contention round) and 19 for the progress pass (penalties,
 rates, progress, PMU, drift, warmth charge).  Both come from a
@@ -32,7 +48,8 @@ new plan: its members' capped LLC shares, and their warmth scratch
 reseeded from the LLC's live warmth table.  The shares are a waterfill
 of the node's capacity over the members' demands, so they are memoised
 by ``(node, members' demands)``: co-runner sets with equal demands
-share one waterfill, and a phase change (a new demand) evicts nothing.
+share one waterfill, a phase change (a new demand) evicts nothing, and
+the memo is simply cleared once it holds ``SHARES_MEMO_SIZE`` sets.
 After the replay, one engine loop commits the horizon's warmth into
 both nodes' live tables — members take their charged scratch, every
 other VCPU decays by the hoisted per-epoch factor — and a horizon with
@@ -49,9 +66,9 @@ through the batched engine produces exactly the same simulated results
 reference loop.  Four rules keep that true:
 
 * elementwise float64 arithmetic (``+ - * /``) produces identical bits
-  whether it runs through numpy ufuncs or Python scalars, so each
-  per-VCPU expression may use whichever is faster at the machine's
-  scale — but *reductions* may not be reordered: every ordered
+  whether it runs through Python floats or C doubles without
+  contraction, so each per-VCPU expression may run in the kernel — but
+  *reductions* may not be reordered: every ordered
   accumulation (IMC/QPI traffic, per-miss penalties, busy time, a
   warmth decay chain) stays a sequential loop in exactly the
   reference's order;
@@ -83,6 +100,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from repro.hardware.cache import LLCState, waterfill_shares
 from repro.hardware.memory import BYTES_PER_MISS
+from repro.xen.kernel import load as load_kernel
 from repro.xen.vcpu import Vcpu, VcpuState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -98,7 +116,7 @@ _IDLE_NODES = (((), ()), ((), ()))
 
 
 class BatchedEngine:
-    """Macro-stepping engine: one fused scalar replay per event horizon.
+    """Macro-stepping engine: one compiled replay per event horizon.
 
     Built lazily on the first stepped epoch of a dual-socket machine and
     discarded whenever the machine's VCPU population changes.  Each
@@ -114,9 +132,17 @@ class BatchedEngine:
     PCPUs in the interior epochs would draw.
     """
 
+    #: The compiled replay kernel; None when it could not be built, and
+    #: then every machine runs the reference loop.
+    kernel = load_kernel()
+    #: Distinct co-runner demand sets whose shares are kept; reaching it
+    #: clears the memo (the shares are a pure function of their key).
+    SHARES_MEMO_SIZE = 4096
+
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
         self.epoch = machine.config.epoch_s
+        self._replay = self.kernel.replay
         topo = machine.topology
         vcpus = machine.vcpus
 
@@ -152,7 +178,8 @@ class BatchedEngine:
         ]
         # Node plans' capped LLC shares, keyed by ``(node, fill ids of
         # the members in key order)`` (see _node_entry).  The shares
-        # depend only on the demands, so a phase change evicts nothing.
+        # depend only on the demands, so a phase change evicts nothing;
+        # the memo is cleared when it reaches SHARES_MEMO_SIZE.
         self._shares_memo: Dict[Tuple, List[float]] = {}
         # Replay slots: each PCPU's ``(contention row, progress row,
         # guard)`` (see _slot) for the VCPU in ``_held[pid]``, None when
@@ -212,8 +239,9 @@ class BatchedEngine:
         self.finite_remaining = sum(1 for w in finite if not w.done)
 
         self._horizon_hist: Dict[int, int] = {}
-        # Latency/topology constants for the inlined dual-socket solve
-        # (queue_inflation's default cap and knee, minus validation).
+        # The kernel's latency/topology constants for the inlined
+        # dual-socket solve, in its argument order (queue_inflation's
+        # default cap and knee, minus validation).
         lat = machine.config.latency
         memsys = machine.memsys
         nodes = memsys.topology.nodes
@@ -371,8 +399,11 @@ class BatchedEngine:
         """
         fill_id = self.fill_id
         memo_key = (node, tuple([fill_id[key] for key in members]))
-        shares = self._shares_memo.get(memo_key)
+        memo = self._shares_memo
+        shares = memo.get(memo_key)
         if shares is None:
+            if len(memo) >= self.SHARES_MEMO_SIZE:
+                memo.clear()
             fills = [self.llc_fill[key] for key in members]
             caps = [ws for _, ws in fills]
             allocs = waterfill_shares(
@@ -380,7 +411,7 @@ class BatchedEngine:
                 [weight for weight, _ in fills],
                 caps,
             )
-            shares = self._shares_memo[memo_key] = [
+            shares = memo[memo_key] = [
                 min(1.0, alloc / ws) if ws > 0 else 0.0
                 for alloc, ws in zip(allocs, caps)
             ]
@@ -602,153 +633,23 @@ class BatchedEngine:
         return self._advance_replay_fused(end_batch, epoch, kb, plan)
 
     def _advance_replay_fused(self, end_batch: float, epoch: float, kb: int, plan: tuple) -> float:
-        """Event-free horizon: scalar replay on the slots' live objects.
+        """Event-free horizon: the compiled replay on the slots' live objects.
 
-        Runs the reference loop's exact arithmetic — same Python-float
-        expressions, same accumulation order — for ``kb`` epochs, but
-        performs the running-set scan, plan lookup and transitions once
-        per batch instead of once per epoch.  Progress, busy time,
-        overhead, slice, burst, PMU counters and placement drift
-        accumulate in place on the live objects, which is bitwise
-        neutral because nothing else reads that state mid-batch (the
-        caller guarantees an event-free interior and has already drawn
-        the idle PCPUs' steal RNG, which reads none of it).
+        The kernel (``_replay.c``, see the module docstring) runs the
+        reference loop's exact arithmetic for ``kb`` epochs; the
+        running-set scan, plan lookup and transitions happen once per
+        batch instead of once per epoch.  Charging progress, busy time,
+        overhead, slice, burst, PMU counters and placement drift to the
+        live objects once per horizon is bitwise neutral because nothing
+        else reads that state mid-batch (the caller guarantees an
+        event-free interior and has already drawn the idle PCPUs' steal
+        RNG, which reads none of it).
         """
         machine = self.machine
-        (
-            hit_ns, local_dram, bw0, bw1, qpi_bw, s_dram, s_remote, cap, knee, bpm,
-        ) = self._scalars
         contention, progress, _, nodes = plan
-        mbusy = machine.busy_time_s
-        # The completion clamp can only bind in a one-epoch horizon: a
-        # longer one leaves every finite row at least a whole epoch's
-        # most progress (clock / cpi_base * epoch, which bounds every
-        # rate * compute) short of its budget (_size_horizon's
-        # exclusive floor), so there the clamp is a no-op.
-        clamp = kb == 1
-
-        # --- Per-epoch replay ------------------------------------------
-        # Each epoch preserves the reference phase order: miss curves +
-        # page mix + first contention round (rates feed traffic,
-        # traffic feeds the inlined dual-socket solve), then penalties +
-        # final rates + progress/PMU/drift + warmth charge.  Merging
-        # the per-VCPU loops is bitwise neutral because no merged
-        # statement reads another VCPU's output from the same pass (a
-        # miss rate and a warmth charge read only their own VCPU's
-        # warmth); every cross-VCPU accumulator (imc/qpi flows, machine
-        # busy time) still folds in ascending VCPU order.
-        for _tt in range(kb):
-            imc0 = 0.0
-            imc1 = 0.0
-            qpi_t = 0.0
-            for (
-                c, a, row, over, rp, cb, ml, ck, n2, scr, nd0,
-                warm, minmr, span, shape, bad,
-            ) in contention:
-                f = 1.0 if bad else warm[1] * warm[0]
-                missing = 1.0 - f if shape == 1.0 else (1.0 - f) ** shape
-                mr = minmr + span * missing
-                scr[2] = mr
-                r0, r1 = row
-                o0, o1 = over
-                m0 = c * r0 + a * o0
-                m1 = c * r1 + a * o1
-                s = m0 + m1
-                x0 = m0 / s
-                x1 = m1 / s
-                scr[0] = x0
-                scr[1] = x1
-                per_ref_ns = (1.0 - mr) * hit_ns + mr * local_dram
-                stall = rp * per_ref_ns * n2 / ml
-                rate = ck / (cb + stall)
-                t = rate * rp * mr * bpm
-                flow0 = t * x0
-                flow1 = t * x1
-                imc0 += flow0
-                imc1 += flow1
-                if nd0:
-                    qpi_t += flow1
-                else:
-                    qpi_t += flow0
-
-            rho0 = imc0 / bw0
-            rho1 = imc1 / bw1
-            factor0 = cap if rho0 >= knee else 1.0 / (1.0 - rho0)
-            factor1 = cap if rho1 >= knee else 1.0 / (1.0 - rho1)
-            qpi_rho = qpi_t / qpi_bw
-            qpi_factor = cap if qpi_rho >= knee else 1.0 / (1.0 - qpi_rho)
-            dram0 = s_dram * factor0
-            dram1 = s_dram * factor1
-            remote_add = s_remote * qpi_factor
-            far0 = dram0 + remote_add
-            far1 = dram1 + remote_add
-
-            for (
-                row, over, rp, cb, ml, ck, n2, scr, nd0, total,
-                d, nsl, vcpu, w, bank, na, warm, cf, pcpu,
-            ) in progress:
-                # The per-miss penalty: each node's page share times
-                # its DRAM latency, plus the QPI hop when remote.  A
-                # zero share adds +0.0, which leaves the sum's bits
-                # alone, so the reference's ``if frac > 0`` needs no
-                # branch here.
-                x0, x1, mr = scr
-                if nd0:
-                    penalty = x0 * dram0 + x1 * far1
-                else:
-                    penalty = x0 * far0 + x1 * dram1
-                per_ref_ns = (1.0 - mr) * hit_ns + mr * penalty
-                stall = rp * per_ref_ns * n2 / ml
-                rate = ck / (cb + stall)
-
-                pending = pcpu.overhead_pending_s
-                if pending > 0.0:
-                    used = pending if pending < epoch else epoch
-                    pcpu.overhead_pending_s = pending - used
-                    compute = epoch - used
-                else:
-                    compute = epoch
-                pcpu.busy_time_s += epoch
-                mbusy += epoch
-                done = rate * compute
-                if clamp and total is not None:
-                    remaining = total - w.instructions_done
-                    if remaining < 0.0:
-                        remaining = 0.0
-                    if remaining < done:
-                        done = remaining
-                r = done * rp
-                mi = r * mr
-                a0 = mi * x0
-                a1 = mi * x1
-                na[0] += a0
-                na[1] += a1
-                bank.instructions += done
-                bank.llc_refs += r
-                bank.llc_misses += mi
-                local = a0 if nd0 else a1
-                bank.local_accesses += local
-                bank.remote_accesses += (a0 + a1) - local
-
-                w.instructions_done += done
-                vcpu.slice_used_s += epoch
-                vcpu.run_burst_remaining_s -= epoch
-                if d > 0:
-                    r0, r1 = row
-                    keep = 1.0 - d
-                    n0 = r0 * keep
-                    n1 = r1 * keep
-                    if nd0:
-                        n0 = n0 + d
-                    else:
-                        n1 = n1 + d
-                    row[0] = n0
-                    row[1] = n1
-                    over[0] += (n0 - r0) / nsl
-                    over[1] += (n1 - r1) / nsl
-                warm[0] = 1.0 - (1.0 - warm[0]) * cf
-
-        machine.busy_time_s = mbusy
+        machine.busy_time_s = self._replay(
+            contention, progress, self._scalars, epoch, kb, machine.busy_time_s
+        )
 
         # Batch-final transitions, in running order (interior epochs are
         # transition-free by the horizon contract; the burst cap is

@@ -40,7 +40,8 @@ __all__ = ["SimConfig", "SimResult", "SimulationTimeout", "Machine"]
 _RUNNING = VcpuState.RUNNING
 
 #: Rounds of the reference loop's traffic->queueing->rate fixed point.
-#: The batched engine's fused replay inlines exactly this many.
+#: The batched engine's compiled replay (xen/_replay.c) inlines exactly
+#: this many.
 CONTENTION_ROUNDS = 2
 
 
@@ -86,12 +87,13 @@ class SimConfig:
     engine:
         ``"batched"`` (default) runs epochs through the macro-stepping
         :class:`~repro.xen.engine.BatchedEngine`, which advances every
-        event horizon — a single epoch included — in one fused scalar
-        replay; ``"reference"`` keeps the original dict-based loop.
-        The engine exists only for dual-socket hosts (the paper's
-        testbed); other topologies run the reference loop under either
-        setting.  Both produce bitwise-identical simulated results —
-        including fault runs, whose hooks live above the engine layer;
+        event horizon — a single epoch included — in one call of its
+        compiled replay kernel; ``"reference"`` keeps the original
+        dict-based loop.  The engine exists only for dual-socket hosts
+        (the paper's testbed) and only when the kernel could be built;
+        otherwise the reference loop runs under either setting.  Both
+        produce bitwise-identical simulated results — including fault
+        runs, whose hooks live above the engine layer;
         the reference path exists as the executable specification the
         fast engine is tested against.
     faults:
@@ -438,13 +440,15 @@ class Machine:
     def _ensure_engine(self) -> Optional[BatchedEngine]:
         """The machine's epoch engine (built on demand), or None.
 
-        The fused replay inlines the dual-socket memory solve, so other
-        topologies always run the reference loop.
+        The compiled replay inlines the dual-socket memory solve, so
+        other topologies, and every topology when the kernel could not
+        be built, run the reference loop.
         """
         if (
             self._engine is None
             and self.config.engine == "batched"
             and self.topology.num_nodes == 2
+            and BatchedEngine.kernel is not None
         ):
             self._engine = BatchedEngine(self)
         return self._engine
@@ -690,9 +694,10 @@ class Machine:
     # Contention + progress (reference path)
     # ------------------------------------------------------------------
     def _advance_running(self, now: float, epoch: float) -> None:
-        # This dict-based loop is the executable specification that
-        # BatchedEngine._advance_replay_fused replicates bitwise; changes
-        # here must be mirrored there (the determinism test enforces it).
+        # This dict-based loop is the executable specification that the
+        # batched engine's compiled replay (xen/_replay.c) replicates
+        # bitwise; changes here must be mirrored there (the determinism
+        # test enforces it).
         running: List[Tuple[Pcpu, Vcpu]] = [
             (p, p.current) for p in self.pcpus if p.current is not None
         ]

@@ -456,6 +456,32 @@ class TestReplayRecords:
                 ]
         _assert_reference_parity(machine, build)
 
+    def test_shares_memo_is_bounded(self, monkeypatch):
+        # With room for one demand set the memo is cleared before almost
+        # every waterfill; the shares are a pure function of their key,
+        # so the seed-0 loaded cell still replays exactly.
+        waterfills = []
+        waterfill = engine_module.waterfill_shares
+
+        def counting_waterfill(*args):
+            waterfills.append(args)
+            return waterfill(*args)
+
+        def build(engine):
+            cfg = ScenarioConfig(work_scale=1.0, seed=0, engine=engine)
+            return spec_scenario("soplex", make_scheduler("vprobe"), cfg)
+
+        monkeypatch.setattr(engine_module, "waterfill_shares", counting_waterfill)
+        build("batched").run(max_time_s=2.0)
+        unbounded = len(waterfills)
+        waterfills.clear()
+        monkeypatch.setattr(BatchedEngine, "SHARES_MEMO_SIZE", 1)
+        machine = build("batched")
+        machine.run(max_time_s=2.0)
+        assert len(machine._engine._shares_memo) == 1
+        assert len(waterfills) > 2 * unbounded
+        _assert_reference_parity(machine, build)
+
 
 def _loaded_soplex(engine, seed=0, **cfg_kw):
     cfg = ScenarioConfig(work_scale=0.15, seed=seed, engine=engine, **cfg_kw)
