@@ -10,9 +10,9 @@ correctness contracts:
   Attach with ``machine.run(audit=True)`` or
   ``execute_cell(..., audit=InvariantChecker(...))``.
 * :mod:`repro.audit.fuzz` / :mod:`repro.audit.metamorphic` — seeded
-  random scenarios run under both engines with invariants on,
-  summaries diffed canonically, plus metamorphic relations (relabel,
-  work-scale doubling, restricted node permutation).
+  random scenarios run under both engines with invariants on, their
+  summaries, RNG and LLC warmth end states diffed, plus metamorphic
+  relations (relabel, work-scale doubling, restricted node permutation).
 * :mod:`repro.audit.shrink` — delta-debugging of failures into minimal
   scenarios emitted as ready-to-commit pytest repros.
 * :mod:`repro.audit.report` — the ``repro audit`` campaign driver and
@@ -27,6 +27,7 @@ from repro.audit.fuzz import (
     generate_scenario,
     rng_states,
     run_differential,
+    warmth_tables,
 )
 from repro.audit.invariants import (
     INVARIANT_NAMES,
@@ -70,4 +71,5 @@ __all__ = [
     "run_metamorphic",
     "shrink",
     "state_digest",
+    "warmth_tables",
 ]

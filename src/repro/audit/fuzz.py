@@ -9,9 +9,11 @@ profiles, fault presets, mid-run domain churn — and runs each under
 both engines (once where the host builds no batched engine) with every
 runtime invariant enabled
 (:mod:`repro.audit.invariants`), then diffs the canonical
-:class:`~repro.metrics.collectors.RunSummary` JSON and the end-of-run
+:class:`~repro.metrics.collectors.RunSummary` JSON, the end-of-run
 state of every RNG stream (:func:`rng_states`) — a surplus or missing
-draw in the final horizon leaves no trace in the summary.
+draw in the final horizon leaves no trace in the summary — and every
+LLC's end-of-run warmth table (:func:`warmth_tables`), which the
+summary never reads.
 
 A scenario is a frozen, JSON-round-trippable description
 (:class:`FuzzScenario`), so any failure can be shrunk
@@ -49,6 +51,7 @@ __all__ = [
     "generate_scenario",
     "build_fuzz_machine",
     "rng_states",
+    "warmth_tables",
     "run_differential",
 ]
 
@@ -350,8 +353,20 @@ def rng_states(machine) -> Dict[str, Any]:
     return states
 
 
-def _first_rng_difference(a: Dict[str, Any], b: Dict[str, Any]) -> Optional[str]:
-    """Name of the first stream (sorted) whose state differs, or None."""
+def warmth_tables(machine) -> Dict[Tuple[int, int], str]:
+    """Every LLC warmth entry, ``(node, VCPU key)`` → ``float.hex``.
+
+    Entry by entry, because the engines insert keys in different orders.
+    """
+    return {
+        (node, key): w.hex()
+        for node, cache in enumerate(machine.caches)
+        for key, w in cache.state.warmth_table.items()
+    }
+
+
+def _first_changed_key(a: Dict[Any, Any], b: Dict[Any, Any]) -> Any:
+    """The first key (sorted) whose value differs or is missing, or None."""
     for name in sorted(set(a) | set(b)):
         if a.get(name) != b.get(name):
             return name
@@ -370,13 +385,14 @@ def run_differential(
     (``every=1``); the summaries are compared in canonical JSON without
     the batched engine's horizon statistics
     (``to_dict(include_profile=False)`` is the engine-parity comparison
-    form), then the end-of-run RNG stream states are compared.  A
+    form), then the end-of-run RNG stream states and LLC warmth tables
+    (the first differing ``(node, key)`` is reported).  A
     machine that builds no engine (any non-dual topology) runs the
     reference loop, so only the first such run happens: a second would
     repeat it bit for bit.
     """
     texts: Dict[str, str] = {}
-    rngs: Dict[str, Dict[str, Any]] = {}
+    ends: Dict[str, Tuple[Dict[str, Any], Dict[Tuple[int, int], str]]] = {}
     checks = 0
     reference_loop_ran = False
     for engine in engines:
@@ -410,41 +426,37 @@ def run_differential(
         texts[engine] = canonical_dumps(
             summarize(machine).to_dict(include_profile=False)
         )
-        rngs[engine] = rng_states(machine)
+        ends[engine] = (rng_states(machine), warmth_tables(machine))
 
     base, *others = texts
     compared = len(others)
     for engine in others:
         if texts[engine] != texts[base]:
-            return DifferentialResult(
-                scenario,
-                ok=False,
-                kind="divergence",
-                engine=engine,
-                detail=(
-                    f"{engine} summary differs from {base}: "
-                    + _first_difference(texts[base], texts[engine])
-                ),
-                checks_run=checks,
-                comparisons=compared,
-                summaries=texts,
+            detail = f"{engine} summary differs from {base}: " + _first_difference(
+                texts[base], texts[engine]
             )
-    for engine in others:
-        stream = _first_rng_difference(rngs[base], rngs[engine])
-        if stream is not None:
-            return DifferentialResult(
-                scenario,
-                ok=False,
-                kind="divergence",
-                engine=engine,
-                detail=(
-                    f"{engine} RNG stream {stream!r} ends in a different "
-                    f"state from {base}"
-                ),
-                checks_run=checks,
-                comparisons=compared,
-                summaries=texts,
-            )
+        else:
+            # What the summary cannot show: the RNG and warmth end states.
+            detail = None
+            for what, want, got in zip(
+                ("RNG stream", "LLC warmth (node, key)"), ends[base], ends[engine]
+            ):
+                first = _first_changed_key(want, got)
+                if first is not None:
+                    detail = f"{engine} {what} {first!r} ends in a different state from {base}"
+                    break
+            if detail is None:
+                continue
+        return DifferentialResult(
+            scenario,
+            ok=False,
+            kind="divergence",
+            engine=engine,
+            detail=detail,
+            checks_run=checks,
+            comparisons=compared,
+            summaries=texts,
+        )
     return DifferentialResult(
         scenario,
         ok=True,

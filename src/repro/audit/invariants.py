@@ -187,16 +187,16 @@ class InvariantChecker:
         Names to subtract from ``enabled`` — convenient for "everything
         except" configurations.
     every:
-        Epoch-boundary cadence: state checks run every ``every``-th
-        boundary (and always at sampling-period boundaries, where the
-        PMU windows turn over).  ``1`` checks every epoch — what the
-        fuzzer uses.  A checked boundary costs tens of microseconds
-        (every check walks all VCPUs) against an epoch of ~60 us, so
-        the default of 32 amortises the always-on cost under the 5%
-        budget asserted by ``benchmarks/bench_audit.py``; unchecked
-        boundaries cost two near-free no-op calls.
-        Algorithm hooks (``partition_spread``, ``steal_locality``) are
-        event-driven and ignore the cadence.
+        Boundary cadence: state checks run every ``every``-th stepper
+        boundary (one per event horizon, often several epochs) and
+        always at sampling-period boundaries, where the PMU windows
+        turn over; ``1`` — what the fuzzer uses — checks them all.  On
+        the loaded soplex cell a checked boundary costs about 75 us
+        (every check walks all VCPUs) against a horizon of about 60 us,
+        so the default of 64 keeps the always-on cost under the 5%
+        budget of ``benchmarks/bench_audit.py`` (about 4%; 32 cost
+        5-6%).  Algorithm hooks (``partition_spread``,
+        ``steal_locality``) are event-driven and ignore the cadence.
 
     The checker is attached with ``machine.run(audit=checker)`` and
     counts every individual invariant evaluation in :attr:`checks_run`
@@ -211,7 +211,7 @@ class InvariantChecker:
         self,
         enabled: Optional[Iterable[str]] = None,
         disabled: Iterable[str] = (),
-        every: int = 32,
+        every: int = 64,
     ) -> None:
         names = set(INVARIANT_NAMES if enabled is None else enabled)
         names -= set(disabled)

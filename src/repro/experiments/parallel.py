@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import multiprocessing
 import os
 import signal
 import time
@@ -550,6 +551,7 @@ class ParallelRunner:
         deadline_s = self.deadline.deadline_s if self.deadline is not None else None
         failed: List[int] = []
         timeouts: Dict[int, Tuple[str, str]] = {}
+        children = set(multiprocessing.active_children())
         pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_signals)
         try:
             futures: Dict[int, object] = {}
@@ -578,13 +580,17 @@ class ParallelRunner:
             pool.shutdown(wait=True)
         except BaseException:
             # Prompt teardown (ShutdownRequested, KeyboardInterrupt): cancel
-            # what has not started, then kill and reap every worker, read
-            # from the executor's table after the shutdown call.
-            workers_by_pid = getattr(pool, "_processes", None) or {}
+            # what has not started and kill every child the pool started,
+            # in its worker table or not (a signal in the first submit can
+            # land between a fork and its record).  The manager thread reaps
+            # workers too, and one it is reaping looks alive to our join.
+            manager = getattr(pool, "_executor_manager_thread", None)
             pool.shutdown(wait=False, cancel_futures=True)
-            procs = list(workers_by_pid.values())
+            procs = [p for p in multiprocessing.active_children() if p not in children]
             for proc in procs:
                 proc.terminate()
+            if manager is not None:
+                manager.join(5.0)
             for proc in procs:
                 proc.join(5.0)
                 if proc.exitcode is None:  # pragma: no cover - ignored SIGTERM

@@ -207,9 +207,9 @@ class LLCState:
         """Live view of the warmth table, for hot-path readers.
 
         The returned mapping is the state's own table (not a copy) and
-        stays valid across :meth:`advance` calls.  The batched engine
-        commits its horizons' warmth into it directly
-        (``BatchedEngine._commit_warmth``); anyone else treats it as
+        stays valid across :meth:`advance` calls.  The batched engine's
+        replay kernel (``repro/xen/_replay.c``) reads it and commits
+        each horizon's warmth into it directly; anyone else treats it as
         read-only.
         """
         return self._warmth

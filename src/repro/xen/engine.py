@@ -21,7 +21,7 @@ expressions in its order, on C doubles compiled with ``-O2
 Python float operation does; ``pow`` is the libm one ``float.__pow__``
 calls).  Per horizon it reads each slot's live fields once — PCPU
 overhead and busy time, the PMU bank's counters and node accesses,
-progress, slice, burst, warmth and scratch — and writes back only the
+progress, slice, burst and LLC warmth — and writes back only the
 fields the loop assigns, when it assigns them (overhead only when it
 was positive, placement lists only when they drift).  Placement rows
 and ``overall`` lists shared between VCPUs are de-duplicated by
@@ -30,8 +30,8 @@ epoch.  A zero divisor raises ``ZeroDivisionError``, as in Python.
 
 **Replay slots.**  A PCPU's slot holds two projections of the replay
 row of the VCPU it runs, one per kernel pass, each with only the fields
-that pass reads: 16 for the contention pass (miss curve, page mix,
-first contention round) and 19 for the progress pass (penalties,
+that pass reads: 15 for the contention pass (miss curve, page mix,
+first contention round) and 18 for the progress pass (penalties,
 rates, progress, PMU, drift, warmth charge).  Both come from a
 per-(VCPU, node) record and hold the placement's live page-mix lists
 and the live objects the replay charges in place — the PCPU (overhead
@@ -44,16 +44,16 @@ reset on switch-in, a crash's lost progress) is simply what the next
 horizon starts from: there is no seed and no commit to keep in step.
 
 **Node plans and warmth.**  A node whose running set changed gets a
-new plan: its members' capped LLC shares, and their warmth scratch
-reseeded from the LLC's live warmth table.  The shares are a waterfill
-of the node's capacity over the members' demands, so they are memoised
-by ``(node, members' demands)``: co-runner sets with equal demands
-share one waterfill, a phase change (a new demand) evicts nothing, and
-the memo is simply cleared once it holds ``SHARES_MEMO_SIZE`` sets.
-After the replay, one engine loop commits the horizon's warmth into
-both nodes' live tables — members take their charged scratch, every
-other VCPU decays by the hoisted per-epoch factor — and a horizon with
-nothing running takes the same loop with no members.
+new plan: its members in key order and their capped LLC shares, a
+waterfill memoised by ``(node, members' demands)`` (cleared at
+``SHARES_MEMO_SIZE`` sets), so co-runner sets with equal demands share
+one.  The kernel reads each member's warmth from its LLC's live table
+once — nothing else writes a table between horizons — charges it every
+epoch, and commits the horizon into both tables in place: every other
+VCPU decays by the hoisted per-epoch factor, entries below
+``LLCState.EPSILON`` go, and the members are written last, so each
+table keeps its insertion order.  A horizon with nothing running makes
+the same call with no rows: it only decays.
 
 **Boundary glue.**  The run queues keep a machine-wide queued count,
 so an idle PCPU's steal with nothing queued elsewhere, and the horizon
@@ -111,8 +111,6 @@ __all__ = ["BatchedEngine"]
 
 _BLOCKED = VcpuState.BLOCKED
 _vcpu_key = attrgetter("key")
-#: Node plans of a horizon with nothing running: no members anywhere.
-_IDLE_NODES = (((), ()), ((), ()))
 
 
 class BatchedEngine:
@@ -125,11 +123,11 @@ class BatchedEngine:
     ticks, sampling boundaries, wakeups, phase changes, finite-work
     completions, run-burst expiries, fault stalls/crashes, the epoch cap
     and the run's time limit.  :meth:`advance_batch` then replays it in
-    one call (see the module docstring); only transitions and the LLC
-    warmth commit move to the batch end.  Scheduler RNG parity is kept
-    by one :meth:`~repro.xen.credit.SchedulerPolicy.idle_steals` call
-    per horizon, which draws what the (no-op) steal attempts of idle
-    PCPUs in the interior epochs would draw.
+    one call (see the module docstring); only transitions move to the
+    batch end.  Scheduler RNG parity is kept by one
+    :meth:`~repro.xen.credit.SchedulerPolicy.idle_steals` call per
+    horizon, which draws what the (no-op) steal attempts of idle PCPUs
+    in the interior epochs would draw.
     """
 
     #: The compiled replay kernel; None when it could not be built, and
@@ -163,13 +161,6 @@ class BatchedEngine:
         #: per-key phase generation, bumped by refresh_vcpu(): a replay
         #: record or slot built under an older generation is rebuilt.
         self.key_gen: List[int] = [0] * n
-        # Per-key replay scratch ``[x0, x1, miss]`` (page mix and miss
-        # rate of the current epoch) and ``[warmth, share]`` (the VCPU's
-        # warmth on the LLC it runs on and its capped LLC share there,
-        # set when its node's co-runner set is planned).  Stable list
-        # objects held by the records, so no row embeds a co-runner set.
-        self._scratch = [[0.0, 0.0, 0.0] for _ in range(n)]
-        self._warm = [[0.0, 0.0] for _ in range(n)]
         # Replay records, ``_records[key][node]`` (see _record): a stale
         # record is replaced in place, so the memo holds at most one per
         # (VCPU, node) and needs no eviction.
@@ -186,9 +177,8 @@ class BatchedEngine:
         # the PCPU idles or its slot was dropped by a phase change.
         self._slots: List[Optional[tuple]] = [None] * len(machine.pcpus)
         self._held: List[Optional[Vcpu]] = [None] * len(machine.pcpus)
-        # Each node's plan entry in the last replayed horizon (its
-        # members' warmth scratch holds what the warmth commit wrote);
-        # None marks a node to plan and reseed.
+        # Each node's plan entry, ``(members, shares)``, in the last
+        # replayed horizon; None marks a node to plan.
         self._node_last: List[Optional[tuple]] = [None, None]
         # Each node's PCPUs as a slice of ``_held`` (ids run node by node).
         self._node_span: List[slice] = [
@@ -199,13 +189,8 @@ class BatchedEngine:
         for vcpu in vcpus:
             self.refresh_vcpu(vcpu)
 
-        # Live per-node warmth tables (stable dict objects) and the
-        # reference's per-epoch decay factor for absent VCPUs
-        # (LLCState.advance with dt = epoch > 0).
-        self._warmth_tables = [
-            cache.state.warmth_table for cache in machine.caches
-        ]
-        self._decay = math.exp(-self.epoch / LLCState.DECAY_TIME)
+        # The LLCs' live warmth tables, which the kernel reads and commits.
+        self._warmth_tables = tuple(c.state.warmth_table for c in machine.caches)
 
         # Wake-time min-heap replacing the all-VCPU step-2 scan.  Lazy
         # invalidation: entries are validated against live VCPU state at
@@ -239,9 +224,11 @@ class BatchedEngine:
         self.finite_remaining = sum(1 for w in finite if not w.done)
 
         self._horizon_hist: Dict[int, int] = {}
-        # The kernel's latency/topology constants for the inlined
-        # dual-socket solve, in its argument order (queue_inflation's
-        # default cap and knee, minus validation).
+        # The kernel's constants in its argument order: the inlined
+        # dual-socket solve's latencies and bandwidths (queue_inflation's
+        # default cap and knee, minus validation), then the reference's
+        # per-epoch warmth decay of absent VCPUs (LLCState.advance with
+        # dt = epoch > 0) and eviction threshold.
         lat = machine.config.latency
         memsys = machine.memsys
         nodes = memsys.topology.nodes
@@ -252,6 +239,7 @@ class BatchedEngine:
             memsys.topology.qpi_bandwidth,
             memsys.latency.local_dram_ns, memsys.latency.remote_extra_ns,
             cap, 1.0 - 1.0 / cap, BYTES_PER_MISS,
+            math.exp(-self.epoch / LLCState.DECAY_TIME), LLCState.EPSILON,
         )
 
     # ------------------------------------------------------------------
@@ -347,7 +335,7 @@ class BatchedEngine:
         (see :meth:`_slot`).  Both rows hold the placement's live lists
         ``placement.rows[slice]`` and ``placement.overall`` (aliased
         readers share them, so intra-epoch interleavings replay
-        exactly) and the VCPU's scratch cells.
+        exactly) and the VCPU's key.
         """
         vcpu = self.machine.vcpus[key]
         w = vcpu.workload
@@ -357,25 +345,24 @@ class BatchedEngine:
         ws = demand.working_set_bytes
         c = prof.slice_concentration
         bank = self.machine.pmu.peek(key)
-        warm = self._warm[key]
         total = prof.total_instructions
         step = self.node_clock[node] / prof.cpi_base * self.epoch
         shared = (
             placement.rows[w.slice_id], placement.overall,
             prof.refs_per_instruction * w.intensity_multiplier,
             prof.cpi_base, prof.mlp, self.node_clock[node],
-            self.node_ns2c[node], self._scratch[key], node == 0,
+            self.node_ns2c[node], key, node == 0,
         )
         return (
             self.key_gen[key],
             (c, 1.0 - c) + shared + (
-                warm, demand.min_miss_rate,
+                demand.min_miss_rate,
                 demand.max_miss_rate - demand.min_miss_rate,
                 demand.curve_shape, ws <= 0,
             ),
             shared + (
                 total, min(1.0, prof.touch_rate * self.epoch),
-                placement.num_slices, vcpu, w, bank, bank.node_accesses, warm,
+                placement.num_slices, vcpu, w, bank, bank.node_accesses,
                 # LLCState.advance's per-epoch charge factor.
                 math.exp(-self.epoch / max(1e-4, ws / LLCState.FILL_BANDWIDTH)),
             ),
@@ -421,11 +408,11 @@ class BatchedEngine:
         """The replay slot of ``pcpu`` running ``vcpu``.
 
         ``(contention, progress, guard)``: the contention row ``(c, 1 - c,
-        slice_row, overall, rpi, cpi_base, mlp, clock, ns2c, scratch,
-        node == 0, warm, min_miss, miss_span, curve_shape, ws <= 0)``
-        and the progress row ``(slice_row, overall, rpi, cpi_base, mlp,
-        clock, ns2c, scratch, node == 0, total, drift, num_slices, vcpu,
-        workload, bank, node_accesses, warm, charge_factor, pcpu)`` and
+        slice_row, overall, rpi, cpi_base, mlp, clock, ns2c, key,
+        node == 0, min_miss, miss_span, curve_shape, ws <= 0)`` and the
+        progress row ``(slice_row, overall, rpi, cpi_base, mlp, clock,
+        ns2c, key, node == 0, total, drift, num_slices, vcpu, workload,
+        bank, node_accesses, charge_factor, pcpu)`` and
         the completion guard, from the VCPU's record on the PCPU's node
         (rebuilt when the VCPU's phase generation moved).
         """
@@ -446,9 +433,7 @@ class BatchedEngine:
         phase change since), the plan is reused outright.  Otherwise
         only the slots whose PCPU now runs a different VCPU are
         rebuilt, and only a node whose co-runner set moved gets a new
-        node plan, which sets its members' shares and reseeds their
-        warmth; the other node's members already hold what the last
-        warmth commit wrote.
+        node plan.
         """
         pcpus = self.machine.pcpus
         held = self._held
@@ -469,14 +454,7 @@ class BatchedEngine:
             if entry is None:
                 keys = [v.key for v in held[self._node_span[node]] if v is not None]
                 keys.sort()
-                members = tuple(keys)
-                entry = node_last[node] = self._node_entry(node, members)
-                table = self._warmth_tables[node]
-                warm = self._warm
-                for key, share in zip(members, entry[1]):
-                    cell = warm[key]
-                    cell[0] = table.get(key, 0.0)
-                    cell[1] = share
+                node_last[node] = self._node_entry(node, tuple(keys))
         live = [slot for slot in slots if slot is not None]
         rows = tuple(zip(*live)) if live else ((), (), ())
         plan = self._plan = rows + ((node_last[0], node_last[1]),)
@@ -609,7 +587,6 @@ class BatchedEngine:
         """
         machine = self.machine
         plan = self._plan
-        running = len(plan[1])
 
         t = now
         for _ in range(1, kb):
@@ -620,23 +597,17 @@ class BatchedEngine:
         # attempt per interior epoch.  With every queue empty those can
         # only draw scheduler RNG (e.g. credit.steal's permutation), so
         # one idle_steals call draws them all up front.
-        n = (kb - 1) * (len(machine.pcpus) - running)
+        n = (kb - 1) * (len(machine.pcpus) - len(plan[1]))
         if n > 0:
             machine.policy.idle_steals(n)
-
-        if not running:
-            # Nothing runs: warmth still decays on every LLC, so no
-            # node's warmth scratch survives this horizon.
-            self._commit_warmth(kb, _IDLE_NODES)
-            self._node_last = [None, None]
-            return end_batch
         return self._advance_replay_fused(end_batch, epoch, kb, plan)
 
     def _advance_replay_fused(self, end_batch: float, epoch: float, kb: int, plan: tuple) -> float:
         """Event-free horizon: the compiled replay on the slots' live objects.
 
         The kernel (``_replay.c``, see the module docstring) runs the
-        reference loop's exact arithmetic for ``kb`` epochs; the
+        reference loop's exact arithmetic for ``kb`` epochs and commits
+        their warmth (with nothing running, it only decays); the
         running-set scan, plan lookup and transitions happen once per
         batch instead of once per epoch.  Charging progress, busy time,
         overhead, slice, burst, PMU counters and placement drift to the
@@ -648,7 +619,8 @@ class BatchedEngine:
         machine = self.machine
         contention, progress, _, nodes = plan
         machine.busy_time_s = self._replay(
-            contention, progress, self._scalars, epoch, kb, machine.busy_time_s
+            contention, progress, self._scalars, epoch, kb, machine.busy_time_s,
+            nodes, self._warmth_tables,
         )
 
         # Batch-final transitions, in running order (interior epochs are
@@ -660,7 +632,7 @@ class BatchedEngine:
             vcpu = row[12]
             w = row[13]
             if total is not None and w.instructions_done >= total:
-                pcpu = row[18]
+                pcpu = row[17]
                 vcpu.mark_done(end_batch)
                 pcpu.current = None
                 machine.context_switches += 1
@@ -668,48 +640,14 @@ class BatchedEngine:
                 machine.log.emit(end_batch, "finish", vcpu=vcpu.name)
                 self.finite_remaining -= 1
             elif vcpu.run_burst_remaining_s <= 0:
-                pcpu = row[18]
+                pcpu = row[17]
                 vcpu.block_until(end_batch + w.draw_block_time())
                 self.push_wake(vcpu)
                 pcpu.current = None
                 machine.context_switches += 1
                 policy.on_context_switch(pcpu, vcpu, None)
 
-        self._commit_warmth(kb, nodes)
         return end_batch
-
-    def _commit_warmth(self, kb: int, nodes: tuple) -> None:
-        """Commit ``kb`` epochs of LLC warmth on both nodes' live tables.
-
-        Each node's members already hold their charged warmth in their
-        scratch cells (the replay iterated ``w <- 1 - (1 - w) *
-        charge``); every other tracked VCPU decays through the same
-        sequential per-epoch multiplies ``LLCState.advance`` performs,
-        by the factor hoisted in ``__init__``.  The epsilon eviction
-        runs once at the end, which is state-equivalent: decay is
-        monotone, so a key below the threshold at any interior epoch is
-        below it at the end too, and nothing reads non-member warmth
-        mid-horizon.  A node without members (every node of an idle
-        horizon) only decays.
-        """
-        decay = self._decay
-        eps = LLCState.EPSILON
-        warm = self._warm
-        chain = range(kb)
-        for table, (members, _shares) in zip(self._warmth_tables, nodes):
-            stale = []
-            for key, w in table.items():
-                if key not in members:
-                    for _ in chain:
-                        w *= decay
-                    if w < eps:
-                        stale.append(key)
-                    else:
-                        table[key] = w
-            for key in stale:
-                del table[key]
-            for key in members:
-                table[key] = warm[key][0]
 
     # ------------------------------------------------------------------
     # Horizon statistics

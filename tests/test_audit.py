@@ -7,6 +7,7 @@ but also passes corrupted ones would be decorative.
 """
 
 import json
+import math
 import pickle
 
 import pytest
@@ -409,6 +410,78 @@ class TestDifferential:
         assert result.engine == "batched"
         assert "'credit.steal'" in result.detail
         assert result.summaries["reference"] == result.summaries["batched"]
+
+    @staticmethod
+    def _perturb_warmth(monkeypatch, when):
+        """Scale one LLC warmth entry of a VCPU that is not running there
+        by ``1 + 1e-9``, on the batched engine only, after the first
+        horizon ending at or past ``when(scenario end)``; returns the
+        ``(node, key)`` list it perturbed."""
+        from repro.xen.engine import BatchedEngine
+
+        orig = BatchedEngine.advance_batch
+        hit = []
+
+        def perturbed(self, now, epoch, kb):
+            end = orig(self, now, epoch, kb)
+            machine = self.machine
+            if not hit and end >= when(machine.config.max_time_s):
+                running = {(p.node, p.current.key) for p in machine.pcpus if p.current}
+                for node, cache in enumerate(machine.caches):
+                    table = cache.state.warmth_table
+                    key = next((k for k in table if (node, k) not in running), None)
+                    if key is not None:
+                        table[key] *= 1.0 + 1e-9
+                        hit.append((node, key))
+                        break
+            return end
+
+        monkeypatch.setattr(BatchedEngine, "advance_batch", perturbed)
+        return hit
+
+    def test_mid_run_warmth_perturbation_reported(self, monkeypatch):
+        # One absent VCPU's warmth nudged halfway through, batched only:
+        # however it surfaces (here the VCPU runs there again, so its
+        # miss rate moves the summary), the engines must diverge.
+        hit = self._perturb_warmth(monkeypatch, lambda end: end / 2)
+        scenario = tiny_scenario(vcpus=(6,), active=(6,))
+        result = run_differential(scenario, engines=("reference", "batched"))
+        assert len(hit) == 1
+        assert not result.ok
+        assert result.kind == "divergence"
+        assert result.engine == "batched"
+
+    def test_final_warmth_perturbation_names_node_and_key(self, monkeypatch):
+        # Nudged in the run's last horizon, the entry can change no
+        # summary field and no RNG state: only the end-of-run warmth
+        # comparison sees it, and it names the entry.
+        hit = self._perturb_warmth(monkeypatch, lambda end: end - 1e-9)
+        scenario = tiny_scenario(vcpus=(6,), active=(6,))
+        result = run_differential(scenario, engines=("reference", "batched"))
+        assert len(hit) == 1
+        assert not result.ok
+        assert result.kind == "divergence"
+        assert result.engine == "batched"
+        assert f"LLC warmth (node, key) {hit[0]!r}" in result.detail
+        assert result.summaries["reference"] == result.summaries["batched"]
+
+    def test_warmth_compared_entry_by_entry(self):
+        # Insertion order may differ between engines; values may not.
+        from repro.audit.fuzz import _first_changed_key, warmth_tables
+
+        machine = build_fuzz_machine(tiny_scenario(), "batched")
+        machine.caches[0].state.warmth_table.update({2: 0.25, 1: 0.5})
+        machine.caches[1].state.warmth_table[3] = 0.0
+        tables = warmth_tables(machine)
+        assert tables == {
+            (0, 2): (0.25).hex(), (0, 1): (0.5).hex(), (1, 3): (0.0).hex()
+        }
+        reordered = dict(reversed(list(tables.items())))
+        assert _first_changed_key(tables, reordered) is None
+        nudged = {**tables, (0, 2): math.nextafter(0.25, 1.0).hex()}
+        assert _first_changed_key(tables, nudged) == (0, 2)
+        assert _first_changed_key(tables, {**tables, (1, 3): (-0.0).hex()}) == (1, 3)
+        assert _first_changed_key(tables, {(0, 2): (0.25).hex()}) == (0, 1)
 
     def test_invariant_violation_reported(self, monkeypatch):
         import repro.audit.fuzz as fuzz

@@ -16,6 +16,7 @@ change, and a bounded memo.
 
 import math
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -237,25 +238,28 @@ class TestFusedReplay:
     def test_idle_machine_horizons_commit_batched_decay(self, monkeypatch):
         # One pinned VCPU that blocks now and then: while it sleeps no
         # PCPU runs anything, and such a horizon must commit its K
-        # epochs of warmth decay in one batched step per LLC.
+        # epochs of warmth decay in one batched step per LLC: one kernel
+        # call with no rows and no members on either node.
         idle_horizons = []
         decay_steps = []
         orig_batch = BatchedEngine.advance_batch
-        orig_commit = BatchedEngine._commit_warmth
+        orig_replay = BatchedEngine.kernel.replay
 
         def batch(self, now, epoch, kb):
             if kb > 1 and all(p.current is None for p in self.machine.pcpus):
                 idle_horizons.append(kb)
             return orig_batch(self, now, epoch, kb)
 
-        def commit(self, kb, nodes):
+        def replay(contention, progress, scalars, epoch, kb, mbusy, nodes, tables):
             for members, _shares in nodes:
                 if not members and kb > 1:
                     decay_steps.append(kb)
-            return orig_commit(self, kb, nodes)
+            return orig_replay(
+                contention, progress, scalars, epoch, kb, mbusy, nodes, tables
+            )
 
         monkeypatch.setattr(BatchedEngine, "advance_batch", batch)
-        monkeypatch.setattr(BatchedEngine, "_commit_warmth", commit)
+        monkeypatch.setattr(BatchedEngine, "kernel", SimpleNamespace(replay=replay))
         build = partial(solo_scenario, "lu")
         batched = _summary(build, "vprobe", "batched", 0.05, seed=0)
         assert idle_horizons, "no fully idle horizon longer than one epoch"
@@ -333,7 +337,7 @@ class TestReplayRecords:
 
         def wrapped(self, end_batch, epoch, kb, plan):
             for row in plan[1]:  # progress rows
-                vcpu, pcpu = row[12], row[18]
+                vcpu, pcpu = row[12], row[17]
                 assert pcpu.current is vcpu
                 w = vcpu.workload
                 node = pcpu.node

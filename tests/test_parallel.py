@@ -9,6 +9,8 @@ import dataclasses
 import multiprocessing
 import os
 import signal
+import threading
+import time
 from functools import partial
 
 import pytest
@@ -169,6 +171,53 @@ class TestInterruptedPool:
             with pytest.raises(ShutdownRequested):
                 runner.run_cells(cells)
         assert multiprocessing.active_children() == []
+
+    def test_worker_reaped_by_the_executor_thread_is_not_left_behind(
+        self, monkeypatch, tmp_path
+    ):
+        # The executor's manager thread reaps workers too.  Under CPU load
+        # it can take a worker's exit status and stall before recording
+        # it, while the teardown's own join gets ECHILD and takes the
+        # worker for alive.  Here the manager thread always reaps first and
+        # stalls, so the teardown must wait for it.
+        waitpid = os.waitpid
+
+        def manager_first(pid, options):
+            main = threading.current_thread() is threading.main_thread()
+            if main:
+                time.sleep(0.05)
+            result = waitpid(pid, options)
+            if not main and result[0]:
+                time.sleep(0.3)
+            return result
+
+        monkeypatch.setattr(os, "waitpid", manager_first)
+        self.test_shutdown_mid_grid_reaps_every_worker(tmp_path)
+
+    def test_signal_between_start_and_worker_table_reaps_the_worker(
+        self, monkeypatch, tmp_path
+    ):
+        # The pool forks every worker inside the first submit.  A signal
+        # raising right after the last worker's start() — before the
+        # executor records it in its worker table — must not leak it.
+        start = multiprocessing.process.BaseProcess.start
+        started = []
+
+        def start_then_signal(self):
+            start(self)
+            started.append(self)
+            if len(started) == 2:
+                os.kill(os.getpid(), signal.SIGTERM)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start_then_signal)
+        cells = [(BUILDER, name, CFG) for name in ("credit", "vprobe")]
+        with GracefulShutdown() as shutdown:
+            runner = ParallelRunner(2, cache=ResultCache(tmp_path), shutdown=shutdown)
+            with pytest.raises(ShutdownRequested):
+                runner.run_cells(cells)
+        assert len(started) == 2
+        assert multiprocessing.active_children() == []
+        assert all(proc.exitcode is not None for proc in started)
 
     def test_swallowed_signal_still_stops_the_grid(self, tmp_path):
         # A signal landing in a callback that ignores exceptions (an
