@@ -3,7 +3,7 @@
 The audit layer's contract (see :mod:`repro.audit.invariants`) has
 three measurable clauses, each pinned here:
 
-* **enabled is cheap** — a checker at its default cadence (``every=64``)
+* **enabled is cheap** — a checker at its default cadence (``every=128``)
   costs less than 5 % of the steady-state run it audits.  A naive A/B
   wall-clock comparison cannot resolve a few-percent effect on a
   shared host (run-to-run noise is larger than the effect), so the

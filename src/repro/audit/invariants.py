@@ -191,12 +191,14 @@ class InvariantChecker:
         boundary (one per event horizon, often several epochs) and
         always at sampling-period boundaries, where the PMU windows
         turn over; ``1`` — what the fuzzer uses — checks them all.  On
-        the loaded soplex cell a checked boundary costs about 75 us
-        (every check walks all VCPUs) against a horizon of about 60 us,
-        so the default of 64 keeps the always-on cost under the 5%
-        budget of ``benchmarks/bench_audit.py`` (about 4%; 32 cost
-        5-6%).  Algorithm hooks (``partition_spread``,
-        ``steal_locality``) are event-driven and ignore the cadence.
+        the loaded soplex cell a checked boundary costs about 30 us
+        (every check walks all VCPUs), about one 27 us horizon, on top
+        of a floor of about 3.5% for the hook calls, the sampling
+        boundaries and the algorithm hooks, so the default of 128 keeps
+        the always-on cost under the 5% budget of
+        ``benchmarks/bench_audit.py`` (4.3-4.7%; 64 cost 5.1-5.4%).
+        Algorithm hooks (``partition_spread``, ``steal_locality``) are
+        event-driven and ignore the cadence.
 
     The checker is attached with ``machine.run(audit=checker)`` and
     counts every individual invariant evaluation in :attr:`checks_run`
@@ -211,7 +213,7 @@ class InvariantChecker:
         self,
         enabled: Optional[Iterable[str]] = None,
         disabled: Iterable[str] = (),
-        every: int = 64,
+        every: int = 128,
     ) -> None:
         names = set(INVARIANT_NAMES if enabled is None else enabled)
         names -= set(disabled)

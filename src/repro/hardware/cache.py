@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
 from repro.util.validation import check_fraction, check_non_negative, check_positive
 
@@ -247,14 +247,6 @@ class LLCState:
             current = self._warmth.get(key, 0.0)
             # Exponential charge toward 1 with time constant tau.
             self._warmth[key] = 1.0 - (1.0 - current) * math.exp(-dt / tau)
-
-    def evict(self, vcpu_key: int) -> None:
-        """Forget a VCPU entirely (domain destroyed)."""
-        self._warmth.pop(vcpu_key, None)
-
-    def tracked(self) -> Tuple[int, ...]:
-        """Keys currently holding non-zero warmth (sorted)."""
-        return tuple(sorted(self._warmth))
 
 
 class CacheModel:

@@ -20,6 +20,7 @@ simulator only ever talks to :class:`SchedulerPolicy`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -127,6 +128,15 @@ class SchedulerPolicy:
         before first placement.  Subclasses model tickle-time placement.
         """
         return vcpu.pcpu if vcpu.pcpu is not None else 0
+
+
+@lru_cache(maxsize=256)
+def _peer_rows(num_pcpus: int, n: int) -> np.ndarray:
+    """``n`` read-only rows of ``arange(num_pcpus)``: ``permuted`` shuffles
+    a copy and draws by shape alone, so one block per ``n`` serves all."""
+    rows = np.tile(np.arange(num_pcpus), (n, 1))
+    rows.flags.writeable = False
+    return rows
 
 
 class CreditScheduler(SchedulerPolicy):
@@ -254,8 +264,7 @@ class CreditScheduler(SchedulerPolicy):
             return
         machine = self.machine
         assert machine is not None
-        rows = np.tile(np.arange(len(machine.pcpus)), (n, 1))
-        machine.rng.get("credit.steal").permuted(rows, axis=1)
+        machine.rng.get("credit.steal").permuted(_peer_rows(len(machine.pcpus), n), axis=1)
 
     # ------------------------------------------------------------------
     # Wake placement (the tickle path, equally NUMA-blind)

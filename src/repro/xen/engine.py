@@ -13,52 +13,57 @@ paper's dual-socket host, and only when the kernel could be compiled;
 otherwise the machine runs its reference loop.
 
 **The kernel.**  ``_replay.c`` (built and loaded by
-:mod:`repro.xen.kernel` when this module is imported) runs the
-horizon's epochs: the contention pass, the inlined dual-socket solve
-and the progress/PMU/drift/warmth pass, with the reference loop's
-expressions in its order, on C doubles compiled with ``-O2
--ffp-contract=off -fno-fast-math`` (so each ``+ - * /`` rounds as a
-Python float operation does; ``pow`` is the libm one ``float.__pow__``
-calls).  Per horizon it reads each slot's live fields once — PCPU
-overhead and busy time, the PMU bank's counters and node accesses,
-progress, slice, burst and LLC warmth — and writes back only the
-fields the loop assigns, when it assigns them (overhead only when it
-was positive, placement lists only when they drift).  Placement rows
-and ``overall`` lists shared between VCPUs are de-duplicated by
-identity, so a shared list's drifts apply in row order within each
-epoch.  A zero divisor raises ``ZeroDivisionError``, as in Python.
+:mod:`repro.xen.kernel` when this module is imported) holds one
+``Replay`` object per engine; each horizon is one call of its ``step``.
+It runs the reference loop's expressions in its order — the contention
+pass, the inlined dual-socket solve and the progress/PMU/drift/warmth
+pass — on C doubles compiled with ``-O2 -ffp-contract=off
+-fno-fast-math`` (so each ``+ - * /`` rounds as a Python float
+operation does; ``pow`` is the libm one ``float.__pow__`` calls).  Per
+horizon it reads the live fields once — PCPU overhead and busy time,
+the PMU bank's counters and node accesses, progress, slice, burst and
+LLC warmth — and writes back only those the loop assigns, when it
+assigns them.  Placement rows and ``overall`` lists shared between
+VCPUs are de-duplicated by identity, so a shared list's drifts apply in
+row order within each epoch.  A zero divisor raises
+``ZeroDivisionError``, as in Python.
 
-**Replay slots.**  A PCPU's slot holds two projections of the replay
-row of the VCPU it runs, one per kernel pass, each with only the fields
-that pass reads: 15 for the contention pass (miss curve, page mix,
-first contention round) and 18 for the progress pass (penalties,
-rates, progress, PMU, drift, warmth charge).  Both come from a
-per-(VCPU, node) record and hold the placement's live page-mix lists
-and the live objects the replay charges in place — the PCPU (overhead
-budget, busy time), the VCPU (slice, burst), its workload (progress)
-and its PMU bank.  A slot is rebuilt only when its PCPU runs a
-different VCPU or that VCPU changed phase.  Because the replay reads
-and writes the live fields themselves, whatever a boundary phase wrote
-between horizons (tick and context-switch overhead charges, a slice
-reset on switch-in, a crash's lost progress) is simply what the next
-horizon starts from: there is no seed and no commit to keep in step.
+**Replay slots.**  The object keeps one slot per PCPU, parsed once: the
+:data:`Record` of the VCPU it runs, built per (VCPU, node) by
+:meth:`BatchedEngine._record` — the constants of the VCPU's phase on
+that node, the placement's live page-mix lists and the live objects
+the replay charges.  Each call compares every ``pcpu.current`` with
+its slot's VCPU and asks :meth:`BatchedEngine._slot` for a record only
+where they differ; :meth:`BatchedEngine.refresh_vcpu` drops the slot of
+a VCPU whose phase changed.  Because the replay reads and writes the
+live fields themselves, whatever a boundary phase wrote between
+horizons (tick and context-switch overhead charges, a slice reset on
+switch-in, a crash's lost progress) is simply what the next horizon
+starts from.
 
-**Node plans and warmth.**  A node whose running set changed gets a
-new plan: its members in key order and their capped LLC shares, a
+**Node plans and warmth.**  A node whose running set changed gets its
+members' capped LLC shares from :meth:`BatchedEngine._node_entry`, a
 waterfill memoised by ``(node, members' demands)`` (cleared at
 ``SHARES_MEMO_SIZE`` sets), so co-runner sets with equal demands share
-one.  The kernel reads each member's warmth from its LLC's live table
-once — nothing else writes a table between horizons — charges it every
-epoch, and commits the horizon into both tables in place: every other
-VCPU decays by the hoisted per-epoch factor, entries below
-``LLCState.EPSILON`` go, and the members are written last, so each
-table keeps its insertion order.  A horizon with nothing running makes
-the same call with no rows: it only decays.
+one.  Per-node state is indexed by node number.  The kernel reads each
+member's warmth from its LLC's live table once — nothing else writes a
+table between horizons — charges it every epoch, and commits the
+horizon into every table in place: every other VCPU decays by the
+hoisted per-epoch factor, entries below ``LLCState.EPSILON`` go, and
+the members are written last, so each table keeps its insertion order.
+A horizon with nothing running only decays.
 
-**Boundary glue.**  The run queues keep a machine-wide queued count,
-so an idle PCPU's steal with nothing queued elsewhere, and the horizon
-sizing's idle-queue guard, cost one comparison instead of a scan over
-every queue (the audit's placement invariant checks the count).
+**Horizons.**  :meth:`BatchedEngine.step` caps a horizon at the next
+Credit tick, sampling boundary, epoch cap and fault stall; the kernel
+cuts it at the first event its epochs could reach, with the float
+operations of the reference stepper: a completion (exclusive, from a
+guard a tick below each finite budget and then the exact floor), a
+burst expiry (inclusive, by the progress pass's ``x -= epoch`` chain),
+and, along the exact epoch-end trajectory, a wake, crash or the run
+limit (before that epoch) or a phase change (on it).  Queued work next
+to an idle PCPU, which a scheduling pass never leaves, limits it to one
+epoch.  The run queues keep a machine-wide queued count, so that guard,
+and an idle PCPU's steal with nothing queued, cost one comparison.
 
 **The contract is bitwise equality**: for any scenario and seed, a run
 through the batched engine produces exactly the same simulated results
@@ -95,6 +100,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import namedtuple
 from operator import attrgetter
 from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
@@ -113,21 +119,26 @@ _BLOCKED = VcpuState.BLOCKED
 _vcpu_key = attrgetter("key")
 
 
+#: A VCPU's replay constants on one node (see BatchedEngine._record) and
+#: the live objects the kernel charges: its slice row and overall page
+#: mix (the placement's lists), VCPU, workload, PMU bank and the bank's
+#: node accesses.  ``_replay.c`` reads the fields by position.
+Record = namedtuple(
+    "Record",
+    "gen key node concentration rpi cpi_base mlp clock ns2c min_miss miss_span"
+    " curve_shape no_working_set drift num_slices charge total guard row overall"
+    " vcpu workload bank node_accesses",
+)
+
+
 class BatchedEngine:
     """Macro-stepping engine: one compiled replay per event horizon.
 
     Built lazily on the first stepped epoch of a dual-socket machine and
     discarded whenever the machine's VCPU population changes.  Each
-    horizon is sized first (:meth:`compute_horizon`): the number of
-    upcoming epochs guaranteed free of discrete events — scheduler
-    ticks, sampling boundaries, wakeups, phase changes, finite-work
-    completions, run-burst expiries, fault stalls/crashes, the epoch cap
-    and the run's time limit.  :meth:`advance_batch` then replays it in
-    one call (see the module docstring); only transitions move to the
-    batch end.  Scheduler RNG parity is kept by one
-    :meth:`~repro.xen.credit.SchedulerPolicy.idle_steals` call per
-    horizon, which draws what the (no-op) steal attempts of idle PCPUs
-    in the interior epochs would draw.
+    horizon — the upcoming epochs guaranteed free of discrete events —
+    is one :meth:`step` (see the module docstring); only transitions
+    move to the batch end.
     """
 
     #: The compiled replay kernel; None when it could not be built, and
@@ -140,7 +151,6 @@ class BatchedEngine:
     def __init__(self, machine: "Machine") -> None:
         self.machine = machine
         self.epoch = machine.config.epoch_s
-        self._replay = self.kernel.replay
         topo = machine.topology
         vcpus = machine.vcpus
 
@@ -164,33 +174,40 @@ class BatchedEngine:
         # Replay records, ``_records[key][node]`` (see _record): a stale
         # record is replaced in place, so the memo holds at most one per
         # (VCPU, node) and needs no eviction.
-        self._records: List[List[Optional[tuple]]] = [
-            [None, None] for _ in range(n)
+        self._records: List[List[Optional[Record]]] = [
+            [None] * topo.num_nodes for _ in range(n)
         ]
         # Node plans' capped LLC shares, keyed by ``(node, fill ids of
         # the members in key order)`` (see _node_entry).  The shares
         # depend only on the demands, so a phase change evicts nothing;
         # the memo is cleared when it reaches SHARES_MEMO_SIZE.
         self._shares_memo: Dict[Tuple, List[float]] = {}
-        # Replay slots: each PCPU's ``(contention row, progress row,
-        # guard)`` (see _slot) for the VCPU in ``_held[pid]``, None when
-        # the PCPU idles or its slot was dropped by a phase change.
-        self._slots: List[Optional[tuple]] = [None] * len(machine.pcpus)
-        self._held: List[Optional[Vcpu]] = [None] * len(machine.pcpus)
-        # Each node's plan entry, ``(members, shares)``, in the last
-        # replayed horizon; None marks a node to plan.
-        self._node_last: List[Optional[tuple]] = [None, None]
-        # Each node's PCPUs as a slice of ``_held`` (ids run node by node).
-        self._node_span: List[slice] = [
-            slice(ids[0], ids[-1] + 1) for ids in map(topo.pcpus_of_node, range(2))
-        ]
-        # The current plan, None when a slot or node plan must change.
-        self._plan: Optional[tuple] = None
+        # The kernel's constants in its argument order: the inlined
+        # dual-socket solve's latencies and bandwidths (queue_inflation's
+        # default cap and knee, minus validation), then the reference's
+        # per-epoch warmth decay of absent VCPUs (LLCState.advance with
+        # dt = epoch > 0) and eviction threshold.
+        lat = machine.config.latency
+        memsys = machine.memsys
+        nodes = memsys.topology.nodes
+        cap = 8.0
+        self._scalars = (
+            lat.llc_hit_ns, lat.local_dram_ns,
+            nodes[0].imc_bandwidth, nodes[1].imc_bandwidth,
+            memsys.topology.qpi_bandwidth,
+            memsys.latency.local_dram_ns, memsys.latency.remote_extra_ns,
+            cap, 1.0 - 1.0 / cap, BYTES_PER_MISS,
+            math.exp(-self.epoch / LLCState.DECAY_TIME), LLCState.EPSILON,
+        )
+        # The replay slots and node plans live in the kernel's object,
+        # which holds the PCPUs, its records and the LLCs' live warmth
+        # tables, and is dropped with the engine.
+        self._replay = self.kernel.Replay(
+            machine.pcpus, self._scalars, self.epoch,
+            tuple(c.state.warmth_table for c in machine.caches),
+        )
         for vcpu in vcpus:
             self.refresh_vcpu(vcpu)
-
-        # The LLCs' live warmth tables, which the kernel reads and commits.
-        self._warmth_tables = tuple(c.state.warmth_table for c in machine.caches)
 
         # Wake-time min-heap replacing the all-VCPU step-2 scan.  Lazy
         # invalidation: entries are validated against live VCPU state at
@@ -224,23 +241,6 @@ class BatchedEngine:
         self.finite_remaining = sum(1 for w in finite if not w.done)
 
         self._horizon_hist: Dict[int, int] = {}
-        # The kernel's constants in its argument order: the inlined
-        # dual-socket solve's latencies and bandwidths (queue_inflation's
-        # default cap and knee, minus validation), then the reference's
-        # per-epoch warmth decay of absent VCPUs (LLCState.advance with
-        # dt = epoch > 0) and eviction threshold.
-        lat = machine.config.latency
-        memsys = machine.memsys
-        nodes = memsys.topology.nodes
-        cap = 8.0
-        self._scalars = (
-            lat.llc_hit_ns, lat.local_dram_ns,
-            nodes[0].imc_bandwidth, nodes[1].imc_bandwidth,
-            memsys.topology.qpi_bandwidth,
-            memsys.latency.local_dram_ns, memsys.latency.remote_extra_ns,
-            cap, 1.0 - 1.0 / cap, BYTES_PER_MISS,
-            math.exp(-self.epoch / LLCState.DECAY_TIME), LLCState.EPSILON,
-        )
 
     # ------------------------------------------------------------------
     # Invariant maintenance
@@ -257,12 +257,8 @@ class BatchedEngine:
         self.fill_id[key] = ids.setdefault(fill, len(ids))
         self.key_gen[key] += 1
         # Its records fail their generation check on next use; a slot
-        # holding it is dropped here, with its node's plan and the plan.
-        held = self._held
-        for pid, running in enumerate(held):
-            if running is vcpu:
-                held[pid] = self._slots[pid] = self._plan = None
-                self._node_last[self.machine.pcpus[pid].node] = None
+        # holding it is dropped here, with its node's plan.
+        self._replay.drop(vcpu)
 
     # ------------------------------------------------------------------
     # Event-driven scans
@@ -325,17 +321,14 @@ class BatchedEngine:
         return self.has_finite and self.finite_remaining == 0
 
     # ------------------------------------------------------------------
-    # Replay plans
+    # Replay records
     # ------------------------------------------------------------------
-    def _record(self, key: int, node: int) -> tuple:
+    def _record(self, key: int, node: int) -> Record:
         """Replay record for VCPU ``key`` running on ``node``.
 
-        ``(gen, contention, progress, guard)``: the key's phase
-        generation at build time and the slot's rows without their PCPU
-        (see :meth:`_slot`).  Both rows hold the placement's live lists
-        ``placement.rows[slice]`` and ``placement.overall`` (aliased
-        readers share them, so intra-epoch interleavings replay
-        exactly) and the VCPU's key.
+        It holds the placement's live lists ``placement.rows[slice]``
+        and ``placement.overall`` (aliased readers share them, so
+        intra-epoch interleavings replay exactly).
         """
         vcpu = self.machine.vcpus[key]
         w = vcpu.workload
@@ -343,35 +336,38 @@ class BatchedEngine:
         placement = vcpu.domain.placement
         demand = w.cache_demand()
         ws = demand.working_set_bytes
-        c = prof.slice_concentration
         bank = self.machine.pmu.peek(key)
         total = prof.total_instructions
-        step = self.node_clock[node] / prof.cpi_base * self.epoch
-        shared = (
-            placement.rows[w.slice_id], placement.overall,
+        clock = self.node_clock[node]
+        step = clock / prof.cpi_base * self.epoch
+        return Record(
+            self.key_gen[key], key, node, prof.slice_concentration,
             prof.refs_per_instruction * w.intensity_multiplier,
-            prof.cpi_base, prof.mlp, self.node_clock[node],
-            self.node_ns2c[node], key, node == 0,
-        )
-        return (
-            self.key_gen[key],
-            (c, 1.0 - c) + shared + (
-                demand.min_miss_rate,
-                demand.max_miss_rate - demand.min_miss_rate,
-                demand.curve_shape, ws <= 0,
-            ),
-            shared + (
-                total, min(1.0, prof.touch_rate * self.epoch),
-                placement.num_slices, vcpu, w, bank, bank.node_accesses,
-                # LLCState.advance's per-epoch charge factor.
-                math.exp(-self.epoch / max(1e-4, ws / LLCState.FILL_BANDWIDTH)),
-            ),
-            # Completion guard: a horizon spans at most a tick, so
-            # progress at or below this leaves the exclusive completion
-            # floor at least a tick away (_size_horizon).
+            prof.cpi_base, prof.mlp, clock, self.node_ns2c[node],
+            demand.min_miss_rate, demand.max_miss_rate - demand.min_miss_rate,
+            demand.curve_shape, ws <= 0, min(1.0, prof.touch_rate * self.epoch),
+            placement.num_slices,
+            # LLCState.advance's per-epoch charge factor.
+            math.exp(-self.epoch / max(1e-4, ws / LLCState.FILL_BANDWIDTH)),
+            total,
+            # Completion guard: a horizon spans at most a tick, so progress
+            # at or below this leaves the exclusive completion floor at
+            # least a tick away.
             math.inf if total is None
             else total - (self.machine._epochs_per_tick + 2) * step,
+            placement.rows[w.slice_id], placement.overall, vcpu, w, bank,
+            bank.node_accesses,
         )
+
+    def _slot(self, pcpu: Pcpu, vcpu: Vcpu) -> Record:
+        """The record for ``pcpu``'s new slot: ``vcpu``'s on its node,
+        rebuilt when the VCPU's phase generation moved."""
+        key = vcpu.key
+        pair = self._records[key]
+        rec = pair[pcpu.node]
+        if rec is None or rec.gen != self.key_gen[key]:
+            rec = pair[pcpu.node] = self._record(key, pcpu.node)
+        return rec
 
     def _node_entry(self, node: int, members: Tuple[int, ...]) -> Tuple:
         """``(members, shares)`` for one co-runner set.
@@ -404,82 +400,24 @@ class BatchedEngine:
             ]
         return (members, shares)
 
-    def _slot(self, pcpu: Pcpu, vcpu: Vcpu) -> tuple:
-        """The replay slot of ``pcpu`` running ``vcpu``.
-
-        ``(contention, progress, guard)``: the contention row ``(c, 1 - c,
-        slice_row, overall, rpi, cpi_base, mlp, clock, ns2c, key,
-        node == 0, min_miss, miss_span, curve_shape, ws <= 0)`` and the
-        progress row ``(slice_row, overall, rpi, cpi_base, mlp, clock,
-        ns2c, key, node == 0, total, drift, num_slices, vcpu, workload,
-        bank, node_accesses, charge_factor, pcpu)`` and
-        the completion guard, from the VCPU's record on the PCPU's node
-        (rebuilt when the VCPU's phase generation moved).
-        """
-        key = vcpu.key
-        pair = self._records[key]
-        rec = pair[pcpu.node]
-        if rec is None or rec[0] != self.key_gen[key]:
-            rec = pair[pcpu.node] = self._record(key, pcpu.node)
-        return (rec[1], rec[2] + (pcpu,), rec[3])
-
-    def _plan_for(self) -> tuple:
-        """This horizon's replay plan, from the slots of the running PCPUs.
-
-        ``(contention rows, progress rows, guards, nodes)``: the slot of
-        every running PCPU, transposed, in PCPU order, and each node's
-        plan.
-        With every PCPU still running the VCPU its slot holds (and no
-        phase change since), the plan is reused outright.  Otherwise
-        only the slots whose PCPU now runs a different VCPU are
-        rebuilt, and only a node whose co-runner set moved gets a new
-        node plan.
-        """
-        pcpus = self.machine.pcpus
-        held = self._held
-        slots = self._slots
-        node_last = self._node_last
-        plan = self._plan
-        for pcpu, last in zip(pcpus, held):
-            vcpu = pcpu.current
-            if vcpu is not last:
-                pid = pcpu.pcpu_id
-                held[pid] = vcpu
-                slots[pid] = None if vcpu is None else self._slot(pcpu, vcpu)
-                node_last[pcpu.node] = None
-                plan = None
-        if plan is not None:
-            return plan
-        for node, entry in enumerate(node_last):
-            if entry is None:
-                keys = [v.key for v in held[self._node_span[node]] if v is not None]
-                keys.sort()
-                node_last[node] = self._node_entry(node, tuple(keys))
-        live = [slot for slot in slots if slot is not None]
-        rows = tuple(zip(*live)) if live else ((), (), ())
-        plan = self._plan = rows + ((node_last[0], node_last[1]),)
-        return plan
-
     # ------------------------------------------------------------------
-    # Event horizon
+    # One horizon
     # ------------------------------------------------------------------
-    def compute_horizon(self, now: float, limit: float) -> int:
-        """Quiet epochs (including the current one) safe to macro-step.
+    def step(self, now: float, limit: float) -> Tuple[int, float]:
+        """Size and replay one event horizon; returns its epochs and end.
 
         Called after the stepper has run this epoch's fault, tick, wake
-        and scheduling phases; returns 1 whenever any discrete event
-        could fire before the batch would end.  Every Credit tick and
-        sampling boundary terminates the batch.
+        and scheduling phases.  The horizon is capped here at the next
+        Credit tick, sampling boundary, epoch cap and fault stall; the
+        kernel cuts it further at completions, burst expiries, wakes,
+        phase changes, the next crash and ``limit``, and runs it.
+        Scheduler RNG parity is kept by one
+        :meth:`~repro.xen.credit.SchedulerPolicy.idle_steals` call, which
+        draws what the (no-op) steal attempts of idle PCPUs in the
+        interior epochs would draw.
         """
-        kb = self._size_horizon(now, limit, self._plan_for())
-        hist = self._horizon_hist
-        hist[kb] = hist.get(kb, 0) + 1
-        return kb
-
-    def _size_horizon(self, now: float, limit: float, plan: tuple) -> int:
         machine = self.machine
         e0 = machine.epoch_index
-        epoch = self.epoch
         kb = machine._epochs_per_tick - (e0 % machine._epochs_per_tick)
         ks = machine._epochs_per_sample - (e0 % machine._epochs_per_sample)
         if ks < kb:
@@ -493,161 +431,47 @@ class BatchedEngine:
             if faults.plan.stall_rate > 0:
                 next_stall = faults.next_stall_epoch()
                 if next_stall is None:
-                    return 1
-                if next_stall - e0 < kb:
+                    kb = 1
+                elif next_stall - e0 < kb:
                     kb = next_stall - e0
             next_crash = faults.next_crash_time()
             if next_crash is not None:
                 crash_time = next_crash
-        if kb <= 1:
-            return 1
-
-        _, progress, guards, _ = plan
-        # Running-set floors.  Completions stay *exclusive*: with rates
-        # bounded by clock / cpi_base (the queueing stall is
-        # non-negative), a one-epoch margin under each finite-work
-        # budget guarantees no completion fires at any batch epoch.
-        # Run-burst expiries are *inclusive*: the budget drains by
-        # exactly one epoch per step regardless of contention, so the
-        # expiry epoch is known in advance — the batch may end ON it and
-        # fire the block transition at the batch boundary.
-        window = (kb + 1) * epoch
-        for row, guard in zip(progress, guards):
-            if row[13].instructions_done > guard:
-                # Within a tick of its budget: the exact floor, from the
-                # most progress one epoch can make (clock / cpi_base *
-                # epoch).
-                step = row[5] / row[3] * epoch
-                floor = int((row[9] - row[13].instructions_done) / step) - 1
-                if floor < kb:
-                    if floor <= 1:
-                        return 1
-                    kb = floor
-                    window = (kb + 1) * epoch
-            burst = row[12].run_burst_remaining_s
-            if burst <= window:
-                # Expiry may land inside the window: replay the exact
-                # per-epoch subtraction chain (`x -= epoch`, the same
-                # sequential float ops the progress pass performs) to
-                # find the first epoch whose end leaves the budget at
-                # or below zero, and end the batch there.
-                x = burst
-                for j in range(kb):
-                    x -= epoch
-                    if x <= 0.0:
-                        if j == 0:
-                            return 1
-                        kb = j + 1
-                        window = (kb + 1) * epoch
-                        break
-        if machine.queued_vcpus and len(progress) < len(machine.pcpus):
-            # After a scheduling pass an idle PCPU implies every queue
-            # is empty (the pass steals unconditionally); guard the
-            # invariant anyway — queued work next to an idle PCPU means
-            # rescheduling activity every epoch.
-            return 1
-
-        # Time-driven events: walk the exact epoch-end trajectory (the
-        # same sequential float adds the stepper performs) against the
-        # wake heap, the phase heap, the crash schedule and the run
-        # limit.  A phase change due at a batch-final epoch end is fine:
-        # the stepper applies phase changes once at the batch end.
-        wake = self.wake_heap[0][0] if self.wake_heap else math.inf
-        phase = self.phase_heap[0][0] if self.phase_heap else math.inf
-        if min(wake, phase, crash_time, limit - 1e-12) > now + (kb + 1) * epoch:
-            # Every event lies a whole epoch beyond the walk's last
-            # epoch end, far more than its rounding: nothing can stop it.
-            return kb
-        t = now
-        j = 0
-        while j < kb:
-            if j > 0 and (
-                wake <= t or crash_time <= t or t >= limit - 1e-12
-            ):
-                kb = j
-                break
-            t_next = t + epoch
-            if phase <= t_next:
-                kb = j + 1
-                break
-            t = t_next
-            j += 1
-        return kb if kb > 1 else 1
-
-    # ------------------------------------------------------------------
-    # Batched advance
-    # ------------------------------------------------------------------
-    def advance_batch(self, now: float, epoch: float, kb: int) -> float:
-        """Advance ``kb`` quiet epochs in one batch; returns the batch end.
-
-        The caller (the stepper) has already run this epoch's pre-solve
-        phases and sized the batch with :meth:`compute_horizon` at this
-        boundary, which guarantees that no discrete event fires strictly
-        inside it and leaves the boundary's replay plan in place.
-        """
-        machine = self.machine
-        plan = self._plan
-
-        t = now
-        for _ in range(1, kb):
-            t = t + epoch
-        end_batch = t + epoch
-
-        # Interior scheduling passes: each idle PCPU makes one steal
-        # attempt per interior epoch.  With every queue empty those can
-        # only draw scheduler RNG (e.g. credit.steal's permutation), so
-        # one idle_steals call draws them all up front.
-        n = (kb - 1) * (len(machine.pcpus) - len(plan[1]))
-        if n > 0:
-            machine.policy.idle_steals(n)
-        return self._advance_replay_fused(end_batch, epoch, kb, plan)
-
-    def _advance_replay_fused(self, end_batch: float, epoch: float, kb: int, plan: tuple) -> float:
-        """Event-free horizon: the compiled replay on the slots' live objects.
-
-        The kernel (``_replay.c``, see the module docstring) runs the
-        reference loop's exact arithmetic for ``kb`` epochs and commits
-        their warmth (with nothing running, it only decays); the
-        running-set scan, plan lookup and transitions happen once per
-        batch instead of once per epoch.  Charging progress, busy time,
-        overhead, slice, burst, PMU counters and placement drift to the
-        live objects once per horizon is bitwise neutral because nothing
-        else reads that state mid-batch (the caller guarantees an
-        event-free interior and has already drawn the idle PCPUs' steal
-        RNG, which reads none of it).
-        """
-        machine = self.machine
-        contention, progress, _, nodes = plan
-        machine.busy_time_s = self._replay(
-            contention, progress, self._scalars, epoch, kb, machine.busy_time_s,
-            nodes, self._warmth_tables,
+        kb, end, machine.busy_time_s, idle, moved = self._replay.step(
+            self, now, kb, crash_time, limit,
+            self.wake_heap[0][0] if self.wake_heap else math.inf,
+            self.phase_heap[0][0] if self.phase_heap else math.inf,
+            machine.queued_vcpus, machine.busy_time_s,
         )
+        # With every queue empty, the idle PCPUs' interior steals can
+        # only draw scheduler RNG, and read nothing the replay wrote.
+        if idle and kb > 1:
+            machine.policy.idle_steals((kb - 1) * idle)
 
         # Batch-final transitions, in running order (interior epochs are
         # transition-free by the horizon contract; the burst cap is
         # inclusive, so a burst draining to zero blocks here).
         policy = machine.policy
-        for row in progress:
-            total = row[9]
-            vcpu = row[12]
-            w = row[13]
-            if total is not None and w.instructions_done >= total:
-                pcpu = row[17]
-                vcpu.mark_done(end_batch)
-                pcpu.current = None
-                machine.context_switches += 1
-                policy.on_context_switch(pcpu, vcpu, None)
-                machine.log.emit(end_batch, "finish", vcpu=vcpu.name)
-                self.finite_remaining -= 1
-            elif vcpu.run_burst_remaining_s <= 0:
-                pcpu = row[17]
-                vcpu.block_until(end_batch + w.draw_block_time())
+        for pcpu in moved:
+            vcpu = pcpu.current
+            w = vcpu.workload
+            total = w.profile.total_instructions
+            finished = total is not None and w.instructions_done >= total
+            if finished:
+                vcpu.mark_done(end)
+            else:
+                vcpu.block_until(end + w.draw_block_time())
                 self.push_wake(vcpu)
-                pcpu.current = None
-                machine.context_switches += 1
-                policy.on_context_switch(pcpu, vcpu, None)
+            pcpu.current = None
+            machine.context_switches += 1
+            policy.on_context_switch(pcpu, vcpu, None)
+            if finished:
+                machine.log.emit(end, "finish", vcpu=vcpu.name)
+                self.finite_remaining -= 1
 
-        return end_batch
+        hist = self._horizon_hist
+        hist[kb] = hist.get(kb, 0) + 1
+        return kb, end
 
     # ------------------------------------------------------------------
     # Horizon statistics

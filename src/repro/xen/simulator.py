@@ -634,10 +634,9 @@ class Machine:
         # the run limit — and advances all of them in one call, a
         # horizon of one epoch included.
         if engine is not None:
-            stepped = engine.compute_horizon(
+            stepped, end = engine.step(
                 now, limit if limit is not None else self.config.max_time_s
             )
-            end = engine.advance_batch(now, epoch, stepped)
         else:
             stepped = 1
             self._advance_running(now, epoch)

@@ -419,11 +419,11 @@ class TestDifferential:
         ``(node, key)`` list it perturbed."""
         from repro.xen.engine import BatchedEngine
 
-        orig = BatchedEngine.advance_batch
+        orig = BatchedEngine.step
         hit = []
 
-        def perturbed(self, now, epoch, kb):
-            end = orig(self, now, epoch, kb)
+        def perturbed(self, now, limit):
+            kb, end = orig(self, now, limit)
             machine = self.machine
             if not hit and end >= when(machine.config.max_time_s):
                 running = {(p.node, p.current.key) for p in machine.pcpus if p.current}
@@ -434,9 +434,9 @@ class TestDifferential:
                         table[key] *= 1.0 + 1e-9
                         hit.append((node, key))
                         break
-            return end
+            return kb, end
 
-        monkeypatch.setattr(BatchedEngine, "advance_batch", perturbed)
+        monkeypatch.setattr(BatchedEngine, "step", perturbed)
         return hit
 
     def test_mid_run_warmth_perturbation_reported(self, monkeypatch):

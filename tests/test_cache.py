@@ -117,13 +117,7 @@ class TestLLCState:
         state.advance(0.01, {1: 4 * MIB})
         state.advance(10.0, {})  # long absence
         assert state.warmth(1) == 0.0
-        assert 1 not in state.tracked()
-
-    def test_evict_forgets(self):
-        state = LLCState()
-        state.advance(0.1, {2: 1 * MIB})
-        state.evict(2)
-        assert state.warmth(2) == 0.0
+        assert 1 not in state.warmth_table
 
     def test_small_working_set_warms_fast(self):
         state = LLCState()

@@ -145,6 +145,20 @@ class TestIdleSteals:
         assert len(batched.log) == 0
         assert not any(p.queue for p in batched.pcpus)
 
+    def test_repeated_and_mixed_counts_reuse_blocks_exactly(self):
+        # The row blocks are cached per count; the stream must still
+        # advance as one permutation(P) per steal, whatever the mix.
+        machine = Machine(xeon_e5620(), make_scheduler("credit"), SimConfig(seed=5))
+        stream = machine.rng.get("credit.steal")
+        expected = np.random.default_rng()
+        expected.bit_generator.state = stream.bit_generator.state
+        counts = [3, 3, 1, 7, 3, 1, 7, 7, 2]
+        for n in counts:
+            machine.policy.idle_steals(n)
+        for _ in range(sum(counts)):
+            expected.permutation(len(machine.pcpus))
+        assert stream.bit_generator.state == expected.bit_generator.state
+
     @pytest.mark.parametrize("under_only", [False, True])
     @pytest.mark.parametrize("own_queue", [False, True])
     def test_empty_peers_cost_one_permutation(self, under_only, own_queue):

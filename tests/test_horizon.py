@@ -1,17 +1,16 @@
 """The batched engine's event-horizon sizing and macro-step replay.
 
-:meth:`~repro.xen.engine.BatchedEngine.compute_horizon` promises that
-no discrete event fires strictly inside a batch: no Credit tick, no
-sampling boundary, no wake or phase change, and no burst or phase
-expiry except on the batch-final epoch.  These tests check those
-structural invariants on every horizon decision of real runs (by
-wrapping the sizing call), pin down the fault-stall cap, and verify
-that every kind of horizon — with idle PCPUs, a single epoch long, or
-with nothing running at all — goes through the one replay path
-without changing a single simulated bit.  The last class pins down the
-per-VCPU replay records the plans are assembled from: aliased drift on
-the placements' live lists, invalidation on migration and phase
-change, and a bounded memo.
+:meth:`~repro.xen.engine.BatchedEngine.step` promises that no discrete
+event fires strictly inside a batch: no Credit tick, no sampling
+boundary, no wake or phase change, and no burst or phase expiry except
+on the batch-final epoch.  These tests check those structural
+invariants on every horizon of real runs (by wrapping the step), pin
+down the fault-stall cap, and verify that every kind of horizon — with
+idle PCPUs, a single epoch long, or with nothing running at all — goes
+through the one replay path without changing a single simulated bit.
+The last classes pin down the per-VCPU replay records the slots hold:
+aliased drift on the placements' live lists, invalidation on
+migration, phase change and crash, and a bounded memo.
 """
 
 import math
@@ -31,6 +30,7 @@ from repro.experiments.scenarios import (
     spec_scenario,
 )
 from repro.faults.plan import DomainCrash, FaultPlan
+from repro.hardware.cache import LLCState
 from repro.metrics.collectors import summarize
 from repro.obs.manifest import canonical_dumps
 from repro.recovery.checkpoint import load_checkpoint, save_checkpoint
@@ -44,23 +44,39 @@ from repro.xen.engine import BatchedEngine
 from repro.xen.memalloc import place_interleaved
 from repro.xen.simulator import Machine
 from repro.xen.vcpu import VcpuState
+from tests.helpers import python_commit, watch_replay
 
 
 def _batched_run(monkeypatch, check, **cfg_kw):
     """Run the loaded soplex scenario on the batched engine for 1 s.
 
-    ``check(engine, e0, now, kb)`` is invoked after every horizon
-    decision (installed via ``monkeypatch`` on the class).
+    ``check(engine, pre, e0, now, kb)`` is invoked after every horizon
+    (installed via ``monkeypatch`` on the class); ``pre`` holds the
+    boundary state the horizon was sized from: the incumbents' run
+    bursts, the wake and phase heap tops and the next fault stall.
     """
-    orig = BatchedEngine.compute_horizon
+    orig = BatchedEngine.step
 
     def checked(self, now, limit):
-        e0 = self.machine.epoch_index
-        kb = orig(self, now, limit)
-        check(self, e0, now, kb)
-        return kb
+        machine = self.machine
+        e0 = machine.epoch_index
+        pre = SimpleNamespace(
+            bursts=[
+                p.current.run_burst_remaining_s
+                for p in machine.pcpus
+                if p.current is not None
+            ],
+            wake=self.wake_heap[0][0] if self.wake_heap else math.inf,
+            phase=self.phase_heap[0][0] if self.phase_heap else math.inf,
+            next_stall=(
+                machine.faults.next_stall_epoch() if machine.faults else None
+            ),
+        )
+        kb, end = orig(self, now, limit)
+        check(self, pre, e0, now, kb)
+        return kb, end
 
-    monkeypatch.setattr(BatchedEngine, "compute_horizon", checked)
+    monkeypatch.setattr(BatchedEngine, "step", checked)
     cfg = ScenarioConfig(
         work_scale=0.15, seed=0, engine="batched", **cfg_kw
     )
@@ -75,7 +91,7 @@ class TestHorizonInvariants:
     def test_every_horizon_respects_event_boundaries(self, monkeypatch):
         decisions = []
 
-        def check(engine, e0, now, kb):
+        def check(engine, pre, e0, now, kb):
             machine = engine.machine
             epoch = engine.epoch
             eps = machine._epochs_per_sample
@@ -87,31 +103,17 @@ class TestHorizonInvariants:
                 # Burst expiries are inclusive: an incumbent's budget may
                 # reach zero only on the batch-final epoch.  Replay the
                 # exact subtraction chain the progress pass performs.
-                for pcpu in machine.pcpus:
-                    cur = pcpu.current
-                    if cur is None:
-                        continue
-                    x = cur.run_burst_remaining_s
+                for x in pre.bursts:
                     for _ in range(kb - 1):
                         x -= epoch
                         assert x > 0.0
                 # No wake and no phase change strictly inside the batch
                 # (phase changes may land on the batch-final epoch end).
-                wake = (
-                    engine.wake_heap[0][0]
-                    if engine.wake_heap
-                    else math.inf
-                )
-                phase = (
-                    engine.phase_heap[0][0]
-                    if engine.phase_heap
-                    else math.inf
-                )
                 t = now
                 for _ in range(1, kb):
                     t = t + epoch
-                    assert wake > t
-                    assert phase > t
+                    assert pre.wake > t
+                    assert pre.phase > t
             decisions.append(kb)
 
         machine = _batched_run(monkeypatch, check)
@@ -123,7 +125,7 @@ class TestHorizonInvariants:
         """Every Credit tick terminates the horizon."""
         spans = []
 
-        def check(engine, e0, now, kb):
+        def check(engine, pre, e0, now, kb):
             ept = engine.machine._epochs_per_tick
             assert kb <= ept - (e0 % ept)
             spans.append(kb)
@@ -137,8 +139,8 @@ class TestFaultStalls:
         """stall_rate > 0: no horizon runs past the next stall epoch."""
         capped = []
 
-        def check(engine, e0, now, kb):
-            next_stall = engine.machine.faults.next_stall_epoch()
+        def check(engine, pre, e0, now, kb):
+            next_stall = pre.next_stall
             if next_stall is not None and kb > 1:
                 assert e0 + kb <= next_stall
                 capped.append(kb)
@@ -167,7 +169,7 @@ def _canonical(machine):
 
 
 class TestFusedReplay:
-    """Every horizon goes through advance_batch and the one replay."""
+    """Every horizon goes through one step and the one replay."""
 
     @pytest.mark.parametrize("scheduler", ["credit", "vprobe"])
     def test_idle_pcpu_horizons_use_fused_replay(self, monkeypatch, scheduler):
@@ -175,14 +177,16 @@ class TestFusedReplay:
         # every macro-step has idle PCPUs whose per-epoch steal attempts
         # the engine draws in one idle_steals call.
         idle_calls = []
-        orig = BatchedEngine._advance_replay_fused
+        orig = BatchedEngine.step
 
-        def wrapped(self, *args, **kwargs):
-            if any(p.current is None for p in self.machine.pcpus):
-                idle_calls.append(args[2])
-            return orig(self, *args, **kwargs)
+        def wrapped(self, now, limit):
+            idle = any(p.current is None for p in self.machine.pcpus)
+            kb, end = orig(self, now, limit)
+            if idle:
+                idle_calls.append(kb)
+            return kb, end
 
-        monkeypatch.setattr(BatchedEngine, "_advance_replay_fused", wrapped)
+        monkeypatch.setattr(BatchedEngine, "step", wrapped)
         build = partial(overhead_scenario, 1)
         batched = _summary(build, scheduler, "batched", 0.02)
         assert idle_calls, "no idle-PCPU horizon took the fused replay"
@@ -218,17 +222,17 @@ class TestFusedReplay:
         # and tick-adjacent bursts), and its VCPUs finish inside the run.
         single = []
         finished = []
-        orig = BatchedEngine._advance_replay_fused
+        orig = BatchedEngine.step
 
-        def wrapped(self, end_batch, epoch, kb, plan):
-            vcpus = [row[12] for row in plan[1]]
-            end = orig(self, end_batch, epoch, kb, plan)
+        def wrapped(self, now, limit):
+            vcpus = [p.current for p in self.machine.pcpus if p.current is not None]
+            kb, end = orig(self, now, limit)
             if kb == 1:
                 single.append(end)
                 finished.extend(v for v in vcpus if v.finish_time is not None)
-            return end
+            return kb, end
 
-        monkeypatch.setattr(BatchedEngine, "_advance_replay_fused", wrapped)
+        monkeypatch.setattr(BatchedEngine, "step", wrapped)
         build = partial(spec_scenario, "lu")
         batched = _summary(build, "credit", "batched", 0.05, seed=0)
         assert len(single) > 10, "one-epoch horizons skipped the replay"
@@ -238,28 +242,37 @@ class TestFusedReplay:
     def test_idle_machine_horizons_commit_batched_decay(self, monkeypatch):
         # One pinned VCPU that blocks now and then: while it sleeps no
         # PCPU runs anything, and such a horizon must commit its K
-        # epochs of warmth decay in one batched step per LLC: one kernel
-        # call with no rows and no members on either node.
+        # epochs of warmth decay in one batched step per LLC: each
+        # member-less node's table decays exactly as K epochs of
+        # LLCState.advance would.
         idle_horizons = []
         decay_steps = []
-        orig_batch = BatchedEngine.advance_batch
-        orig_replay = BatchedEngine.kernel.replay
+        orig = BatchedEngine.step
 
-        def batch(self, now, epoch, kb):
-            if kb > 1 and all(p.current is None for p in self.machine.pcpus):
+        def step(self, now, limit):
+            machine = self.machine
+            idle_nodes = [
+                node for node in range(len(machine.caches))
+                if all(p.current is None for p in machine.pcpus if p.node == node)
+            ]
+            before = {
+                node: dict(machine.caches[node].state.warmth_table)
+                for node in idle_nodes
+            }
+            kb, end = orig(self, now, limit)
+            if kb > 1 and len(idle_nodes) == len(machine.caches):
                 idle_horizons.append(kb)
-            return orig_batch(self, now, epoch, kb)
-
-        def replay(contention, progress, scalars, epoch, kb, mbusy, nodes, tables):
-            for members, _shares in nodes:
-                if not members and kb > 1:
+            for node, table in before.items():
+                python_commit(table, (), {}, kb, math.exp(-self.epoch / LLCState.DECAY_TIME))
+                live = machine.caches[node].state.warmth_table
+                assert [(k, w.hex()) for k, w in live.items()] == [
+                    (k, w.hex()) for k, w in table.items()
+                ]
+                if kb > 1:
                     decay_steps.append(kb)
-            return orig_replay(
-                contention, progress, scalars, epoch, kb, mbusy, nodes, tables
-            )
+            return kb, end
 
-        monkeypatch.setattr(BatchedEngine, "advance_batch", batch)
-        monkeypatch.setattr(BatchedEngine, "kernel", SimpleNamespace(replay=replay))
+        monkeypatch.setattr(BatchedEngine, "step", step)
         build = partial(solo_scenario, "lu")
         batched = _summary(build, "vprobe", "batched", 0.05, seed=0)
         assert idle_horizons, "no fully idle horizon longer than one epoch"
@@ -302,16 +315,15 @@ class TestReplayRecords:
         # list inside every epoch: each must read the other's update
         # from the same epoch, exactly as the reference interleaves them.
         aliased = []
-        orig = BatchedEngine._advance_replay_fused
 
-        def wrapped(self, end_batch, epoch, kb, plan):
-            if len(plan[1]) == 2:
-                a, b = plan[1]  # progress rows
-                if a[0] is b[0] and a[10] > 0:
-                    aliased.append(kb)
-            return orig(self, end_batch, epoch, kb, plan)
+        def after(replay, engine, result):
+            live = [rec for rec in replay.slots() if rec is not None]
+            if len(live) == 2:
+                a, b = live
+                if a.row is b.row and a.drift > 0:
+                    aliased.append(result[0])
 
-        monkeypatch.setattr(BatchedEngine, "_advance_replay_fused", wrapped)
+        watch_replay(monkeypatch, after)
         machine = _shared_slice_machine("batched")
         machine.run(max_time_s=1.0)
         ref = _shared_slice_machine("reference")
@@ -333,29 +345,29 @@ class TestReplayRecords:
         moved = set()
         rebuilt = set()
         last_node = {}
-        orig = BatchedEngine._advance_replay_fused
 
-        def wrapped(self, end_batch, epoch, kb, plan):
-            for row in plan[1]:  # progress rows
-                vcpu, pcpu = row[12], row[17]
+        def after(replay, engine, result):
+            for pcpu, rec in zip(engine.machine.pcpus, replay.slots()):
+                if rec is None:
+                    continue
+                vcpu = rec.vcpu
                 assert pcpu.current is vcpu
                 w = vcpu.workload
                 node = pcpu.node
-                assert row[0] is vcpu.domain.placement.rows[w.slice_id]
-                assert row[2] == (
+                assert rec.row is vcpu.domain.placement.rows[w.slice_id]
+                assert rec.rpi == (
                     w.profile.refs_per_instruction * w.intensity_multiplier
                 )
-                assert row[5] == self.node_clock[node]
-                assert row[6] == self.node_ns2c[node]
-                assert row[8] == (node == 0)
+                assert rec.clock == engine.node_clock[node]
+                assert rec.ns2c == engine.node_ns2c[node]
+                assert rec.node == node
                 if last_node.setdefault(vcpu.key, node) != node:
                     moved.add(vcpu.key)
                 last_node[vcpu.key] = node
-                if self.key_gen[vcpu.key] > 1:
+                if engine.key_gen[vcpu.key] > 1:
                     rebuilt.add(vcpu.key)
-            return orig(self, end_batch, epoch, kb, plan)
 
-        monkeypatch.setattr(BatchedEngine, "_advance_replay_fused", wrapped)
+        watch_replay(monkeypatch, after)
 
         def run(engine):
             cfg = ScenarioConfig(work_scale=0.15, seed=1, engine=engine)
@@ -396,16 +408,19 @@ class TestReplayRecords:
     def test_phase_change_of_a_descheduled_vcpu_leaves_the_plan(self):
         # A VCPU that blocks at a batch end and changes phase at that
         # same boundary: its PCPU idles and its slot is dropped, so the
-        # next plan must not reuse the old one that still replays it.
+        # next horizon must not replay it.
         machine = _loaded_soplex("batched")
         machine.run(max_time_s=0.05)
         engine = machine._engine
-        engine._plan_for()
+        slots = engine._replay.slots()
         pcpu = next(p for p in machine.pcpus if p.current is not None)
         vcpu = pcpu.current
+        assert slots[pcpu.pcpu_id].vcpu is vcpu
         pcpu.current = None
         engine.refresh_vcpu(vcpu)
-        assert all(row[12] is not vcpu for row in engine._plan_for()[1])
+        assert engine._replay.slots()[pcpu.pcpu_id] is None
+        engine.step(machine.time, machine.config.max_time_s)
+        assert all(rec is None or rec.vcpu is not vcpu for rec in engine._replay.slots())
 
     def test_equal_demand_sets_share_one_plan(self, monkeypatch):
         # The seed-0 loaded soplex cell for 2 simulated seconds: node
@@ -594,6 +609,61 @@ class TestReplaySlots:
         assert returned, "no restarted VCPU came back to its old PCPU"
         _assert_reference_parity(machine, build)
 
+    def test_slots_follow_phase_changes_migrations_and_crashes(self, monkeypatch):
+        # After every compiled step each PCPU's slot holds the record of
+        # the VCPU it runs now, under that VCPU's current phase and on
+        # the PCPU's node: a phase change drops the running VCPU's slot
+        # at once, and a migration or a crash between horizons replaces
+        # or empties the old PCPU's slot.
+        seen = {"phase": 0, "migration": 0, "crash": 0}
+        last_pid = {}
+        crashed = []
+        orig_refresh = BatchedEngine.refresh_vcpu
+        orig_crash = Machine.crash_domain
+
+        def refresh(self, vcpu):
+            held = any(rec is not None and rec.vcpu is vcpu for rec in self._replay.slots())
+            orig_refresh(self, vcpu)
+            assert all(rec is None or rec.vcpu is not vcpu for rec in self._replay.slots())
+            seen["phase"] += held
+
+        def crash(self, domain_name, now, downtime_s, lose_progress=True):
+            if self._engine is not None:
+                crashed.extend(
+                    v for v in self.domain(domain_name).vcpus
+                    if v.state is VcpuState.RUNNING
+                )
+            return orig_crash(self, domain_name, now, downtime_s, lose_progress)
+
+        def after(replay, engine, result):
+            held = set()
+            for pcpu, rec in zip(engine.machine.pcpus, replay.slots()):
+                if pcpu.current is None:
+                    assert rec is None
+                    continue
+                assert rec.vcpu is pcpu.current and rec.node == pcpu.node
+                assert rec.gen == engine.key_gen[rec.key]
+                held.add(rec.vcpu)
+                if last_pid.setdefault(rec.key, pcpu.pcpu_id) != pcpu.pcpu_id:
+                    seen["migration"] += 1
+                last_pid[rec.key] = pcpu.pcpu_id
+            if crashed:
+                assert not held.intersection(crashed)
+                seen["crash"] += len(crashed)
+                crashed.clear()
+
+        monkeypatch.setattr(BatchedEngine, "refresh_vcpu", refresh)
+        monkeypatch.setattr(Machine, "crash_domain", crash)
+        watch_replay(monkeypatch, after)
+        plan = FaultPlan(
+            crashes=(DomainCrash("vm1", at_time_s=0.5, downtime_s=0.1),)
+        )
+        build = partial(_loaded_soplex, faults=plan)
+        machine = build("batched")
+        machine.run(max_time_s=3.0)
+        assert all(seen.values()), seen
+        _assert_reference_parity(machine, build)
+
     def test_checkpoint_mid_run_resumes_bitwise(self, tmp_path):
         # A checkpoint drops the engine and its slots; the resumed run
         # rebuilds them from the restored machine.
@@ -603,7 +673,7 @@ class TestReplaySlots:
             max_time_s=1.5, stop_check=lambda: next(polls) >= 150
         )
         assert result.interrupted
-        assert any(slot is not None for slot in machine._engine._slots)
+        assert any(slot is not None for slot in machine._engine._replay.slots())
         path = tmp_path / "mid.ckpt"
         save_checkpoint(machine, path)
         restored = load_checkpoint(path)

@@ -261,12 +261,11 @@ class TestPmuPickle:
         restored.run(max_time_s=restored.time + 0.05)
         engine = restored._engine
         assert engine is not None
-        rows = engine._plan[1]  # progress rows
-        assert rows
-        for row in rows:
-            vcpu, bank, node_accesses = row[12], row[14], row[15]
-            assert bank is pmu.peek(vcpu.key)
-            assert node_accesses is bank.node_accesses
+        records = [rec for rec in engine._replay.slots() if rec is not None]
+        assert records
+        for rec in records:
+            assert rec.bank is pmu.peek(rec.vcpu.key)
+            assert rec.node_accesses is rec.bank.node_accesses
         charged = [
             key for key in pmu
             if pmu.peek(key).instructions > before[key].instructions
